@@ -27,6 +27,7 @@ from .config import (
     build_dataset,
     build_layers,
     build_model,
+    check_seed,
     load_config,
     model_to_specs,
 )
@@ -209,11 +210,12 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            check_seed("--seed", args.seed)
+            cfg.train.seed = args.seed
     except (OSError, ZigPruneError) as exc:
         print(f"[config] {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg.train.seed = args.seed
     try:
         _STAGES[args.command](cfg)
     except ZigPruneError as exc:

@@ -119,6 +119,8 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     typed = {key: _parse_value(raw, key, _KNOWN_KEYS[key]) for key, raw in pairs.items()}
+    for key in ("model.seed", "dataset.seed", "optimizer.seed"):
+        check_seed(key, typed.get(key, 0))
 
     def need(key):
         if key not in typed:
@@ -185,6 +187,12 @@ def load_config(path) -> ExperimentConfig:
     probe = build_model(cfg)
     del probe
     return cfg
+
+
+def check_seed(what: str, seed: int):
+    """Seeds feed numpy's generators, which take only non-negative integers."""
+    if seed < 0:
+        raise ConfigError(f"{what} must be >= 0, got {seed}")
 
 
 def _validate_init(init: str):
@@ -375,9 +383,8 @@ def build_layers(layer_specs, input_shape, loss: str | None, init: str, seed: in
     return layers
 
 
-def build_model(cfg: ExperimentConfig, loss: str | None = "from-config") -> ModelGraph:
-    loss_kind = cfg.loss if loss == "from-config" else loss
-    layers = build_layers(cfg.layer_specs, cfg.input_shape, loss_kind, cfg.init, cfg.model_seed)
+def build_model(cfg: ExperimentConfig) -> ModelGraph:
+    layers = build_layers(cfg.layer_specs, cfg.input_shape, cfg.loss, cfg.init, cfg.model_seed)
     try:
         return ModelGraph(layers, cfg.input_shape)
     except ZigPruneError as exc:

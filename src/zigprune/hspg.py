@@ -42,7 +42,6 @@ class OptimizerState:
     k: int = 0
     decay: float = 1.0  # multiplicative alpha factor applied every steps_per_epoch steps
     steps_per_epoch: int = 0  # 0 disables the decay schedule
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.epsilon < 1.0):
@@ -86,13 +85,22 @@ def half_space_project(
     out = z.copy()
     if partition.pen_perm.size == 0:
         return out
-    s = partition.pen_sqnorms(x_k)
-    d = partition.pen_dots(z, x_k)
-    kill = (d < epsilon * s) & (partition.pen_nonzero_counts(x_k) > 0)
-    if kill.any():
-        entries = np.repeat(kill, partition.pen_sizes)
-        out[partition.pen_perm[entries]] = 0.0
+    live = partition.pen_nonzero_counts(x_k) > 0  # groups already zero stay as given
+    kill, _ = _leaves_half_space(out, x_k, partition, epsilon, live)
+    _zero_groups(out, partition, kill)
     return out
+
+
+def _leaves_half_space(z, x, partition: GroupPartition, epsilon: float, live):
+    """Mask of live penalized groups with <z_g, x_g> < epsilon * ||x_g||^2, and ||x_g||^2."""
+    s = partition.pen_sqnorms(x)
+    return (partition.pen_dots(z, x) < epsilon * s) & live, s
+
+
+def _zero_groups(out: np.ndarray, partition: GroupPartition, mask: np.ndarray):
+    """Write zeros over every penalized group selected by `mask`, in place."""
+    if mask.any():
+        out[partition.pen_perm[np.repeat(mask, partition.pen_sizes)]] = 0.0
 
 
 def _check_finite(vec: np.ndarray, k: int, what: str):
@@ -124,14 +132,9 @@ def hspg_step(state: OptimizerState, nu: np.ndarray, partition: GroupPartition) 
     trial = (x64 - alpha * nu64).astype(np.float32)
     zeroed_now = np.empty(0, dtype=np.int64)
     if partition.pen_perm.size:
-        counts = partition.pen_nonzero_counts(x)
-        frozen = counts == 0  # groups already zero stay zero
-        if frozen.any():
-            entries = np.repeat(frozen, partition.pen_sizes)
-            trial[partition.pen_perm[entries]] = 0.0
-        s = partition.pen_sqnorms(x)
-        d = partition.pen_dots(trial, x)
-        kill = (d < state.epsilon * s) & ~frozen
+        frozen = partition.pen_nonzero_counts(x) == 0  # groups already zero stay zero
+        _zero_groups(trial, partition, frozen)
+        kill, s = _leaves_half_space(trial, x, partition, state.epsilon, ~frozen)
         if kill.any():
             # zeroing is legitimate only when -x_g is a descent direction
             xg_dot_nu = partition.pen_dots(x, nu)
@@ -143,8 +146,7 @@ def hspg_step(state: OptimizerState, nu: np.ndarray, partition: GroupPartition) 
                     f"projection of group {gid} at iteration {state.k} does not satisfy "
                     f"the descent inequality"
                 )
-            entries = np.repeat(kill, partition.pen_sizes)
-            trial[partition.pen_perm[entries]] = 0.0
+            _zero_groups(trial, partition, kill)
             zeroed_now = partition.pen_gids[kill]
     state.x = trial
     info = {"k": state.k, "stage": "half_space", "zeroed": zeroed_now}
@@ -228,7 +230,6 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
         switch_iteration=max(1, config.np_epochs * steps_per_epoch),
         decay=config.decay,
         steps_per_epoch=steps_per_epoch,
-        seed=config.seed,
     )
     rng = np.random.default_rng(config.seed)
     trace: list[dict] = []

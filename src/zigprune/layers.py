@@ -1,8 +1,24 @@
-"""Layer set: linear, conv+batchnorm, residual block, projection attention, losses.
+"""Layer kinds: linear, conv+batchnorm, residual block, projection attention,
+activations and losses.
 
-Every forward returns ``(out, cache)`` and has a matching backward taking
-``(dout, cache)`` and returning ``(dx, param_grads)``. Computations follow the
-input dtype (float32 in normal use; float64 when a gradient check runs a
+Each kind is one class implementing the `Layer` protocol, so a kind's rules
+live in one place and the model, the grouping and the pruning never branch
+on type:
+
+  * `layer_kind` labels the kind in group tags and prune layer maps, and
+    `flattens` asks the model to reshape a (C, H, W) value to (C*H*W,) first;
+  * `out_shape`, `forward`, `backward` and `params` define the computation;
+  * `units` gives each output unit's zero-invariant group as parameter spans;
+  * `slim`, `macs` and `kinks` serve pruning, FLOP counting and the
+    finite-difference check.
+
+The numeric work sits in module-level functions: every forward returns
+``(out, cache)`` and its backward takes ``(dout, cache)`` and returns
+``(dx, param_grads)``. Methods call these functions through the module
+namespace at call time (never through a table built at import), so
+replacing `layers.linear_forward` and its siblings on the module, as a
+tracer does, intercepts every call. Computations follow the input dtype
+(float32 in normal use; float64 when a gradient check runs a
 higher-precision shadow), and large reductions always accumulate in float64.
 
 The conv layer fuses batch normalization with the activation applied to the
@@ -18,12 +34,12 @@ zero output channel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import ParameterError, ShapeError
+from .errors import InvalidModelError, ParameterError, ShapeError
 from .tensor import Tensor
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
@@ -97,13 +113,77 @@ def _param(t: Tensor, dtype) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# layer specs
+# layer kinds
+
+
+class Layer:
+    """The protocol every layer kind implements.
+
+    The defaults fit a parameter-free kind that keeps the shape of its input
+    and passes values and gradients through unchanged.
+    """
+
+    layer_kind = ""  # label used in group tags and prune layer maps
+    flattens = False  # the model reshapes a (C, H, W) value to (C*H*W,) first
+
+    def out_shape(self, shape: tuple) -> tuple:
+        """Output sample shape for an input sample shape; raises InvalidModelError."""
+        return shape
+
+    def forward(self, x: np.ndarray):
+        """(out, cache) for a batch."""
+        return x, None
+
+    def backward(self, dout: np.ndarray, cache):
+        """(dx, {parameter name: gradient})."""
+        return dout, {}
+
+    def params(self) -> list[tuple[str, Tensor, bool]]:
+        """(name, tensor, trainable) triples in a stable order."""
+        return []
+
+    def units(self) -> list[tuple[int | None, int, list[tuple[str, int, int]]]]:
+        """One (head, row, spans) per output unit, in output order.
+
+        `spans` lists the (parameter name, start, stop) ranges of the unit's
+        zero-invariant group, in flattened array-local positions; `row` is
+        the unit's index within its head (within the layer when head is None).
+        """
+        return []
+
+    def slim(self, kept_in, kept_out) -> "Layer":
+        """The layer restricted to the kept input and output unit indices."""
+        return replace(self)
+
+    def macs(self, out_shape: tuple) -> dict:
+        """Per-sample multiply-accumulates as {"flops": n}, plus any breakdown."""
+        return {"flops": 0}
+
+    def kinks(self, cache) -> list[np.ndarray]:
+        """Sign patterns of the relu-family pre-activations recorded in `cache`."""
+        return []
+
+
+def _check_in_extent(extent: int, expected: int):
+    if extent != expected:
+        raise InvalidModelError(f"input extent {extent} does not match expected {expected}")
+
+
+def _row_units(m: int, n: int, prefix: str = "", head: int | None = None):
+    """Row r of an (m, n) weight with its bias entry, for every row."""
+    return [
+        (head, r, [(f"{prefix}weight", r * n, (r + 1) * n), (f"{prefix}bias", r, r + 1)])
+        for r in range(m)
+    ]
 
 
 @dataclass
-class Linear:
+class Linear(Layer):
     weight: Tensor  # (m, n)
     bias: Tensor  # (m,)
+
+    layer_kind = "linear"
+    flattens = True
 
     def __post_init__(self):
         if self.weight.data.ndim != 2:
@@ -122,9 +202,36 @@ class Linear:
     def in_features(self):
         return self.weight.data.shape[1]
 
+    def out_shape(self, shape):
+        _check_in_extent(shape[0], self.in_features)
+        return (self.out_features,)
+
+    def forward(self, x):
+        return linear_forward(x, self)
+
+    def backward(self, dout, cache):
+        return linear_backward(dout, self, cache)
+
+    def params(self):
+        return [("weight", self.weight, True), ("bias", self.bias, True)]
+
+    def units(self):
+        return _row_units(self.out_features, self.in_features)
+
+    def slim(self, kept_in, kept_out):
+        rows = np.asarray(kept_out, dtype=np.int64)
+        cols = np.asarray(kept_in, dtype=np.int64)
+        return Linear(Tensor(self.weight.data[np.ix_(rows, cols)]), Tensor(self.bias.data[rows]))
+
+    def macs(self, out_shape):
+        return {"flops": self.out_features * self.in_features}
+
+
+_BN_VECTORS = ("bias", "mean", "std", "gamma", "beta")
+
 
 @dataclass
-class ConvBN:
+class ConvBN(Layer):
     kernel: Tensor  # (m, in_channels * kh * kw), row c flattened (channel, kh, kw)
     bias: Tensor  # (m,)
     mean: Tensor  # (m,) stored constant
@@ -138,6 +245,8 @@ class ConvBN:
     padding: int = 0
     activation: str = "relu"
 
+    layer_kind = "convbn"
+
     def __post_init__(self):
         m, cols = self.kernel.data.shape
         expected = self.in_channels * self.kh * self.kw
@@ -145,7 +254,7 @@ class ConvBN:
             raise ShapeError(
                 f"conv kernel has {cols} columns, expected in_channels*kh*kw = {expected}"
             )
-        for name in ("bias", "mean", "std", "gamma", "beta"):
+        for name in _BN_VECTORS:
             arr = getattr(self, name).data
             if arr.shape != (m,):
                 raise ShapeError(f"conv {name} extent {arr.shape} does not match {m} channels")
@@ -157,19 +266,114 @@ class ConvBN:
     def out_channels(self):
         return self.kernel.data.shape[0]
 
+    def out_shape(self, shape):
+        if len(shape) != 3:
+            raise InvalidModelError(f"conv needs a (channels, h, w) input, got {shape}")
+        if shape[0] != self.in_channels:
+            raise InvalidModelError(
+                f"input channel extent {shape[0]} does not match kernel "
+                f"in_channels {self.in_channels}"
+            )
+        oh, ow = conv_output_hw(shape[1], shape[2], self)
+        if oh < 1 or ow < 1:
+            raise InvalidModelError(f"empty conv output for input {shape}")
+        return (self.out_channels, oh, ow)
+
+    def forward(self, x):
+        return conv_bn_forward(x, self)
+
+    def backward(self, dout, cache):
+        return conv_bn_backward(dout, self, cache)
+
+    def params(self):
+        trainable = [(n, getattr(self, n), True) for n in ("kernel", "bias", "gamma", "beta")]
+        return trainable + [("mean", self.mean, False), ("std", self.std, False)]
+
+    def units(self):
+        # bn mean/std stay out: with gamma = beta = 0 they cannot shift the channel
+        ck = self.kernel.data.shape[1]
+        return [
+            (None, c, [("kernel", c * ck, (c + 1) * ck), ("bias", c, c + 1),
+                       ("gamma", c, c + 1), ("beta", c, c + 1)])
+            for c in range(self.out_channels)
+        ]
+
+    def slim(self, kept_in, kept_out):
+        rows = np.asarray(kept_out, dtype=np.int64)
+        block = self.kh * self.kw
+        cols = (np.asarray(kept_in, dtype=np.int64)[:, None] * block + np.arange(block)).ravel()
+        return replace(
+            self,
+            kernel=Tensor(self.kernel.data[np.ix_(rows, cols)]),
+            in_channels=len(kept_in),
+            **{n: Tensor(getattr(self, n).data[rows]) for n in _BN_VECTORS},
+        )
+
+    def macs(self, out_shape):
+        _, oh, ow = out_shape
+        conv = self.out_channels * self.kernel.data.shape[1] * oh * ow
+        bn = self.out_channels * oh * ow
+        return {"flops": conv + bn, "conv": conv, "bn": bn}
+
+    def kinks(self, cache):
+        return [cache[2] > 0] if self.activation != "gelu" else []
+
 
 @dataclass
-class ResidualBlock:
+class ResidualBlock(Layer):
     branch1: ConvBN
     branch2: ConvBN
 
+    layer_kind = "residual"
+
+    @property
+    def branches(self):
+        return (("b1", self.branch1), ("b2", self.branch2))
+
+    def out_shape(self, shape):
+        s1, s2 = (branch.out_shape(shape) for _, branch in self.branches)
+        if s1 != s2:
+            raise InvalidModelError(f"residual branch outputs disagree: {s1} vs {s2}")
+        return s1
+
+    def forward(self, x):
+        return residual_forward(x, self)
+
+    def backward(self, dout, cache):
+        return residual_backward(dout, self, cache)
+
+    def params(self):
+        return [
+            (f"{tag}.{n}", t, tr) for tag, branch in self.branches for n, t, tr in branch.params()
+        ]
+
+    def units(self):
+        # channel c of both branches, so the summed channel is zero
+        per_branch = [
+            [[(f"{tag}.{n}", a, b) for n, a, b in spans] for _, _, spans in branch.units()]
+            for tag, branch in self.branches
+        ]
+        return [(None, c, s1 + s2) for c, (s1, s2) in enumerate(zip(*per_branch))]
+
+    def slim(self, kept_in, kept_out):
+        return ResidualBlock(*(b.slim(kept_in, kept_out) for _, b in self.branches))
+
+    def macs(self, out_shape):
+        return {"flops": sum(b.macs(out_shape)["flops"] for _, b in self.branches)}
+
+    def kinks(self, cache):
+        return self.branch1.kinks(cache[0]) + self.branch2.kinks(cache[1])
+
 
 @dataclass
-class MultiHeadAttention:
+class MultiHeadAttention(Layer):
     """Projection-only attention: per head ``w_h @ x + b_h``, outputs concatenated."""
 
     weights: list[Tensor] = field(default_factory=list)  # per head (m_h, n)
     biases: list[Tensor] = field(default_factory=list)  # per head (m_h,)
+
+    layer_kind = "mha"
+    flattens = True
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -200,53 +404,77 @@ class MultiHeadAttention:
     def out_features(self):
         return sum(self.head_dims)
 
+    def out_shape(self, shape):
+        _check_in_extent(shape[0], self.in_features)
+        return (self.out_features,)
+
+    def forward(self, x):
+        return attention_forward(x, self)
+
+    def backward(self, dout, cache):
+        return attention_backward(dout, self, cache)
+
+    def params(self):
+        return [
+            (f"h{h}.{n}", t, True)
+            for h, pair in enumerate(zip(self.weights, self.biases))
+            for n, t in zip(("weight", "bias"), pair)
+        ]
+
+    def units(self):
+        n = self.in_features
+        return [u for h, m_h in enumerate(self.head_dims) for u in _row_units(m_h, n, f"h{h}.", h)]
+
+    def slim(self, kept_in, kept_out):
+        cols = np.asarray(kept_in, dtype=np.int64)
+        weights, biases = [], []
+        offset = 0
+        for w, b in zip(self.weights, self.biases):
+            m_h = w.data.shape[0]
+            rows = [o - offset for o in kept_out if offset <= o < offset + m_h]
+            rows = np.asarray(rows, dtype=np.int64)
+            offset += m_h
+            if rows.size:  # a head with no kept row is dropped entirely
+                weights.append(Tensor(w.data[np.ix_(rows, cols)]))
+                biases.append(Tensor(b.data[rows]))
+        return MultiHeadAttention(weights=weights, biases=biases)
+
+    def macs(self, out_shape):
+        return {"flops": self.out_features * self.in_features}
+
 
 @dataclass
-class Activation:
+class Activation(Layer):
     kind: str
+
+    layer_kind = "activation"
 
     def __post_init__(self):
         if self.kind not in ACTIVATIONS:
             raise ParameterError(f"unknown activation kind {self.kind!r}")
 
+    def forward(self, x):
+        return activation_forward(x, self)
+
+    def backward(self, dout, cache):
+        return activation_backward(dout, self, cache)
+
+    def kinks(self, cache):
+        return [cache > 0] if self.kind != "gelu" else []
+
 
 @dataclass
-class Loss:
+class Loss(Layer):
+    """Marks the objective; the model evaluates it with `loss_forward`."""
+
     kind: str
+
+    layer_kind = "loss"
+    flattens = True
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.kind!r}")
-
-
-LayerSpec = Linear | ConvBN | ResidualBlock | MultiHeadAttention | Activation | Loss
-
-
-def param_entries(layer) -> list[tuple[str, Tensor, bool]]:
-    """(name, tensor, trainable) triples for a layer, in a stable order."""
-    if isinstance(layer, Linear):
-        return [("weight", layer.weight, True), ("bias", layer.bias, True)]
-    if isinstance(layer, ConvBN):
-        return [
-            ("kernel", layer.kernel, True),
-            ("bias", layer.bias, True),
-            ("gamma", layer.gamma, True),
-            ("beta", layer.beta, True),
-            ("mean", layer.mean, False),
-            ("std", layer.std, False),
-        ]
-    if isinstance(layer, ResidualBlock):
-        out = []
-        for tag, branch in (("b1", layer.branch1), ("b2", layer.branch2)):
-            out.extend((f"{tag}.{n}", t, tr) for n, t, tr in param_entries(branch))
-        return out
-    if isinstance(layer, MultiHeadAttention):
-        out = []
-        for h, (w, b) in enumerate(zip(layer.weights, layer.biases)):
-            out.append((f"h{h}.weight", w, True))
-            out.append((f"h{h}.bias", b, True))
-        return out
-    return []
 
 
 def _check_std(std: np.ndarray):

@@ -4,7 +4,8 @@ A model is an ordered list of layer specs plus a sample input shape. Values
 flow through the layers in order; residual blocks sum their two branch
 outputs; a trailing ``Loss`` layer turns targets into a scalar objective.
 A value with spatial structure is flattened (batch, -1) before it enters a
-linear, attention or loss layer.
+layer whose kind `flattens` (linear, attention, loss). Every per-kind rule
+is a method of the layer class (see `layers`).
 
 Parameter arrays live in a registry keyed by stable ids (``L3.kernel``,
 ``L5.b1.gamma``, ``L7.h0.weight``); the flattened view used by the
@@ -22,8 +23,6 @@ from . import layers as L
 from .errors import InvalidModelError, ParameterError, ShapeError, StateError
 from .tensor import Tensor, as_array, load_arrays, save_arrays
 
-_FLAT_KINDS = (L.Linear, L.MultiHeadAttention, L.Loss)
-
 
 def _flat_size(shape) -> int:
     return int(np.prod(shape, dtype=np.int64))
@@ -34,52 +33,16 @@ def infer_shapes(layer_list, input_shape) -> list[tuple]:
     shape = tuple(int(s) for s in input_shape)
     shapes = []
     for i, layer in enumerate(layer_list):
-        if isinstance(layer, L.Loss):
-            if i != len(layer_list) - 1:
-                raise InvalidModelError(f"layer {i}: loss layer must be last")
-            if len(shape) > 1:
-                shape = (_flat_size(shape),)
-        elif isinstance(layer, (L.Linear, L.MultiHeadAttention)):
-            if len(shape) > 1:
-                shape = (_flat_size(shape),)
-            expected = layer.in_features
-            if shape[0] != expected:
-                raise InvalidModelError(
-                    f"layer {i}: input extent {shape[0]} does not match expected {expected}"
-                )
-            shape = (layer.out_features,)
-        elif isinstance(layer, L.ConvBN):
-            if len(shape) != 3:
-                raise InvalidModelError(
-                    f"layer {i}: conv needs a (channels, h, w) input, got {shape}"
-                )
-            if shape[0] != layer.in_channels:
-                raise InvalidModelError(
-                    f"layer {i}: input channel extent {shape[0]} does not match "
-                    f"kernel in_channels {layer.in_channels}"
-                )
-            oh, ow = L.conv_output_hw(shape[1], shape[2], layer)
-            if oh < 1 or ow < 1:
-                raise InvalidModelError(f"layer {i}: empty conv output for input {shape}")
-            shape = (layer.out_channels, oh, ow)
-        elif isinstance(layer, L.ResidualBlock):
-            sub = [None, None]
-            for b, branch in enumerate((layer.branch1, layer.branch2)):
-                sub[b] = infer_shapes([branch], shape)[0]
-            if sub[0] != sub[1]:
-                raise InvalidModelError(
-                    f"layer {i}: residual branch outputs disagree: {sub[0]} vs {sub[1]}"
-                )
-            if layer.branch1.out_channels != layer.branch2.out_channels:
-                raise InvalidModelError(
-                    f"layer {i}: residual branch channel counts differ: "
-                    f"{layer.branch1.out_channels} vs {layer.branch2.out_channels}"
-                )
-            shape = sub[0]
-        elif isinstance(layer, L.Activation):
-            pass
-        else:
+        if not hasattr(layer, "out_shape"):
             raise InvalidModelError(f"layer {i}: unknown layer kind {type(layer).__name__}")
+        if isinstance(layer, L.Loss) and i != len(layer_list) - 1:
+            raise InvalidModelError(f"layer {i}: loss layer must be last")
+        if layer.flattens and len(shape) > 1:
+            shape = (_flat_size(shape),)
+        try:
+            shape = layer.out_shape(shape)
+        except InvalidModelError as exc:
+            raise InvalidModelError(f"layer {i}: {exc}") from exc
         shapes.append(shape)
     return shapes
 
@@ -92,7 +55,7 @@ class ModelGraph:
         self.params: dict[str, Tensor] = {}
         self.constants: dict[str, Tensor] = {}
         for i, layer in enumerate(self.layers):
-            for name, tensor, trainable in L.param_entries(layer):
+            for name, tensor, trainable in layer.params():
                 key = f"L{i}.{name}"
                 if trainable:
                     tensor.ensure_grad()
@@ -163,26 +126,13 @@ class ModelGraph:
         dloss = None
         for i, layer in enumerate(self.layers):
             pre_flatten = None
-            if isinstance(layer, _FLAT_KINDS) and x.ndim > 2:
+            if layer.flattens and x.ndim > 2:
                 pre_flatten = x.shape
                 x = x.reshape(x.shape[0], -1)
             try:
-                if isinstance(layer, L.Linear):
-                    x, cache = L.linear_forward(x, layer)
-                elif isinstance(layer, L.ConvBN):
-                    x, cache = L.conv_bn_forward(x, layer)
-                elif isinstance(layer, L.ResidualBlock):
-                    x, cache = L.residual_forward(x, layer)
-                elif isinstance(layer, L.MultiHeadAttention):
-                    x, cache = L.attention_forward(x, layer)
-                elif isinstance(layer, L.Activation):
-                    x, cache = L.activation_forward(x, layer)
-                elif isinstance(layer, L.Loss):
-                    cache = None
-                    if targets is not None:
-                        loss, dloss = L.loss_forward(x, targets, layer.kind)
-                else:
-                    raise InvalidModelError(f"unknown layer kind {type(layer).__name__}")
+                x, cache = layer.forward(x)
+                if isinstance(layer, L.Loss) and targets is not None:
+                    loss, dloss = L.loss_forward(x, targets, layer.kind)
             except (ShapeError, ParameterError) as exc:
                 raise type(exc)(f"layer {i}: {exc}") from exc
             tape.append((i, layer, cache, pre_flatten))
@@ -208,23 +158,11 @@ class ModelGraph:
         grads: dict[str, np.ndarray] = {}
         d = self._dloss if adjoint == 1.0 else self._dloss * adjoint
         for i, layer, cache, pre_flatten in reversed(self._tape):
-            if isinstance(layer, L.Loss):
-                pass
-            elif isinstance(layer, L.Linear):
-                d, g = L.linear_backward(d, layer, cache)
-            elif isinstance(layer, L.ConvBN):
-                d, g = L.conv_bn_backward(d, layer, cache)
-            elif isinstance(layer, L.ResidualBlock):
-                d, g = L.residual_backward(d, layer, cache)
-            elif isinstance(layer, L.MultiHeadAttention):
-                d, g = L.attention_backward(d, layer, cache)
-            elif isinstance(layer, L.Activation):
-                d, g = L.activation_backward(d, layer, cache)
-            if not isinstance(layer, L.Loss):
-                for name, grad in g.items():
-                    key = f"L{i}.{name}"
-                    grads[key] = grad
-                    self.params[key].grad[...] = grad.astype(np.float32)
+            d, g = layer.backward(d, cache)
+            for name, grad in g.items():
+                key = f"L{i}.{name}"
+                grads[key] = grad
+                self.params[key].grad[...] = grad.astype(np.float32)
             if pre_flatten is not None:
                 d = d.reshape(pre_flatten)
         for key in self.params:
@@ -261,17 +199,7 @@ class ModelGraph:
 
 def _kink_pattern(model: ModelGraph) -> list[np.ndarray]:
     """Sign pattern of every kinked (relu-family) pre-activation of the last forward."""
-    pats = []
-    for _, layer, cache, _ in model._tape:
-        if isinstance(layer, L.ConvBN) and layer.activation != "gelu":
-            pats.append(cache[2] > 0)
-        elif isinstance(layer, L.ResidualBlock):
-            for branch, sub in zip((layer.branch1, layer.branch2), cache):
-                if branch.activation != "gelu":
-                    pats.append(sub[2] > 0)
-        elif isinstance(layer, L.Activation) and layer.kind != "gelu":
-            pats.append(cache > 0)
-    return pats
+    return [p for _, layer, cache, _ in model._tape for p in layer.kinks(cache)]
 
 
 def finite_difference_check(model: ModelGraph, inputs, targets, h: float = 1e-3) -> float:

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layers as L
 from .errors import DegenerateLayerError, StructuralError
 from .model import ModelGraph
-from .tensor import Tensor
 from .zig import GroupPartition
 
 
@@ -98,27 +96,10 @@ def count_params(model: ModelGraph) -> tuple[int, int]:
 
 def flops_detail(model: ModelGraph) -> list[dict]:
     """Per-layer multiply-accumulate counts for one sample."""
-    detail = []
-    for i, layer in enumerate(model.layers):
-        entry = {"layer": i, "kind": type(layer).__name__, "flops": 0}
-        if isinstance(layer, L.Linear):
-            entry["flops"] = layer.out_features * layer.in_features
-        elif isinstance(layer, L.ConvBN):
-            _, oh, ow = model.shapes[i]
-            conv = layer.out_channels * layer.kernel.data.shape[1] * oh * ow
-            bn = layer.out_channels * oh * ow
-            entry.update(flops=conv + bn, conv=conv, bn=bn)
-        elif isinstance(layer, L.ResidualBlock):
-            _, oh, ow = model.shapes[i]
-            total = 0
-            for branch in (layer.branch1, layer.branch2):
-                total += branch.out_channels * branch.kernel.data.shape[1] * oh * ow
-                total += branch.out_channels * oh * ow
-            entry["flops"] = total
-        elif isinstance(layer, L.MultiHeadAttention):
-            entry["flops"] = sum(m_h * layer.in_features for m_h in layer.head_dims)
-        detail.append(entry)
-    return detail
+    return [
+        {"layer": i, "kind": type(layer).__name__, **layer.macs(shape)}
+        for i, (layer, shape) in enumerate(zip(model.layers, model.shapes))
+    ]
 
 
 def count_flops_params(model: ModelGraph) -> tuple[int, int]:
@@ -129,32 +110,6 @@ def count_flops_params(model: ModelGraph) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # surgery
-
-
-def _conv_column_indices(kept_channels, kh: int, kw: int) -> np.ndarray:
-    block = kh * kw
-    return np.concatenate(
-        [np.arange(c * block, (c + 1) * block, dtype=np.int64) for c in kept_channels]
-    )
-
-
-def _slim_convbn(branch: L.ConvBN, kept_rows, kept_in_channels) -> L.ConvBN:
-    rows = np.asarray(kept_rows, dtype=np.int64)
-    cols = _conv_column_indices(kept_in_channels, branch.kh, branch.kw)
-    return L.ConvBN(
-        kernel=Tensor(branch.kernel.data[np.ix_(rows, cols)]),
-        bias=Tensor(branch.bias.data[rows]),
-        mean=Tensor(branch.mean.data[rows]),
-        std=Tensor(branch.std.data[rows]),
-        gamma=Tensor(branch.gamma.data[rows]),
-        beta=Tensor(branch.beta.data[rows]),
-        in_channels=len(kept_in_channels),
-        kh=branch.kh,
-        kw=branch.kw,
-        stride=branch.stride,
-        padding=branch.padding,
-        activation=branch.activation,
-    )
 
 
 def prune(
@@ -204,136 +159,26 @@ def prune(
 
     slim_layers = []
     layer_maps = []
-    # kept input bookkeeping: conv domain tracks channel ids, flat domain
-    # tracks feature indices into the full model's flattened value
-    domain = "conv" if len(model.input_shape) == 3 else "flat"
-    if domain == "conv":
-        kept_channels = list(range(model.input_shape[0]))
-        conv_hw = model.input_shape[1:]
-    else:
-        kept_features = list(range(model.input_shape[0]))
-
-    def to_flat():
-        nonlocal domain, kept_features
-        if domain == "conv":
-            block = conv_hw[0] * conv_hw[1]
-            kept_features = [
-                c * block + j for c in kept_channels for j in range(block)
-            ]
-            domain = "flat"
-
+    # kept indices along the unit axis of the value entering each layer: channels
+    # of a (C, H, W) value, features of a flat one
+    kept_in = list(range(model.input_shape[0]))
+    in_shape = model.input_shape
     for i, layer in enumerate(model.layers):
-        if isinstance(layer, L.Activation):
-            slim_layers.append(L.Activation(layer.kind))
-            layer_maps.append({"layer": i, "kind": "activation", "kept": None})
-            continue
-        if isinstance(layer, L.Loss):
-            slim_layers.append(L.Loss(layer.kind))
-            layer_maps.append({"layer": i, "kind": "loss", "kept": None})
-            continue
-        if isinstance(layer, L.ConvBN):
+        if layer.flattens and len(in_shape) == 3:
+            block = in_shape[1] * in_shape[2]
+            kept_in = [c * block + j for c in kept_in for j in range(block)]
+        width = len(layer.units())
+        if width:
             kept = kept_by_layer.get(i)
-            rows = [g.unit for g in kept] if kept is not None else list(range(layer.out_channels))
-            slim_layers.append(_slim_convbn(layer, rows, kept_channels))
-            layer_maps.append(
-                {
-                    "layer": i,
-                    "kind": "convbn",
-                    "kept": rows,
-                    "width_before": layer.out_channels,
-                    "width_after": len(rows),
-                }
-            )
-            kept_channels = rows
-            h, w = conv_hw
-            conv_hw = L.conv_output_hw(h, w, layer)
-            continue
-        if isinstance(layer, L.ResidualBlock):
-            kept = kept_by_layer.get(i)
-            rows = (
-                [g.unit for g in kept]
-                if kept is not None
-                else list(range(layer.branch1.out_channels))
-            )
-            slim_layers.append(
-                L.ResidualBlock(
-                    branch1=_slim_convbn(layer.branch1, rows, kept_channels),
-                    branch2=_slim_convbn(layer.branch2, rows, kept_channels),
-                )
-            )
-            layer_maps.append(
-                {
-                    "layer": i,
-                    "kind": "residual",
-                    "kept": rows,
-                    "width_before": layer.branch1.out_channels,
-                    "width_after": len(rows),
-                }
-            )
-            kept_channels = rows
-            h, w = conv_hw
-            conv_hw = L.conv_output_hw(h, w, layer.branch1)
-            continue
-        if isinstance(layer, L.Linear):
-            to_flat()
-            kept = kept_by_layer.get(i)
-            if kept is not None:
-                rows = np.asarray([g.unit for g in kept], dtype=np.int64)
-            else:
-                rows = np.arange(layer.out_features, dtype=np.int64)
-            cols = np.asarray(kept_features, dtype=np.int64)
-            slim_layers.append(
-                L.Linear(
-                    weight=Tensor(layer.weight.data[np.ix_(rows, cols)]),
-                    bias=Tensor(layer.bias.data[rows]),
-                )
-            )
-            layer_maps.append(
-                {
-                    "layer": i,
-                    "kind": "linear",
-                    "kept": [int(r) for r in rows],
-                    "width_before": layer.out_features,
-                    "width_after": int(rows.size),
-                }
-            )
-            kept_features = [int(r) for r in rows]
-            continue
-        if isinstance(layer, L.MultiHeadAttention):
-            to_flat()
-            kept = kept_by_layer.get(i)
-            cols = np.asarray(kept_features, dtype=np.int64)
-            weights, biases = [], []
-            kept_out = []
-            offset = 0
-            for h in range(layer.n_heads):
-                m_h = layer.weights[h].data.shape[0]
-                if kept is not None:
-                    head_rows = np.asarray(
-                        [g.unit for g in kept if g.head == h], dtype=np.int64
-                    )
-                    head_out = [g.out_index for g in kept if g.head == h]
-                else:
-                    head_rows = np.arange(m_h, dtype=np.int64)
-                    head_out = list(range(offset, offset + m_h))
-                offset += m_h
-                if head_rows.size == 0:
-                    continue  # head contributes nothing; drop it entirely
-                weights.append(Tensor(layer.weights[h].data[np.ix_(head_rows, cols)]))
-                biases.append(Tensor(layer.biases[h].data[head_rows]))
-                kept_out.extend(head_out)
-            slim_layers.append(L.MultiHeadAttention(weights=weights, biases=biases))
-            layer_maps.append(
-                {
-                    "layer": i,
-                    "kind": "mha",
-                    "kept": [int(v) for v in kept_out],
-                    "width_before": layer.out_features,
-                    "width_after": len(kept_out),
-                }
-            )
-            kept_features = [int(v) for v in kept_out]
-            continue
+            kept_out = [g.out_index for g in kept] if kept is not None else list(range(width))
+            entry = {"kept": kept_out, "width_before": width, "width_after": len(kept_out)}
+        else:  # parameter-free kinds keep the unit axis as it is
+            kept_out = kept_in
+            entry = {"kept": None}
+        slim_layers.append(layer.slim(kept_in, kept_out))
+        layer_maps.append({"layer": i, "kind": layer.layer_kind, **entry})
+        kept_in = kept_out
+        in_shape = model.shapes[i]
 
     slim = ModelGraph(slim_layers, model.input_shape)
     zero_sorted = sorted(zero_set)

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError
 
 CHECKPOINT_MAGIC = b"OTOCKPT1"
 
@@ -119,9 +119,3 @@ def as_array(value) -> np.ndarray:
         return arr
     return np.ascontiguousarray(arr, dtype=np.float32)
 
-
-def check_last_dim(x: np.ndarray, expected: int, what: str):
-    if x.shape[-1] != expected:
-        raise ShapeError(
-            f"{what}: input last extent {x.shape[-1]} does not match expected {expected}"
-        )

@@ -2,7 +2,9 @@
 
 A group collects every parameter scalar that controls one output unit of a
 layer, so that writing zeros over the whole group forces that unit's output
-to be exactly zero for any input:
+to be exactly zero for any input. The grouping rules live in each layer
+kind's `units()` (see `layers`); this module only numbers the groups and
+maps their spans into the flat parameter view. The rules are:
 
   * conv+bn channel c: kernel row c, bias[c], gamma[c], beta[c]
     (bn mean/std stay out: with gamma = beta = 0 they cannot shift the
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import layers as L
 from .errors import InvariantError, UnsupportedStructureError
 from .model import ModelGraph
 
@@ -180,114 +181,33 @@ def partition_zig(model: ModelGraph, penalize_output: bool = False) -> GroupPart
     layer are marked unpenalized.
     """
     offsets = model.param_offsets()
-    groups: list[Group] = []
-    param_layer_indices = [
-        i
-        for i, layer in enumerate(model.layers)
-        if isinstance(layer, (L.Linear, L.ConvBN, L.ResidualBlock, L.MultiHeadAttention))
-    ]
-    last_param_layer = param_layer_indices[-1] if param_layer_indices else None
-
+    units_of = []
     for i, layer in enumerate(model.layers):
-        if isinstance(layer, (L.Activation, L.Loss)):
-            continue
-        penal = penalize_output or i != last_param_layer
-        if isinstance(layer, L.Linear):
-            n = layer.in_features
-            for row in range(layer.out_features):
-                members = [
-                    (f"L{i}.weight", row * n, (row + 1) * n),
-                    (f"L{i}.bias", row, row + 1),
-                ]
-                groups.append(
-                    Group(
-                        gid=len(groups),
-                        layer_index=i,
-                        kind="linear",
-                        unit=row,
-                        out_index=row,
-                        head=None,
-                        members=members,
-                        indices=_spans_to_indices(offsets, members),
-                        penalized=penal,
-                    )
-                )
-        elif isinstance(layer, L.ConvBN):
-            ck = layer.in_channels * layer.kh * layer.kw
-            for c in range(layer.out_channels):
-                members = [
-                    (f"L{i}.kernel", c * ck, (c + 1) * ck),
-                    (f"L{i}.bias", c, c + 1),
-                    (f"L{i}.gamma", c, c + 1),
-                    (f"L{i}.beta", c, c + 1),
-                ]
-                groups.append(
-                    Group(
-                        gid=len(groups),
-                        layer_index=i,
-                        kind="convbn",
-                        unit=c,
-                        out_index=c,
-                        head=None,
-                        members=members,
-                        indices=_spans_to_indices(offsets, members),
-                        penalized=penal,
-                    )
-                )
-        elif isinstance(layer, L.ResidualBlock):
-            ck1 = layer.branch1.in_channels * layer.branch1.kh * layer.branch1.kw
-            ck2 = layer.branch2.in_channels * layer.branch2.kh * layer.branch2.kw
-            for c in range(layer.branch1.out_channels):
-                members = [
-                    (f"L{i}.b1.kernel", c * ck1, (c + 1) * ck1),
-                    (f"L{i}.b1.bias", c, c + 1),
-                    (f"L{i}.b1.gamma", c, c + 1),
-                    (f"L{i}.b1.beta", c, c + 1),
-                    (f"L{i}.b2.kernel", c * ck2, (c + 1) * ck2),
-                    (f"L{i}.b2.bias", c, c + 1),
-                    (f"L{i}.b2.gamma", c, c + 1),
-                    (f"L{i}.b2.beta", c, c + 1),
-                ]
-                groups.append(
-                    Group(
-                        gid=len(groups),
-                        layer_index=i,
-                        kind="residual",
-                        unit=c,
-                        out_index=c,
-                        head=None,
-                        members=members,
-                        indices=_spans_to_indices(offsets, members),
-                        penalized=penal,
-                    )
-                )
-        elif isinstance(layer, L.MultiHeadAttention):
-            n = layer.in_features
-            offset = 0
-            for h, w in enumerate(layer.weights):
-                m_h = w.data.shape[0]
-                for row in range(m_h):
-                    members = [
-                        (f"L{i}.h{h}.weight", row * n, (row + 1) * n),
-                        (f"L{i}.h{h}.bias", row, row + 1),
-                    ]
-                    groups.append(
-                        Group(
-                            gid=len(groups),
-                            layer_index=i,
-                            kind="mha",
-                            unit=row,
-                            out_index=offset + row,
-                            head=h,
-                            members=members,
-                            indices=_spans_to_indices(offsets, members),
-                            penalized=penal,
-                        )
-                    )
-                offset += m_h
-        else:
+        if not hasattr(layer, "units"):
             raise UnsupportedStructureError(
                 f"layer {i}: no zero-invariant grouping rule for {type(layer).__name__}"
+            )
+        units_of.append(layer.units())
+    param_layers = [i for i, units in enumerate(units_of) if units]
+    last_param_layer = param_layers[-1] if param_layers else None
+
+    groups: list[Group] = []
+    for i, (layer, units) in enumerate(zip(model.layers, units_of)):
+        penal = penalize_output or i != last_param_layer
+        for out_index, (head, row, spans) in enumerate(units):
+            members = [(f"L{i}.{name}", start, stop) for name, start, stop in spans]
+            groups.append(
+                Group(
+                    gid=len(groups),
+                    layer_index=i,
+                    kind=layer.layer_kind,
+                    unit=row,
+                    out_index=out_index,
+                    head=head,
+                    members=members,
+                    indices=_spans_to_indices(offsets, members),
+                    penalized=penal,
+                )
             )
     return GroupPartition(groups, model.n_flat, require_cover=True)
 

@@ -229,6 +229,23 @@ class TestCli:
         assert self.run("run", "--config", str(cfgp)) == 2
         assert "[config]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["model.seed", "dataset.seed", "optimizer.seed"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, key):
+        cfgp = write_config(tmp_path, **{key: "-1"})
+        assert self.run("run", "--config", str(cfgp)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"[config] {key} must be >= 0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "partition.txt").exists()
+
+    def test_negative_seed_flag_is_config_error(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path)
+        assert self.run("run", "--config", str(cfgp), "--seed", "-1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("[config] --seed must be >= 0")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "partition.txt").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert self.run("run", "--config", str(tmp_path / "nope.cfg")) == 2
 

@@ -271,3 +271,44 @@ def test_infer_shapes_chain():
     assert shapes[0] == (3, 6, 6)
     assert shapes[1] == (4, 6, 6)
     assert shapes[2] == (5,)
+
+
+LAYER_FUNCTIONS = [
+    f"{kind}_{direction}"
+    for kind in ("linear", "attention", "conv_bn", "residual", "activation")
+    for direction in ("forward", "backward")
+] + ["loss_forward"]
+
+
+def test_layer_methods_call_module_functions(monkeypatch):
+    """Every kind runs through the `layers` module functions, looked up at call time.
+
+    Span tracers replace these functions on the module; a kind that bound
+    them at import, or computed inline, would drop out of the trace.
+    """
+    import zigprune.layers as layers_module
+
+    calls = dict.fromkeys(LAYER_FUNCTIONS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in LAYER_FUNCTIONS:
+        monkeypatch.setattr(layers_module, name, counted(name, getattr(layers_module, name)))
+    layers = build_layers(
+        ["convbn:2:3x3:s1:p1:relu", "residual:2:3x3:s1:p1:gelu", "mha:2x3", "relu", "linear:3"],
+        (1, 4, 4),
+        "softmax_ce",
+        "normal:0.5",
+        0,
+    )
+    m = ModelGraph(layers, (1, 4, 4))
+    rng = np.random.default_rng(0)
+    _, loss = m.forward(rng.standard_normal((2, 1, 4, 4)).astype(np.float32), np.array([0, 2]))
+    m.backward()
+    assert loss is not None
+    assert {name: n for name, n in calls.items() if n == 0} == {}
