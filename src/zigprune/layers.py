@@ -21,6 +21,13 @@ tracer does, intercepts every call. Computations follow the input dtype
 (float32 in normal use; float64 when a gradient check runs a
 higher-precision shadow), and large reductions always accumulate in float64.
 
+Bit-exact fast path: a speedup on the numeric path may move, gather or reuse
+data, but it must not change any accumulation order or precision, so every
+artifact of a run stays byte-identical across such changes. That covers the
+memory layout of arrays that reach a reduction too: numpy sums a (B, C, H, W)
+array in an order that follows its strides, so `_col2im` hands back the same
+layout the strided-add version did.
+
 The conv layer fuses batch normalization with the activation applied to the
 convolution output *before* normalization:
 
@@ -34,6 +41,7 @@ zero output channel.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -101,11 +109,19 @@ def activation_deriv(x: np.ndarray, kind: str) -> np.ndarray:
     return ACTIVATIONS[kind][1](x)
 
 
-def _matmul64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product accumulated in float64, result in the inputs' dtype."""
-    if a.dtype == np.float64 or b.dtype == np.float64:
-        return a @ b
-    return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.float32)
+def _up64(a: np.ndarray) -> np.ndarray:
+    """`a` in float64, the precision every matrix product accumulates in."""
+    return a.astype(np.float64, copy=False)
+
+
+def _matmul64(a: np.ndarray, b: np.ndarray, dtype=None) -> np.ndarray:
+    """Matrix product accumulated in float64, result in `dtype` (default: the inputs').
+
+    An operand already passed through `_up64` is not copied again, so two
+    products that share an operand can share its upcast.
+    """
+    dtype = np.result_type(a, b) if dtype is None else dtype
+    return (_up64(a) @ _up64(b)).astype(dtype, copy=False)
 
 
 def _param(t: Tensor, dtype) -> np.ndarray:
@@ -265,6 +281,11 @@ class ConvBN(Layer):
     @property
     def out_channels(self):
         return self.kernel.data.shape[0]
+
+    @property
+    def geometry(self):
+        """The window (kh, kw, stride, padding); equal geometries share im2col patches."""
+        return (self.kh, self.kw, self.stride, self.padding)
 
     def out_shape(self, shape):
         if len(shape) != 3:
@@ -504,10 +525,11 @@ def linear_forward(x: np.ndarray, layer: Linear):
 def linear_backward(dout: np.ndarray, layer: Linear, cache):
     x2, lead = cache
     d2 = dout.reshape(-1, layer.out_features)
-    w = _param(layer.weight, d2.dtype)
-    dw = _matmul64(d2.T, x2)
-    db = d2.sum(axis=0, dtype=np.float64).astype(d2.dtype)
-    dx = _matmul64(d2, w).reshape(*lead, layer.in_features)
+    dtype = d2.dtype
+    d64 = _up64(d2)  # shared by both products
+    dw = _matmul64(d64.T, x2, dtype)
+    db = d2.sum(axis=0, dtype=np.float64).astype(dtype)
+    dx = _matmul64(d64, _param(layer.weight, dtype), dtype).reshape(*lead, layer.in_features)
     return dx, {"weight": dw, "bias": db}
 
 
@@ -535,9 +557,10 @@ def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache):
     for h, (w, b) in enumerate(zip(layer.weights, layer.biases)):
         m_h = w.data.shape[0]
         dh = d2[:, offset : offset + m_h]
-        grads[f"h{h}.weight"] = _matmul64(dh.T, x2)
+        dh64 = _up64(dh)  # a contiguous copy, shared by both products
+        grads[f"h{h}.weight"] = _matmul64(dh64.T, x2, d2.dtype)
         grads[f"h{h}.bias"] = dh.sum(axis=0, dtype=np.float64).astype(d2.dtype)
-        dx += _matmul64(dh, _param(w, d2.dtype))
+        dx += _matmul64(dh64, _param(w, d2.dtype), d2.dtype)
         offset += m_h
     return dx.reshape(*lead, layer.in_features), grads
 
@@ -546,32 +569,50 @@ def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache):
 # conv + bn
 
 
+@functools.lru_cache(maxsize=256)
+def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
+    """Flat gather index of every patch entry, and the output (oh, ow).
+
+    Entry ``(oi, oj, ch, i, j)`` points at ``x[ch, oi*stride + i - padding,
+    oj*stride + j - padding]`` in a flattened (C*H*W,) sample; a position in
+    the padding points at the sentinel ``C*H*W``, a zero appended to it.
+    """
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    rows = (np.arange(oh) * stride)[:, None, None, None, None] + np.arange(kh)[:, None] - padding
+    cols = (np.arange(ow) * stride)[None, :, None, None, None] + np.arange(kw) - padding
+    chans = np.arange(c)[:, None, None]
+    inside = (rows >= 0) & (rows < h) & (cols >= 0) & (cols < w)
+    idx = np.where(inside, chans * (h * w) + rows * w + cols, c * h * w)
+    idx = idx.astype(np.intp).ravel()
+    idx.flags.writeable = False
+    return idx, oh, ow
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     """(B, C, H, W) -> (B, oh, ow, C*kh*kw) patches, channel-major rows."""
     b, c, h, w = x.shape
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]  # (B, C, oh, ow, kh, kw)
-    oh, ow = windows.shape[2], windows.shape[3]
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh, ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
+    idx, oh, ow = _im2col_index(c, h, w, kh, kw, stride, padding)
+    flat = np.zeros((b, c * h * w + 1), dtype=x.dtype)  # last column: the padding sentinel
+    flat[:, :-1] = x.reshape(b, -1)
+    return np.take(flat, idx, axis=1).reshape(b, oh, ow, c * kh * kw)
 
 
 def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int):
+    """Adjoint of `_im2col`: sums (B, oh, ow, C*kh*kw) patch gradients into (B, C, H, W)."""
     b, c, h, w = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    dxp = np.zeros((b, c, hp, wp), dtype=dcols.dtype)
     _, oh, ow, _ = dcols.shape
-    d6 = dcols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    # accumulate channels-last, so each (i, j) add moves whole channel vectors;
+    # every element still gets its adds in (i, j) order, starting from +0.0
+    dxp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=dcols.dtype)
+    d6 = dcols.reshape(b, oh, ow, c, kh, kw)
     for i in range(kh):
         for j in range(kw):
-            dxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += d6[
-                :, :, :, :, i, j
-            ]
-    if padding:
-        return dxp[:, :, padding : padding + h, padding : padding + w]
-    return dxp
+            dxp[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += d6[..., i, j]
+    # hand back a crop of a channel-major buffer: downstream float64 sums over
+    # (B, H, W) follow the strides, so this layout keeps their order unchanged
+    dxp = np.ascontiguousarray(dxp.transpose(0, 3, 1, 2))
+    return dxp[:, :, padding : padding + h, padding : padding + w]
 
 
 def conv_output_hw(h: int, w: int, layer: ConvBN) -> tuple[int, int]:
@@ -580,7 +621,12 @@ def conv_output_hw(h: int, w: int, layer: ConvBN) -> tuple[int, int]:
     return oh, ow
 
 
-def conv_bn_forward(x: np.ndarray, layer: ConvBN):
+def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None):
+    """Conv + activation + normalization of a (B, C, H, W) batch.
+
+    `cols` may pass in the `_im2col` patches of `x` for this layer's geometry,
+    already built for another layer that reads the same input.
+    """
     if x.ndim != 4:
         raise ShapeError(f"conv input must be (batch, c, h, w); got rank {x.ndim}")
     if x.shape[1] != layer.in_channels:
@@ -597,7 +643,8 @@ def conv_bn_forward(x: np.ndarray, layer: ConvBN):
     _check_std(layer.std.data)
     dtype = x.dtype
     k = _param(layer.kernel, dtype)
-    cols, oh, ow = _im2col(x, layer.kh, layer.kw, layer.stride, layer.padding)
+    if cols is None:
+        cols = _im2col(x, layer.kh, layer.kw, layer.stride, layer.padding)
     pre = _matmul64(cols.reshape(-1, k.shape[1]), k.T) + _param(layer.bias, dtype)
     pre = pre.reshape(x.shape[0], oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
     act = apply_activation(pre, layer.activation)
@@ -625,15 +672,18 @@ def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache):
     dpre2 = dpre.transpose(0, 2, 3, 1).reshape(-1, m)
     db = dpre2.sum(axis=0, dtype=np.float64).astype(dtype)
     cols2 = cols.reshape(-1, cols.shape[-1])
-    dk = _matmul64(dpre2.T, cols2)
-    dcols = _matmul64(dpre2, _param(layer.kernel, dtype)).reshape(cols.shape)
+    d64 = _up64(dpre2)  # shared by both products
+    dk = _matmul64(d64.T, cols2, dtype)
+    dcols = _matmul64(d64, _param(layer.kernel, dtype), dtype).reshape(cols.shape)
     dx = _col2im(dcols, x_shape, layer.kh, layer.kw, layer.stride, layer.padding)
     return dx, {"kernel": dk, "bias": db, "gamma": dgamma, "beta": dbeta}
 
 
 def residual_forward(x: np.ndarray, layer: ResidualBlock):
     out1, cache1 = conv_bn_forward(x, layer.branch1)
-    out2, cache2 = conv_bn_forward(x, layer.branch2)
+    # both branches read x: one im2col serves both when their windows agree
+    shared = cache1[1] if layer.branch1.geometry == layer.branch2.geometry else None
+    out2, cache2 = conv_bn_forward(x, layer.branch2, shared)
     if out1.shape != out2.shape:
         raise ShapeError(
             f"residual branch outputs disagree: {out1.shape} vs {out2.shape}"

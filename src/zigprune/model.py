@@ -70,6 +70,7 @@ class ModelGraph:
         self.n_flat = pos
         self._tape = None
         self._layer_outputs = None
+        self._dloss = None
 
     # -- structure ---------------------------------------------------------
 
@@ -112,8 +113,10 @@ class ModelGraph:
         """Run the layers in order; returns (output, loss-or-None).
 
         Records the intermediates needed by backward() and the per-layer
-        outputs used by the zero-invariance checker.
+        outputs used by the zero-invariance checker. The previous pass's
+        record is dropped first, so a pass that raises leaves none behind.
         """
+        self._tape = self._layer_outputs = self._dloss = None
         x = as_array(inputs)
         if x.shape[1:] != self.input_shape:
             raise ShapeError(

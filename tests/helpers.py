@@ -106,3 +106,37 @@ def attention_oracle(x2d, layer):
         linear_oracle(x2d, w.data, b.data) for w, b in zip(layer.weights, layer.biases)
     ]
     return np.concatenate(outs, axis=1)
+
+
+# -- the strided im2col / col2im, as they stood before the gather-index path --
+# The layer code must reproduce these bit for bit, including the memory layout
+# of the returned gradient, which decides the order of later float64 sums.
+
+
+def im2col_reference(x, kh, kw, stride, padding):
+    """(B, C, H, W) -> (B, oh, ow, C*kh*kw) through a padded sliding-window view."""
+    b, c, h, w = x.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::stride, ::stride]  # (B, C, oh, ow, kh, kw)
+    oh, ow = windows.shape[2], windows.shape[3]
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(b, oh, ow, c * kh * kw)
+    return np.ascontiguousarray(cols)
+
+
+def col2im_reference(dcols, x_shape, kh, kw, stride, padding):
+    """Adjoint of im2col_reference: strided adds into a channel-major padded buffer."""
+    b, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    dxp = np.zeros((b, c, hp, wp), dtype=dcols.dtype)
+    _, oh, ow, _ = dcols.shape
+    d6 = dcols.reshape(b, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
+    for i in range(kh):
+        for j in range(kw):
+            dxp[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += d6[
+                :, :, :, :, i, j
+            ]
+    if padding:
+        return dxp[:, :, padding : padding + h, padding : padding + w]
+    return dxp

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import zigprune.layers as layers_module
+from zigprune.config import build_layers
 from zigprune.errors import ParameterError, ShapeError
 from zigprune.layers import (
     ACTIVATIONS,
@@ -11,15 +13,26 @@ from zigprune.layers import (
     ResidualBlock,
     activation_forward,
     apply_activation,
+    _col2im,
+    _im2col,
     attention_forward,
+    conv_bn_backward,
     conv_bn_forward,
     linear_forward,
     loss_forward,
+    residual_backward,
     residual_forward,
 )
+from zigprune.model import ModelGraph
 from zigprune.tensor import Tensor
 
-from helpers import attention_oracle, conv_bn_oracle, linear_oracle
+from helpers import (
+    attention_oracle,
+    col2im_reference,
+    conv_bn_oracle,
+    im2col_reference,
+    linear_oracle,
+)
 
 
 def make_convbn(kernel, bias, mean, std, gamma, beta, in_channels, kh, kw, **extra):
@@ -231,6 +244,92 @@ class TestResidual:
         o1, _ = conv_bn_forward(x, b1)
         o2, _ = conv_bn_forward(x, b2)
         assert np.abs(out - (o1 + o2)).max() <= 1e-6
+
+
+GEOMETRIES = [
+    (kh, kw, stride, padding)
+    for kh, kw in ((3, 3), (1, 1), (2, 3))
+    for stride in (1, 2)
+    for padding in (0, 1, 2)
+]
+
+
+class TestBitExactConvPath:
+    """The conv data movement reproduces the strided reference bit for bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh, kw, stride, padding", GEOMETRIES)
+    def test_im2col_matches_reference(self, dtype, kh, kw, stride, padding):
+        rng = np.random.default_rng(13)
+        for shape in ((2, 3, 5, 7), (1, 2, 9, 3)):
+            x = rng.standard_normal(shape).astype(dtype)
+            cols = _im2col(x, kh, kw, stride, padding)
+            ref = im2col_reference(x, kh, kw, stride, padding)
+            assert cols.dtype == ref.dtype
+            assert np.array_equal(cols, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kh, kw, stride, padding", GEOMETRIES)
+    def test_col2im_matches_reference(self, dtype, kh, kw, stride, padding):
+        rng = np.random.default_rng(14)
+        for shape in ((2, 3, 5, 7), (1, 2, 9, 3)):
+            cols_shape = im2col_reference(np.zeros(shape, dtype), kh, kw, stride, padding).shape
+            dcols = rng.standard_normal(cols_shape).astype(dtype)
+            dx = _col2im(dcols, shape, kh, kw, stride, padding)
+            ref = col2im_reference(dcols, shape, kh, kw, stride, padding)
+            assert dx.dtype == ref.dtype
+            assert np.array_equal(dx, ref)
+            # float64 sums over dx run in an order set by its strides
+            assert dx.strides == ref.strides
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k2, p2", [(3, 1), (1, 0)], ids=["shared-cols", "own-cols"])
+    def test_residual_equals_independent_branches(self, dtype, k2, p2):
+        rng = np.random.default_rng(15)
+        b1 = random_convbn(rng, 2, 3, 3, padding=1)
+        b2 = random_convbn(rng, 2, 3, k2, padding=p2, activation="leaky_relu")
+        block = ResidualBlock(branch1=b1, branch2=b2)
+        x = rng.standard_normal((2, 2, 5, 5)).astype(dtype)
+        dout = rng.standard_normal((2, 3, 5, 5)).astype(dtype)
+
+        out, cache = residual_forward(x, block)
+        assert (cache[1][1] is cache[0][1]) == (k2 == 3)  # one im2col when windows agree
+        o1, c1 = conv_bn_forward(x, b1)
+        o2, c2 = conv_bn_forward(x, b2)
+        assert np.array_equal(out, o1 + o2)
+
+        dx, grads = residual_backward(dout, block, cache)
+        dx1, g1 = conv_bn_backward(dout, b1, c1)
+        dx2, g2 = conv_bn_backward(dout, b2, c2)
+        assert np.array_equal(dx, dx1 + dx2)
+        expected = {**{f"b1.{k}": v for k, v in g1.items()}, **{f"b2.{k}": v for k, v in g2.items()}}
+        assert grads.keys() == expected.keys()
+        for key, grad in expected.items():
+            assert grads[key].dtype == grad.dtype
+            assert np.array_equal(grads[key], grad), key
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_matches_strided_reference(self, monkeypatch, dtype):
+        # float64 grads expose a changed summation order that a float32 cast may hide
+        specs = ["convbn:3:3x3:s1:p1:relu", "residual:4:3x3:s2:p1:leaky_relu",
+                 "residual:4:1x1:s1:p0:relu", "convbn:2:2x3:s1:p2:gelu", "linear:3"]
+        model = ModelGraph(build_layers(specs, (2, 7, 9), "softmax_ce", "normal:0.5", 3), (2, 7, 9))
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((4, 2, 7, 9)).astype(dtype)
+        y = rng.integers(0, 3, size=4)
+
+        def run():
+            out, loss = model.forward(x, y)
+            return out, loss, model.backward()
+
+        out, loss, grads = run()
+        monkeypatch.setattr(layers_module, "_im2col", im2col_reference)
+        monkeypatch.setattr(layers_module, "_col2im", col2im_reference)
+        ref_out, ref_loss, ref_grads = run()
+        assert np.array_equal(out, ref_out)
+        assert loss == ref_loss
+        for key, grad in ref_grads.items():
+            assert np.array_equal(grads[key], grad), key
 
 
 class TestLosses:

@@ -118,6 +118,22 @@ class TestBackward:
         with pytest.raises(StateError, match="loss"):
             m.backward()
 
+    @pytest.mark.parametrize(
+        "bad_x, bad_y",
+        [((2, 5), (2, 3)), ((2, 4), (2, 2))],
+        ids=["input-shape", "loss-layer"],
+    )
+    def test_failed_forward_leaves_no_record(self, bad_x, bad_y):
+        # a pass that raises must not leave the previous batch's tape behind
+        m = mlp([3], 4)
+        m.forward(np.ones((2, 4), dtype=np.float32), np.zeros((2, 3), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            m.forward(np.ones(bad_x, dtype=np.float32), np.zeros(bad_y, dtype=np.float32))
+        with pytest.raises(StateError):
+            m.backward()
+        with pytest.raises(StateError):
+            m.layer_outputs()
+
     def test_constant_output_model_has_zero_gradients(self):
         # second layer all zeros blocks every gradient path to the first layer
         m = mlp([4, 3], 5, seed=8)
