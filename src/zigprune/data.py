@@ -199,6 +199,6 @@ def load_csv(path, target: str = "class") -> Dataset:
 
 
 def classification_accuracy(model, dataset: Dataset) -> float:
-    out, _ = model.forward(dataset.inputs)
+    out = model.predict(dataset.inputs)
     pred = out.argmax(axis=1)
     return float((pred == dataset.targets).mean())

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import layers as L
 from .errors import InvariantError, NumericalFailureError, ParameterError
 from .regularizer import group_norm_value, group_prox, sparsity_metrics, subgradient
 from .zig import GroupPartition
@@ -257,7 +258,7 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
             if callback is not None:
                 callback(state, info)
         model.set_flat(state.x)
-        _, full_loss = model.forward(dataset.inputs, dataset.targets)
+        full_loss, _ = L.loss_forward(model.predict(dataset.inputs), dataset.targets, model.loss_kind)
         metrics = sparsity_metrics(state.x, partition)
         objective = full_loss + config.lam * group_norm_value(state.x, partition)
         if config.optimizer == "hspg":

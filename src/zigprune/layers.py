@@ -26,7 +26,9 @@ data, but it must not change any accumulation order or precision, so every
 artifact of a run stays byte-identical across such changes. That covers the
 memory layout of arrays that reach a reduction too: numpy sums a (B, C, H, W)
 array in an order that follows its strides, so `_col2im` hands back the same
-layout the strided-add version did.
+layout the strided-add version did. Conv patches are built once in float64
+(`_im2col` of the upcast input), the precision both conv products read them
+in, so no pass upcasts them again; an upcast is exact, so this changes no bit.
 
 The conv layer fuses batch normalization with the activation applied to the
 convolution output *before* normalization:
@@ -594,7 +596,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     b, c, h, w = x.shape
     idx, oh, ow = _im2col_index(c, h, w, kh, kw, stride, padding)
     flat = np.zeros((b, c * h * w + 1), dtype=x.dtype)  # last column: the padding sentinel
-    flat[:, :-1] = x.reshape(b, -1)
+    flat[:, :-1] = x.reshape(b, c * h * w)
     return np.take(flat, idx, axis=1).reshape(b, oh, ow, c * kh * kw)
 
 
@@ -624,8 +626,10 @@ def conv_output_hw(h: int, w: int, layer: ConvBN) -> tuple[int, int]:
 def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None):
     """Conv + activation + normalization of a (B, C, H, W) batch.
 
-    `cols` may pass in the `_im2col` patches of `x` for this layer's geometry,
-    already built for another layer that reads the same input.
+    `cols` may pass in the float64 `_im2col` patches of `x` for this layer's
+    geometry, already built for another layer that reads the same input.
+    The patches are built in float64 once, so neither the forward product nor
+    the backward kernel-gradient product upcasts them again.
     """
     if x.ndim != 4:
         raise ShapeError(f"conv input must be (batch, c, h, w); got rank {x.ndim}")
@@ -644,8 +648,8 @@ def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None
     dtype = x.dtype
     k = _param(layer.kernel, dtype)
     if cols is None:
-        cols = _im2col(x, layer.kh, layer.kw, layer.stride, layer.padding)
-    pre = _matmul64(cols.reshape(-1, k.shape[1]), k.T) + _param(layer.bias, dtype)
+        cols = _im2col(_up64(x), layer.kh, layer.kw, layer.stride, layer.padding)
+    pre = _matmul64(cols.reshape(-1, k.shape[1]), k.T, dtype) + _param(layer.bias, dtype)
     pre = pre.reshape(x.shape[0], oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
     act = apply_activation(pre, layer.activation)
     mean = _param(layer.mean, dtype)[None, :, None, None]

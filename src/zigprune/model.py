@@ -7,6 +7,12 @@ A value with spatial structure is flattened (batch, -1) before it enters a
 layer whose kind `flattens` (linear, attention, loss). Every per-kind rule
 is a method of the layer class (see `layers`).
 
+`forward` records what `backward` and the zero-invariance checker need.
+`predict` runs the same layer loop over `EVAL_CHUNK`-sample chunks and
+records nothing; every evaluation (the per-epoch full-data loss, accuracy,
+the equivalence check) uses it, so its memory is bounded by the chunk, not
+by the dataset.
+
 Parameter arrays live in a registry keyed by stable ids (``L3.kernel``,
 ``L5.b1.gamma``, ``L7.h0.weight``); the flattened view used by the
 optimizers concatenates the trainable arrays in registry order. BN mean/std
@@ -22,6 +28,8 @@ import numpy as np
 from . import layers as L
 from .errors import InvalidModelError, ParameterError, ShapeError, StateError
 from .tensor import Tensor, as_array, load_arrays, save_arrays
+
+EVAL_CHUNK = 256  # samples per predict() chunk
 
 
 def _flat_size(shape) -> int:
@@ -99,7 +107,7 @@ class ModelGraph:
             raise ShapeError(f"flat view has {self.n_flat} entries, got {x.shape}")
         for key, (start, stop) in self._offsets.items():
             t = self.params[key]
-            t.data[...] = x[start:stop].reshape(t.shape).astype(np.float32)
+            t.data[...] = x[start:stop].reshape(t.shape)
 
     def get_flat_grad(self) -> np.ndarray:
         out = np.empty(self.n_flat, dtype=np.float32)
@@ -109,6 +117,40 @@ class ModelGraph:
 
     # -- execution -----------------------------------------------------------
 
+    def _input(self, inputs) -> np.ndarray:
+        x = as_array(inputs)
+        if x.shape[1:] != self.input_shape:
+            raise ShapeError(
+                f"input sample shape {x.shape[1:]} does not match model input "
+                f"{self.input_shape}"
+            )
+        return x
+
+    def _run(self, x, targets=None, tape=None, outputs=None):
+        """The layer loop; returns (output, loss, dloss).
+
+        Appends each layer's backward record to `tape` and its output to
+        `outputs` when given; without them every cache is dropped as soon as
+        its layer has run.
+        """
+        loss = dloss = None
+        for i, layer in enumerate(self.layers):
+            pre_flatten = None
+            if layer.flattens and x.ndim > 2:
+                pre_flatten = x.shape
+                x = x.reshape(x.shape[0], _flat_size(x.shape[1:]))
+            try:
+                x, cache = layer.forward(x)
+                if isinstance(layer, L.Loss) and targets is not None:
+                    loss, dloss = L.loss_forward(x, targets, layer.kind)
+            except (ShapeError, ParameterError) as exc:
+                raise type(exc)(f"layer {i}: {exc}") from exc
+            if tape is not None:
+                tape.append((i, layer, cache, pre_flatten))
+            if outputs is not None:
+                outputs.append(x)
+        return x, loss, dloss
+
     def forward(self, inputs, targets=None):
         """Run the layers in order; returns (output, loss-or-None).
 
@@ -117,33 +159,25 @@ class ModelGraph:
         record is dropped first, so a pass that raises leaves none behind.
         """
         self._tape = self._layer_outputs = self._dloss = None
-        x = as_array(inputs)
-        if x.shape[1:] != self.input_shape:
-            raise ShapeError(
-                f"input sample shape {x.shape[1:]} does not match model input "
-                f"{self.input_shape}"
-            )
-        tape = []
-        outputs = []
-        loss = None
-        dloss = None
-        for i, layer in enumerate(self.layers):
-            pre_flatten = None
-            if layer.flattens and x.ndim > 2:
-                pre_flatten = x.shape
-                x = x.reshape(x.shape[0], -1)
-            try:
-                x, cache = layer.forward(x)
-                if isinstance(layer, L.Loss) and targets is not None:
-                    loss, dloss = L.loss_forward(x, targets, layer.kind)
-            except (ShapeError, ParameterError) as exc:
-                raise type(exc)(f"layer {i}: {exc}") from exc
-            tape.append((i, layer, cache, pre_flatten))
-            outputs.append(x)
-        self._tape = tape
-        self._layer_outputs = outputs
-        self._dloss = dloss
+        tape, outputs = [], []
+        x, loss, dloss = self._run(self._input(inputs), targets, tape, outputs)
+        self._tape, self._layer_outputs, self._dloss = tape, outputs, dloss
         return x, loss
+
+    def predict(self, inputs) -> np.ndarray:
+        """Final outputs for `inputs`, as ``forward(inputs)[0]`` computes them.
+
+        Runs the layers over `EVAL_CHUNK`-sample chunks and records nothing,
+        so its memory is bounded by the chunk, not by the number of inputs,
+        and the record of the last forward() stays as it was. Each sample's
+        arithmetic is the same as in one pass, but BLAS picks its kernel by
+        problem size, so a float64 product may differ in its last bits. A
+        float32 layer output hides such a difference unless it straddles a
+        float32 rounding boundary, which no seeded comparison has met.
+        """
+        x = self._input(inputs)
+        starts = range(0, max(len(x), 1), EVAL_CHUNK)  # an empty batch runs once
+        return np.concatenate([self._run(x[s : s + EVAL_CHUNK])[0] for s in starts])
 
     def layer_outputs(self) -> list[np.ndarray]:
         if self._layer_outputs is None:
@@ -165,7 +199,7 @@ class ModelGraph:
             for name, grad in g.items():
                 key = f"L{i}.{name}"
                 grads[key] = grad
-                self.params[key].grad[...] = grad.astype(np.float32)
+                self.params[key].grad[...] = grad
             if pre_flatten is not None:
                 d = d.reshape(pre_flatten)
         for key in self.params:

@@ -209,8 +209,8 @@ def equivalence_check(full: ModelGraph, slim: ModelGraph, n_inputs: int, seed: i
         )
     rng = np.random.default_rng(seed)
     inputs = rng.standard_normal((n_inputs, *full.input_shape)).astype(np.float32)
-    out_full, _ = full.forward(inputs)
-    out_slim, _ = slim.forward(inputs)
+    out_full = full.predict(inputs)
+    out_slim = slim.predict(inputs)
     if out_full.shape != out_slim.shape:
         raise StructuralError(
             f"output shapes differ: {out_full.shape} vs {out_slim.shape}"

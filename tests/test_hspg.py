@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zigprune.config import build_layers
-from zigprune.data import generate_group_lasso
+from zigprune.data import Dataset, generate_group_lasso
 from zigprune.errors import NumericalFailureError, ParameterError
 from zigprune.hspg import (
     OptimizerState,
@@ -16,10 +16,10 @@ from zigprune.hspg import (
     sgd_step,
     train,
 )
-from zigprune.model import ModelGraph
+from zigprune.model import EVAL_CHUNK, ModelGraph
 from zigprune.oracle import bcd_oracle, least_squares_objective
 from zigprune.regularizer import group_prox, sparsity_metrics, subgradient
-from zigprune.zig import GroupPartition
+from zigprune.zig import GroupPartition, partition_zig
 
 
 def two_group_partition():
@@ -326,6 +326,31 @@ class TestTrain:
             }
         assert trace[0]["stage"] == "subgradient"
         assert trace[-1]["stage"] == "half_space"
+
+    def test_epoch_loss_is_the_full_batch_loss(self):
+        # the per-epoch loss is evaluated in chunks; it must still be the
+        # one-shot full-data loss at the epoch's parameters, bit for bit
+        rng = np.random.default_rng(3)
+        n = 2 * EVAL_CHUNK + 57
+        inputs = rng.standard_normal((n, 5)).astype(np.float32)
+        ds = Dataset(inputs=inputs, targets=rng.integers(0, 3, n), task="classify")
+        model = ModelGraph(
+            build_layers(["linear:8", "relu", "linear:3"], (5,), "softmax_ce", "normal:0.5", 4), (5,)
+        )
+        cfg = TrainConfig(optimizer="hspg", alpha0=0.05, lam=0.05, np_epochs=1,
+                          batch_size=64, epochs=6, seed=2)
+        epoch_end = []
+
+        def record(state, info):
+            if state.k % state.steps_per_epoch == 0:
+                epoch_end.append(state.x.copy())
+
+        x, trace = train(model, partition_zig(model), ds, cfg, callback=record)
+        assert len(epoch_end) == len(trace) == 6
+        assert np.array_equal(epoch_end[-1], x)
+        for entry, params in zip(trace, epoch_end):
+            model.set_flat(params)
+            assert entry["loss"] == model.forward(ds.inputs, ds.targets)[1]
 
     def test_reaches_bcd_oracle_objective(self):
         ds, model, part, lists = self.make_problem()

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zigprune.config import build_layers
 from zigprune.errors import FormatError, InvalidModelError, ShapeError, StateError
 from zigprune.layers import Activation, Linear, Loss
-from zigprune.model import ModelGraph, finite_difference_check, infer_shapes
+from zigprune.model import EVAL_CHUNK, ModelGraph, finite_difference_check, infer_shapes
 from zigprune.tensor import Tensor, load_arrays, save_arrays
 
 from helpers import build_random_model, linear_oracle, random_batch
@@ -158,6 +160,102 @@ class TestBackward:
         m.forward(x, y)
         g2 = m.backward(adjoint=2.0)["L0.weight"]
         assert np.allclose(2 * g1, g2)
+
+
+PREDICT_MODELS = {
+    "mlp": (["linear:16", "relu", "linear:8", "leaky_relu", "linear:3"], (6,)),
+    "conv": (
+        ["convbn:4:3x3:s1:p1:relu", "residual:4:3x3:s1:p1:gelu", "convbn:6:3x3:s2:p1:prelu",
+         "linear:3"],
+        (2, 6, 6),
+    ),
+    "attention": (["linear:8", "gelu", "mha:2x3", "prelu", "linear:3"], (5,)),
+}
+
+
+def predict_model(kind, seed=0):
+    specs, shape = PREDICT_MODELS[kind]
+    return ModelGraph(build_layers(specs, shape, "softmax_ce", "normal:0.5", seed), shape)
+
+
+class TestPredict:
+    @pytest.mark.parametrize(
+        "dtype, n",
+        [(np.float32, n) for n in (0, 1, 255, 256, 257, 700)]
+        + [(np.float64, n) for n in (0, 1, 255, 256)],
+    )
+    @pytest.mark.parametrize("kind", sorted(PREDICT_MODELS))
+    def test_equals_forward_bitwise(self, kind, dtype, n):
+        # chunk boundaries fall inside the batch for n > EVAL_CHUNK
+        m = predict_model(kind)
+        x = np.random.default_rng(n).standard_normal((n, *m.input_shape)).astype(dtype)
+        out = m.predict(x)
+        ref, _ = m.forward(x)
+        assert out.dtype == ref.dtype == dtype
+        assert out.shape == ref.shape == (n, 3)
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("n", [257, 700])
+    @pytest.mark.parametrize("kind", sorted(PREDICT_MODELS))
+    def test_float64_chunks_agree_to_rounding(self, kind, n):
+        # OpenBLAS picks its dgemm kernel by problem size (a small-matrix
+        # kernel below a size threshold, gemv for one row), so a float64
+        # product's last bits depend on its row count; float32 runs round them away
+        m = predict_model(kind)
+        x = np.random.default_rng(n).standard_normal((n, *m.input_shape))
+        out = m.predict(x)
+        ref, _ = m.forward(x)
+        assert out.dtype == ref.dtype == np.float64
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_input_shape_validated(self):
+        with pytest.raises(ShapeError, match="input sample shape"):
+            predict_model("mlp").predict(np.zeros((2, 5), dtype=np.float32))
+
+    def test_fresh_model_keeps_no_record(self):
+        m = predict_model("conv")
+        m.predict(np.ones((3, *m.input_shape), dtype=np.float32))
+        with pytest.raises(StateError):
+            m.backward()
+        with pytest.raises(StateError):
+            m.layer_outputs()
+
+    @pytest.mark.parametrize("kind", sorted(PREDICT_MODELS))
+    def test_leaves_forward_record_alone(self, kind):
+        rng = np.random.default_rng(1)
+        m = predict_model(kind)
+        x = rng.standard_normal((4, *m.input_shape)).astype(np.float32)
+        y = np.array([0, 2, 1, 2])
+        m.forward(x, y)
+        expected = {k: g.copy() for k, g in m.backward().items()}
+        m.forward(x, y)
+        outputs = m.layer_outputs()
+        m.predict(rng.standard_normal((300, *m.input_shape)).astype(np.float32))
+        assert m.layer_outputs() is outputs
+        grads = m.backward()
+        assert grads.keys() == expected.keys()
+        for key, g in expected.items():
+            assert np.array_equal(grads[key], g), key
+            assert np.array_equal(m.params[key].grad, g), key
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        shape = (1, 12, 12)
+        layers = build_layers(
+            ["convbn:16:3x3:s1:p1:relu", "residual:16:3x3:s1:p1:relu",
+             "convbn:32:3x3:s2:p1:relu", "residual:32:3x3:s1:p1:relu", "linear:10"],
+            shape, "softmax_ce", "normal:0.1", 0,
+        )
+        m = ModelGraph(layers, shape)
+        x = np.random.default_rng(2).standard_normal((4 * EVAL_CHUNK, *shape)).astype(np.float32)
+        peaks = []
+        for n in (EVAL_CHUNK, 4 * EVAL_CHUNK):
+            tracemalloc.start()
+            try:
+                m.predict(x[:n])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
 
 class TestFiniteDifferences:
