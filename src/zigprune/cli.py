@@ -9,13 +9,20 @@ the training seed. Artifacts land in the config's output directory:
     slim.ckpt        pruned model parameters
     report.jsonl     prune summary plus per-layer kept-unit maps
 
-Exit status is 0 on success; failures print a stage-tagged message and
-return nonzero.
+`run` chains the five stages in memory: it builds the model, the partition
+and the dataset once, and hands each stage what the one before it made. It
+reads back only the slim model, from `report.jsonl` and `slim.ckpt`, so that
+verify and the accuracy line check what a user would load. A single-stage
+command reads what it needs from the files the earlier stages wrote.
+
+Exit status is 0 on success; failures print a message tagged with the stage
+that failed and return nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -75,30 +82,69 @@ def _train_subset(dataset: Dataset) -> Dataset:
     return dataset.subset("train") if dataset.splits is not None else dataset
 
 
-def stage_partition(cfg: ExperimentConfig) -> GroupPartition:
-    model = build_model(cfg)
-    partition = make_partition(cfg, model)
+def _write_partition(cfg: ExperimentConfig, partition: GroupPartition):
     _ensure_outdir(cfg)
     with open(_path(cfg, "partition.txt"), "w") as fh:
         fh.write(partition.export_text())
+
+
+def _load_full(cfg: ExperimentConfig) -> ModelGraph:
+    ckpt = _path(cfg, "full.ckpt")
+    if not os.path.exists(ckpt):
+        raise StateError(f"no trained checkpoint at {ckpt}; run the train stage first")
+    model = build_model(cfg)
+    model.load_checkpoint(ckpt)
+    return model
+
+
+def _read_report(cfg: ExperimentConfig) -> PruneReport:
+    path = _path(cfg, "report.jsonl")
+    if not os.path.exists(path):
+        raise StateError(f"no prune report at {path}; run the prune stage first")
+    with open(path) as fh:
+        return PruneReport.from_jsonl(fh.read())
+
+
+def _load_slim(cfg: ExperimentConfig, report: PruneReport) -> ModelGraph:
+    layers = build_layers(report.slim_layers, cfg.input_shape, cfg.loss, "zeros", 0)
+    slim = ModelGraph(layers, cfg.input_shape)
+    slim.load_checkpoint(_path(cfg, "slim.ckpt"))
+    return slim
+
+
+# Each stage builds or loads from the output directory whatever it is not
+# handed; `stage_run` hands every stage the objects made by the one before.
+
+
+def stage_partition(cfg: ExperimentConfig):
+    """Write partition.txt; returns (fresh model, partition)."""
+    model = build_model(cfg)
+    partition = make_partition(cfg, model)
+    _write_partition(cfg, partition)
     print(
         f"partition: {partition.n_groups} groups "
         f"({partition.n_penalized} penalized) over {partition.n_flat} parameters"
     )
-    return partition
+    return model, partition
 
 
-def stage_train(cfg: ExperimentConfig):
-    model = build_model(cfg)
-    partition = make_partition(cfg, model)
-    dataset = _train_subset(build_dataset(cfg))
-    x_final, trace = train(model, partition, dataset, cfg.train)
+def stage_train(cfg: ExperimentConfig, model=None, partition=None, dataset=None):
+    """Train and write metrics.jsonl and full.ckpt; returns (model, partition, trace).
+
+    `dataset` is the whole dataset; training uses its train split.
+    """
+    if model is None:
+        model = build_model(cfg)
+    if partition is None:
+        partition = make_partition(cfg, model)
+        _write_partition(cfg, partition)
+    if dataset is None:
+        dataset = build_dataset(cfg)
+    x_final, trace = train(model, partition, _train_subset(dataset), cfg.train)
     _ensure_outdir(cfg)
     with open(_path(cfg, "metrics.jsonl"), "w") as fh:
         for entry in trace:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
-    with open(_path(cfg, "partition.txt"), "w") as fh:
-        fh.write(partition.export_text())
     model.save_checkpoint(_path(cfg, "full.ckpt"))
     metrics = sparsity_metrics(x_final, partition)
     last_loss = trace[-1]["loss"] if trace else float("nan")
@@ -110,13 +156,12 @@ def stage_train(cfg: ExperimentConfig):
     return model, partition, trace
 
 
-def stage_prune(cfg: ExperimentConfig):
-    model = build_model(cfg)
-    ckpt = _path(cfg, "full.ckpt")
-    if not os.path.exists(ckpt):
-        raise StateError(f"no trained checkpoint at {ckpt}; run the train stage first")
-    model.load_checkpoint(ckpt)
-    partition = make_partition(cfg, model)
+def stage_prune(cfg: ExperimentConfig, model=None, partition=None):
+    """Write slim.ckpt and report.jsonl; returns (trained model, slim model, report)."""
+    if model is None:
+        model = _load_full(cfg)
+    if partition is None:
+        partition = make_partition(cfg, model)
     slim, report = prune(model, partition, keep_one=cfg.keep_one)
     report.slim_layers = model_to_specs(slim)
     slim.save_checkpoint(_path(cfg, "slim.ckpt"))
@@ -130,36 +175,33 @@ def stage_prune(cfg: ExperimentConfig):
     return model, slim, report
 
 
-def _load_slim(cfg: ExperimentConfig, report: PruneReport) -> ModelGraph:
-    layers = build_layers(report.slim_layers, cfg.input_shape, cfg.loss, "zeros", 0)
-    slim = ModelGraph(layers, cfg.input_shape)
-    slim.load_checkpoint(_path(cfg, "slim.ckpt"))
-    return slim
+def stage_verify(cfg: ExperimentConfig, model=None):
+    """Record the full-vs-slim output deviation in report.jsonl; returns (deviation, slim).
 
-
-def stage_verify(cfg: ExperimentConfig) -> float:
-    model = build_model(cfg)
-    model.load_checkpoint(_path(cfg, "full.ckpt"))
-    with open(_path(cfg, "report.jsonl")) as fh:
-        report = PruneReport.from_jsonl(fh.read())
+    The slim model is always rebuilt from report.jsonl and slim.ckpt, as a
+    user would load it, never taken from the prune stage's memory.
+    """
+    if model is None:
+        model = _load_full(cfg)
+    report = _read_report(cfg)
     slim = _load_slim(cfg, report)
     deviation = equivalence_check(model, slim, cfg.verify_inputs, seed=cfg.train.seed)
     report.max_deviation = deviation
     with open(_path(cfg, "report.jsonl"), "w") as fh:
         fh.write(report.to_jsonl())
     print(f"verify: max output deviation {deviation:.3e} over {cfg.verify_inputs} inputs")
-    return deviation
+    return deviation, slim
 
 
-def stage_flops(cfg: ExperimentConfig):
-    model = build_model(cfg)
+def stage_flops(cfg: ExperimentConfig, model=None, slim=None):
+    """Print the MAC and parameter counts of the full and, once pruned, the slim model."""
+    if model is None:
+        model = build_model(cfg)
     flops, params = count_flops_params(model)
     print(f"flops: full model {flops} MACs/sample, {params} trainable parameters")
-    report_path = _path(cfg, "report.jsonl")
-    if os.path.exists(report_path):
-        with open(report_path) as fh:
-            report = PruneReport.from_jsonl(fh.read())
-        slim = _load_slim(cfg, report)
+    if slim is None and os.path.exists(_path(cfg, "report.jsonl")):
+        slim = _load_slim(cfg, _read_report(cfg))
+    if slim is not None:
         sflops, sparams = count_flops_params(slim)
         ratio = sflops / flops if flops else 1.0
         print(
@@ -169,19 +211,33 @@ def stage_flops(cfg: ExperimentConfig):
     return flops, params
 
 
+@contextlib.contextmanager
+def _stage(name: str):
+    """Tag a package error raised inside with the stage it came from."""
+    try:
+        yield
+    except ZigPruneError as exc:
+        exc.stage = name
+        raise
+
+
 def stage_run(cfg: ExperimentConfig):
-    stage_partition(cfg)
-    model, partition, trace = stage_train(cfg)
-    _, slim, report = stage_prune(cfg)
-    deviation = stage_verify(cfg)
-    stage_flops(cfg)
-    dataset = build_dataset(cfg)
+    """All five stages in one process, building the model, partition and dataset once."""
+    with _stage("partition"):
+        model, partition = stage_partition(cfg)
+    with _stage("train"):
+        dataset = build_dataset(cfg)
+        model, _, _ = stage_train(cfg, model, partition, dataset)
+    with _stage("prune"):
+        stage_prune(cfg, model, partition)
+    with _stage("verify"):
+        deviation, slim = stage_verify(cfg, model)
+    with _stage("flops"):
+        stage_flops(cfg, model, slim)
     if dataset.task == "classify" and dataset.splits is not None:
         test = dataset.subset("test")
         if test.n:
-            with open(_path(cfg, "report.jsonl")) as fh:
-                final_report = PruneReport.from_jsonl(fh.read())
-            acc = classification_accuracy(_load_slim(cfg, final_report), test)
+            acc = classification_accuracy(slim, test)
             print(f"run: slim test accuracy {acc:.4f}")
     print(f"run: complete, max deviation {deviation:.3e}")
 
@@ -219,7 +275,7 @@ def main(argv=None) -> int:
     try:
         _STAGES[args.command](cfg)
     except ZigPruneError as exc:
-        print(f"[{args.command}] {exc}", file=sys.stderr)
+        print(f"[{exc.stage or args.command}] {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import layers as L
 from .errors import ConfigError, ParameterError, ZigPruneError
 from .hspg import OPTIMIZER_KINDS, TrainConfig
-from .model import ModelGraph
+from .model import ModelGraph, infer_shapes
 from .tensor import Tensor
 
 DATASET_KINDS = ("synthetic-classify", "synthetic-glasso", "idx", "csv")
@@ -183,9 +183,12 @@ def load_config(path) -> ExperimentConfig:
         keep_one=typed.get("prune.keep_one", False),
         output_dir=typed.get("output.dir", "out"),
     )
-    # fail early on an inconsistent architecture
-    probe = build_model(cfg)
-    del probe
+    # fail early on an inconsistent architecture; its shapes need no initialized weights
+    layers = build_layers(layer_specs, input_shape, loss, "zeros", 0)
+    try:
+        infer_shapes(layers, input_shape)
+    except ZigPruneError as exc:
+        raise ConfigError(f"model does not validate: {exc}") from exc
     return cfg
 
 

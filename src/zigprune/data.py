@@ -185,6 +185,10 @@ def load_csv(path, target: str = "class") -> Dataset:
                 values = [float(p) for p in parts]
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
+            if target == "class" and not values[-1].is_integer():
+                raise FormatError(
+                    f"line {lineno}: class label {parts[-1].strip()!r} is not an integer"
+                )
             features.append(values[:-1])
             targets.append(values[-1])
     if not features:

@@ -2,7 +2,13 @@
 
 
 class ZigPruneError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    `stage` names the pipeline stage that raised it, when a multi-stage
+    command knows it; the CLI tags its message with that stage.
+    """
+
+    stage: str | None = None
 
 
 class ShapeError(ZigPruneError, ValueError):
@@ -55,6 +61,10 @@ class FormatError(ZigPruneError, ValueError):
 
 class OracleFailureError(ZigPruneError, RuntimeError):
     """A reference solver did not converge within its iteration budget."""
+
+
+class TargetError(ZigPruneError, ValueError):
+    """Class targets do not fit the model: not integers, or outside [0, output width)."""
 
 
 class ConfigError(ZigPruneError, ValueError):

@@ -222,6 +222,8 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
         raise ParameterError("dataset is empty")
     if model.loss_kind is None:
         raise ParameterError("training needs a model whose last layer is a loss")
+    if model.loss_kind == "softmax_ce":
+        L.check_class_targets(dataset.targets, model.shapes[-1][0])
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     state = OptimizerState(
         x=model.get_flat(),

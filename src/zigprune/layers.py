@@ -47,9 +47,8 @@ import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import erf
 
-from .errors import InvalidModelError, ParameterError, ShapeError
+from .errors import InvalidModelError, ParameterError, ShapeError, TargetError
 from .tensor import Tensor
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
@@ -84,10 +83,14 @@ def _prelu_deriv(x):
 
 
 def _gelu(x):
+    from scipy.special import erf  # deferred: only GELU models pay for scipy
+
     return (0.5 * x * (1.0 + erf(x * _INV_SQRT2))).astype(x.dtype)
 
 
 def _gelu_deriv(x):
+    from scipy.special import erf
+
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return (cdf + x * pdf).astype(x.dtype)
@@ -714,6 +717,23 @@ def activation_backward(dout: np.ndarray, layer: Activation, cache):
 
 # ---------------------------------------------------------------------------
 # losses
+
+
+def check_class_targets(targets, width: int):
+    """Raise TargetError unless every target is an integer class in [0, width).
+
+    `loss_forward` indexes its softmax rows with the targets, so a target out
+    of range would fail there untyped, or, if negative, silently pick a class
+    from the end of the row.
+    """
+    y = np.asarray(targets)
+    bad = (y != np.floor(y)) | (y < 0) | (y >= width)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise TargetError(
+            f"sample {i}: class target {y[i].item()!r} is not an integer in "
+            f"[0, {width}), the model's output width"
+        )
 
 
 def loss_forward(out: np.ndarray, targets: np.ndarray, kind: str):

@@ -1,8 +1,15 @@
+import collections
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import zigprune
+import zigprune.cli
+import zigprune.model
 from zigprune.cli import main
 from zigprune.config import (
     build_layers,
@@ -358,3 +365,165 @@ output.dir = {out}
         # hand-laid groups describe no model structure, so nothing is removed
         assert report.params_after == report.params_before
         assert report.max_deviation == 0.0
+
+
+ARTIFACTS = ("partition.txt", "metrics.jsonl", "full.ckpt", "slim.ckpt", "report.jsonl")
+
+
+def write_conv_config(tmp_path, out):
+    """A conv/residual experiment on seeded 1x6x6 IDX digits."""
+    from zigprune.data import write_idx_images, write_idx_labels
+
+    rng = np.random.default_rng(0)
+    labels = (np.arange(60) % 3).astype(np.uint8)
+    images = (rng.integers(0, 80, size=(60, 6, 6)) + labels[:, None, None] * 80).astype(np.uint8)
+    write_idx_images(tmp_path / "img.idx", images)
+    write_idx_labels(tmp_path / "lbl.idx", labels)
+    text = f"""
+model.input_shape = 1x6x6
+model.layers = convbn:4:3x3:s1:p1:relu, residual:4:3x3:s1:p1:relu, linear:3
+model.loss = softmax_ce
+model.seed = 2
+dataset.kind = idx
+dataset.images = {tmp_path / "img.idx"}
+dataset.labels = {tmp_path / "lbl.idx"}
+optimizer.kind = hspg
+optimizer.alpha0 = 0.1
+optimizer.lambda = 0.5
+optimizer.np_epochs = 3
+optimizer.batch = 20
+optimizer.epochs = 10
+optimizer.seed = 3
+prune.verify_inputs = 300
+prune.keep_one = true
+output.dir = {out}
+"""
+    path = tmp_path / "conv.cfg"
+    path.write_text(text)
+    return path
+
+
+class TestInMemoryRun:
+    """`run` hands objects between stages; the single-stage commands read files."""
+
+    @pytest.mark.parametrize("kind", ["mlp", "conv"])
+    def test_staged_commands_match_run_byte_for_byte(self, tmp_path, kind):
+        def config(out):
+            if kind == "conv":
+                return write_conv_config(tmp_path, tmp_path / out)
+            return write_config(tmp_path, **{"output.dir": str(tmp_path / out)})
+
+        assert main(["run", "--config", str(config("run"))]) == 0
+        staged = str(config("staged"))
+        for stage in ("partition", "train", "prune", "verify", "flops"):
+            assert main([stage, "--config", staged]) == 0, stage
+        for name in ARTIFACTS:
+            run_bytes = (tmp_path / "run" / name).read_bytes()
+            assert (tmp_path / "staged" / name).read_bytes() == run_bytes, name
+        if kind == "conv":  # the check spans several EVAL_CHUNK slices and HSPG pruned
+            report = PruneReport.from_jsonl((tmp_path / "run" / "report.jsonl").read_text())
+            assert report.flops_after < report.flops_before
+
+    def test_run_builds_each_object_once(self, tmp_path, monkeypatch, capsys):
+        calls = collections.Counter()
+        seen = {}
+
+        def count(owner, name, keep=None):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                result = original(*args, **kwargs)
+                if keep is not None:
+                    seen[name] = keep(args, result)
+                return result
+
+            monkeypatch.setattr(owner, name, counted)
+
+        cli = zigprune.cli
+        count(cli, "build_model")
+        count(cli, "partition_zig")
+        count(cli, "build_dataset")
+        count(cli, "prune", keep=lambda args, result: result[0])
+        count(cli, "equivalence_check", keep=lambda args, result: args[1])
+        count(cli, "classification_accuracy", keep=lambda args, result: args[0])
+        count(zigprune.model, "load_arrays")
+        cfgp = write_config(tmp_path)
+        assert main(["run", "--config", str(cfgp)]) == 0
+        assert calls == {
+            "build_model": 1,
+            "partition_zig": 1,
+            "build_dataset": 1,
+            "prune": 1,
+            "equivalence_check": 1,
+            "classification_accuracy": 1,
+            "load_arrays": 1,  # the slim model, read back from slim.ckpt
+        }
+        # verify and the accuracy line measure the slim model as loaded from disk
+        assert seen["equivalence_check"] is seen["classification_accuracy"]
+        assert seen["equivalence_check"] is not seen["prune"]
+        assert "run: slim test accuracy" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gelu", [False, True])
+    def test_scipy_loads_only_for_gelu(self, tmp_path, gelu):
+        layers = "linear:12, gelu, linear:3" if gelu else "linear:12, relu, linear:3"
+        cfgp = write_config(tmp_path, **{"model.layers": layers})
+        code = "\n".join([
+            "import sys",
+            "import zigprune, zigprune.cli",
+            "from zigprune.config import load_config",
+            f"load_config({str(cfgp)!r})",
+            "assert 'scipy' not in sys.modules",
+            f"assert zigprune.cli.main(['run', '--config', {str(cfgp)!r}]) == 0",
+            "print('scipy' in sys.modules)",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(zigprune.__file__)))
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == str(gelu)
+
+
+class TestClassTargets:
+    """Class targets must index the model's output: integers in [0, width)."""
+
+    def csv_config(self, tmp_path, last_label):
+        rows = [f"{i % 3}.5,{i % 2}.0,{i % 2}" for i in range(19)] + [f"0.1,0.2,{last_label}"]
+        (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+        return write_config(
+            tmp_path,
+            **{
+                "model.input_shape": "2",
+                "model.layers": "linear:4, relu, linear:2",
+                "dataset.kind": "csv",
+                "dataset.path": str(tmp_path / "d.csv"),
+            },
+        )
+
+    @pytest.mark.parametrize("command", ["run", "train"])
+    def test_more_classes_than_outputs(self, tmp_path, capsys, command):
+        cfgp = write_config(tmp_path, **{"dataset.classes": "5"})
+        assert main([command, "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[train] sample ")
+        assert "is not an integer in [0, 3), the model's output width" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "full.ckpt").exists()
+
+    def test_negative_csv_label(self, tmp_path, capsys):
+        cfgp = self.csv_config(tmp_path, "-1")
+        assert main(["run", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[train] sample 19: class target -1 is not an integer in [0, 2)")
+
+    def test_fractional_csv_label(self, tmp_path, capsys):
+        cfgp = self.csv_config(tmp_path, "1.5")
+        assert main(["run", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[train] line 20: class label '1.5' is not an integer")
+
+    def test_valid_csv_labels_train(self, tmp_path):
+        assert main(["run", "--config", str(self.csv_config(tmp_path, "1"))]) == 0

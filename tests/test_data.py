@@ -127,6 +127,15 @@ class TestCsv:
         with pytest.raises(FormatError, match="line 2"):
             load_csv(f, target="value")
 
+    def test_fractional_class_label_rejected(self, tmp_path):
+        # int64 conversion would silently truncate 1.5 to class 1
+        f = tmp_path / "d.csv"
+        f.write_text("1.0,2.0,0\n3.0,4.0,1.5\n")
+        with pytest.raises(FormatError, match="line 2: class label '1.5' is not an integer"):
+            load_csv(f, target="class")
+        f.write_text("1.0,2.0,0\n3.0,4.0,1.0\n")
+        assert np.array_equal(load_csv(f, target="class").targets, [0, 1])
+
     def test_inconsistent_width(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1.0,2.0,0\n1.0,0\n")

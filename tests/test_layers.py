@@ -3,7 +3,7 @@ import pytest
 
 import zigprune.layers as layers_module
 from zigprune.config import build_layers
-from zigprune.errors import ParameterError, ShapeError
+from zigprune.errors import ParameterError, ShapeError, TargetError
 from zigprune.layers import (
     ACTIVATIONS,
     Activation,
@@ -16,6 +16,7 @@ from zigprune.layers import (
     _col2im,
     _im2col,
     attention_forward,
+    check_class_targets,
     conv_bn_backward,
     conv_bn_forward,
     linear_forward,
@@ -83,6 +84,59 @@ class TestActivations:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             Activation("tanh")
+
+
+class TestGeluDeferredErf:
+    """scipy loads on GELU's first call; the function must stay the same to the bit."""
+
+    @staticmethod
+    def direct_gelu():
+        from scipy.special import erf
+
+        inv_sqrt2 = float(1.0 / np.sqrt(2.0))
+        inv_sqrt_2pi = float(1.0 / np.sqrt(2.0 * np.pi))
+
+        def gelu(x):
+            return (0.5 * x * (1.0 + erf(x * inv_sqrt2))).astype(x.dtype)
+
+        def gelu_deriv(x):
+            cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
+            pdf = np.exp(-0.5 * x * x) * inv_sqrt_2pi
+            return (cdf + x * pdf).astype(x.dtype)
+
+        return gelu, gelu_deriv
+
+    @staticmethod
+    def outputs_and_grads(dtype):
+        shape = (2, 5, 5)
+        specs = ["convbn:3:3x3:s1:p1:gelu", "residual:3:3x3:s1:p1:gelu", "linear:6", "gelu",
+                 "mha:2x3", "gelu", "linear:3"]
+        m = ModelGraph(build_layers(specs, shape, "softmax_ce", "normal:0.5", 4), shape)
+        rng = np.random.default_rng(5)
+        x = (3 * rng.standard_normal((7, *shape))).astype(dtype)
+        out, loss = m.forward(x, rng.integers(0, 3, size=7))
+        return out, loss, m.layer_outputs(), m.backward()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_matches_direct_erf_formula_bitwise(self, dtype, monkeypatch):
+        out, loss, acts, grads = self.outputs_and_grads(dtype)
+        monkeypatch.setitem(ACTIVATIONS, "gelu", self.direct_gelu())
+        ref_out, ref_loss, ref_acts, ref_grads = self.outputs_and_grads(dtype)
+        assert out.dtype == dtype
+        assert np.array_equal(out, ref_out)
+        assert loss == ref_loss
+        for a, b in zip(acts, ref_acts):
+            assert np.array_equal(a, b)
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            assert np.array_equal(grads[key], ref_grads[key]), key
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_functions_match_direct_erf_formula_bitwise(self, dtype):
+        gelu, gelu_deriv = self.direct_gelu()
+        x = np.linspace(-9, 9, 4001).astype(dtype)
+        assert np.array_equal(apply_activation(x, "gelu"), gelu(x))
+        assert np.array_equal(layers_module.activation_deriv(x, "gelu"), gelu_deriv(x))
 
 
 class TestConvBN:
@@ -361,6 +415,19 @@ class TestLosses:
                 np.zeros((2, 2), dtype=np.float32),
                 "mse",
             )
+
+    def test_class_targets_in_range_pass(self):
+        check_class_targets(np.array([0, 2, 1, 2]), 3)
+        check_class_targets(np.array([0.0, 2.0]), 3)
+        check_class_targets(np.array([], dtype=np.int64), 3)
+
+    @pytest.mark.parametrize(
+        "targets, bad",
+        [([0, 3, 1], "3"), ([0, -1], "-1"), ([1.0, 0.5], "0.5"), ([0.0, np.nan], "nan")],
+    )
+    def test_class_targets_out_of_range_or_fractional_fail(self, targets, bad):
+        with pytest.raises(TargetError, match=rf"sample 1: class target {bad} .*\[0, 3\)"):
+            check_class_targets(np.array(targets), 3)
 
     def test_activation_layer_forward(self):
         x = np.array([[-2.0, 2.0]], dtype=np.float32)

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from zigprune.config import build_layers
 from zigprune.errors import DegenerateLayerError, StructuralError
-from zigprune.model import ModelGraph
+from zigprune.model import EVAL_CHUNK, ModelGraph
 from zigprune.prune import (
     PruneReport,
     count_flops_params,
@@ -226,6 +228,39 @@ class TestEquivalence:
             slim, _ = prune(m, p)
             assert equivalence_check(m, slim, 40, seed=done) <= 1e-5
             done += 1
+
+    @pytest.mark.parametrize("n", [1, EVAL_CHUNK, EVAL_CHUNK + 1, 3 * EVAL_CHUNK + 17])
+    def test_chunked_draws_equal_one_draw(self, n):
+        shape = (2, 5, 5)
+        one = np.random.default_rng(9).standard_normal((n, *shape))
+        rng = np.random.default_rng(9)
+        chunks = [
+            rng.standard_normal((min(EVAL_CHUNK, n - s), *shape)) for s in range(0, n, EVAL_CHUNK)
+        ]
+        assert np.array_equal(np.concatenate(chunks), one)
+
+    @pytest.mark.parametrize("n", [EVAL_CHUNK - 1, 3 * EVAL_CHUNK + 17])
+    def test_chunked_check_equals_one_shot_check(self, n):
+        # two unrelated models, so the maximum is a nonzero value worth matching
+        a, _ = self.toy_cnn(seed=10)
+        b, _ = self.toy_cnn(seed=11)
+        inputs = np.random.default_rng(6).standard_normal((n, 2, 5, 5)).astype(np.float32)
+        gap = a.predict(inputs).astype(np.float64) - b.predict(inputs).astype(np.float64)
+        assert equivalence_check(a, b, n, seed=6) == float(np.abs(gap).max()) > 0
+
+    def test_memory_is_bounded_by_the_chunk(self):
+        # wide inputs, little compute: a one-shot draw would dominate the peak
+        a = model_from(["linear:4"], (2048,), seed=1)
+        b = model_from(["linear:4"], (2048,), seed=2)
+        peaks = []
+        for n in (EVAL_CHUNK, 4 * EVAL_CHUNK):
+            tracemalloc.start()
+            try:
+                equivalence_check(a, b, n, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0]
 
     def test_structural_error_on_output_mismatch(self):
         a = model_from(["linear:3"], (4,), seed=13)
