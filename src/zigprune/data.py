@@ -144,8 +144,9 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise FormatError(
             f"image count {len(images)} does not match label count {len(labels)}"
         )
-    inputs = (images.astype(np.float32) / 255.0)[:, None, :, :]
-    return Dataset(inputs=inputs, targets=labels, task="classify")
+    inputs = images.astype(np.float32)
+    inputs /= 255.0  # in place: one float32 copy of the images, not two
+    return Dataset(inputs=inputs[:, None, :, :], targets=labels, task="classify")
 
 
 def write_idx_images(path, images: np.ndarray):

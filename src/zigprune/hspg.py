@@ -16,6 +16,14 @@ Zeroing a group this way is only possible when the step direction makes
 -x_g a descent direction; the step asserts that inequality at every
 projection event.
 
+`hspg_step` takes the loss gradient and forms nu itself. In the half-space
+stage it gathers the penalized entries of x and of the gradient once,
+computes their group squared norms once for the subgradient, the frozen
+test, the half-space test and the descent check, and scatters the trial
+point once. Its float operations and their order are those of
+`subgradient` followed by the step and the projection, so every iterate is
+bitwise what those give.
+
 Prox-SG replaces the projection with the group soft-threshold of radius
 alpha*lam around the gradient step, which is the mechanism whose zero region
 vanishes for small steps.
@@ -29,7 +37,13 @@ import numpy as np
 
 from . import layers as L
 from .errors import InvariantError, NumericalFailureError, ParameterError
-from .regularizer import group_norm_value, group_prox, sparsity_metrics, subgradient
+from .regularizer import (
+    group_norm_value,
+    group_prox,
+    pen_subgradient,
+    sparsity_metrics,
+    subgradient,
+)
 from .zig import GroupPartition
 
 
@@ -84,24 +98,13 @@ def half_space_project(
     if not (0.0 <= epsilon < 1.0):
         raise ParameterError(f"epsilon must lie in [0, 1), got {epsilon}")
     out = z.copy()
-    if partition.pen_perm.size == 0:
-        return out
-    live = partition.pen_nonzero_counts(x_k) > 0  # groups already zero stay as given
-    kill, _ = _leaves_half_space(out, x_k, partition, epsilon, live)
-    _zero_groups(out, partition, kill)
+    xp = x_k[partition.pen_perm].astype(np.float64)
+    s = partition.pen_sum(xp * xp)
+    dots = partition.pen_sum(z[partition.pen_perm].astype(np.float64) * xp)
+    kill = (dots < epsilon * s) & (s != 0.0)  # groups already zero stay as given
+    if kill.any():
+        out[partition.pen_perm[np.repeat(kill, partition.pen_sizes)]] = 0.0
     return out
-
-
-def _leaves_half_space(z, x, partition: GroupPartition, epsilon: float, live):
-    """Mask of live penalized groups with <z_g, x_g> < epsilon * ||x_g||^2, and ||x_g||^2."""
-    s = partition.pen_sqnorms(x)
-    return (partition.pen_dots(z, x) < epsilon * s) & live, s
-
-
-def _zero_groups(out: np.ndarray, partition: GroupPartition, mask: np.ndarray):
-    """Write zeros over every penalized group selected by `mask`, in place."""
-    if mask.any():
-        out[partition.pen_perm[np.repeat(mask, partition.pen_sizes)]] = 0.0
 
 
 def _check_finite(vec: np.ndarray, k: int, what: str):
@@ -117,40 +120,56 @@ def _advance(state: OptimizerState):
         state.alpha *= state.decay
 
 
-def hspg_step(state: OptimizerState, nu: np.ndarray, partition: GroupPartition) -> dict:
-    """One half-space optimizer step; mutates `state`, returns step info."""
-    _check_finite(nu, state.k, "subgradient")
-    alpha = state.alpha
-    x64 = state.x.astype(np.float64)
-    nu64 = nu.astype(np.float64)
-    if state.k < state.switch_iteration:
-        state.x = (x64 - alpha * nu64).astype(np.float32)
-        info = {"k": state.k, "stage": "subgradient", "zeroed": np.empty(0, dtype=np.int64)}
+def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition) -> dict:
+    """One half-space optimizer step along nu = grad + lam * zeta(x); mutates `state`.
+
+    `grad` is the loss gradient; nu is ``grad + subgradient(x, partition,
+    lam)``, so entries outside the penalized groups step along ``grad +
+    0.0`` (which turns a -0.0 into +0.0). In the half-space stage a group is
+    frozen at zero when its squared norm is 0.0, which for float32 entries
+    is exactly when all of them are zero.
+    """
+    k, alpha, x = state.k, state.alpha, state.x
+    if k < state.switch_iteration:
+        nu = grad + subgradient(x, partition, state.lam)
+        _check_finite(nu, k, "subgradient")
+        state.x = (x.astype(np.float64) - alpha * nu.astype(np.float64)).astype(np.float32)
+        info = {"k": k, "stage": "subgradient", "zeroed": np.empty(0, dtype=np.int64)}
         _advance(state)
         return info
 
-    x = state.x
-    trial = (x64 - alpha * nu64).astype(np.float32)
-    zeroed_now = np.empty(0, dtype=np.int64)
-    if partition.pen_perm.size:
-        frozen = partition.pen_nonzero_counts(x) == 0  # groups already zero stay zero
-        _zero_groups(trial, partition, frozen)
-        kill, s = _leaves_half_space(trial, x, partition, state.epsilon, ~frozen)
-        if kill.any():
-            # zeroing is legitimate only when -x_g is a descent direction
-            xg_dot_nu = partition.pen_dots(x, nu)
-            needed = (1.0 - state.epsilon) * s / alpha
-            bad = kill & ~(xg_dot_nu > needed)
-            if bad.any():
-                gid = int(partition.pen_gids[np.argmax(bad)])
-                raise InvariantError(
-                    f"projection of group {gid} at iteration {state.k} does not satisfy "
-                    f"the descent inequality"
-                )
-            _zero_groups(trial, partition, kill)
-            zeroed_now = partition.pen_gids[kill]
+    perm, free = partition.pen_perm, partition.free_perm
+    xp = x[perm].astype(np.float64)
+    sq = partition.pen_sum(xp * xp)
+    # a zero weight adds +0.0, as `subgradient` does, not lam * zeta's signed zeros
+    sub = pen_subgradient(xp, sq, partition, state.lam).astype(np.float32) if state.lam else 0.0
+    nu_p = grad[perm] + sub
+    nu_f = grad[free] + 0.0
+    for part in (nu_p, nu_f):
+        _check_finite(part, k, "subgradient")
+    nu64 = nu_p.astype(np.float64)
+    trial_p = (xp - alpha * nu64).astype(np.float32)
+    frozen = sq == 0.0  # groups already zero stay zero
+    if frozen.any():
+        trial_p[np.repeat(frozen, partition.pen_sizes)] = 0.0
+    kill = (partition.pen_sum(trial_p.astype(np.float64) * xp) < state.epsilon * sq) & ~frozen
+    zeroed = partition.pen_gids[kill]
+    if zeroed.size:
+        # zeroing is legitimate only when -x_g is a descent direction
+        needed = (1.0 - state.epsilon) * sq / alpha
+        bad = kill & ~(partition.pen_sum(xp * nu64) > needed)
+        if bad.any():
+            gid = int(partition.pen_gids[np.argmax(bad)])
+            raise InvariantError(
+                f"projection of group {gid} at iteration {k} does not satisfy "
+                f"the descent inequality"
+            )
+        trial_p[np.repeat(kill, partition.pen_sizes)] = 0.0
+    trial = np.empty_like(x)
+    trial[free] = (x[free].astype(np.float64) - alpha * nu_f.astype(np.float64)).astype(np.float32)
+    trial[perm] = trial_p
     state.x = trial
-    info = {"k": state.k, "stage": "half_space", "zeroed": zeroed_now}
+    info = {"k": k, "stage": "half_space", "zeroed": zeroed}
     _advance(state)
     return info
 
@@ -246,8 +265,7 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
             grad = model.get_flat_grad()
             try:
                 if config.optimizer == "hspg":
-                    nu = grad + subgradient(state.x, partition, config.lam)
-                    info = hspg_step(state, nu, partition)
+                    info = hspg_step(state, grad, partition)
                 elif config.optimizer == "prox-sg":
                     info = prox_sg_step(state, grad, partition)
                 else:

@@ -14,12 +14,14 @@ on type:
 
 The numeric work sits in module-level functions: every forward returns
 ``(out, cache)`` and its backward takes ``(dout, cache)`` and returns
-``(dx, param_grads)``. Methods call these functions through the module
-namespace at call time (never through a table built at import), so
-replacing `layers.linear_forward` and its siblings on the module, as a
-tracer does, intercepts every call. Computations follow the input dtype
-(float32 in normal use; float64 when a gradient check runs a
-higher-precision shadow), and large reductions always accumulate in float64.
+``(dx, param_grads)``; the backward of a kind with parameters takes a fourth
+argument `need_dx`, and skips dx (returns None) when it is False. Methods
+call these functions through the module namespace at call time (never
+through a table built at import), so replacing `layers.linear_forward` and
+its siblings on the module, as a tracer does, intercepts every call.
+Computations follow the input dtype (float32 in normal use; float64 when a
+gradient check runs a higher-precision shadow), and large reductions always
+accumulate in float64.
 
 Bit-exact fast path: a speedup on the numeric path may move, gather or reuse
 data, but it must not change any accumulation order or precision, so every
@@ -156,7 +158,11 @@ class Layer:
         return x, None
 
     def backward(self, dout: np.ndarray, cache):
-        """(dx, {parameter name: gradient})."""
+        """(dx, {parameter name: gradient}).
+
+        A kind with parameters also takes ``need_dx=False``, which the model
+        passes to the first parameterized layer: its dx is None then.
+        """
         return dout, {}
 
     def params(self) -> list[tuple[str, Tensor, bool]]:
@@ -230,8 +236,8 @@ class Linear(Layer):
     def forward(self, x):
         return linear_forward(x, self)
 
-    def backward(self, dout, cache):
-        return linear_backward(dout, self, cache)
+    def backward(self, dout, cache, need_dx=True):
+        return linear_backward(dout, self, cache, need_dx)
 
     def params(self):
         return [("weight", self.weight, True), ("bias", self.bias, True)]
@@ -308,8 +314,8 @@ class ConvBN(Layer):
     def forward(self, x):
         return conv_bn_forward(x, self)
 
-    def backward(self, dout, cache):
-        return conv_bn_backward(dout, self, cache)
+    def backward(self, dout, cache, need_dx=True):
+        return conv_bn_backward(dout, self, cache, need_dx)
 
     def params(self):
         trainable = [(n, getattr(self, n), True) for n in ("kernel", "bias", "gamma", "beta")]
@@ -365,8 +371,8 @@ class ResidualBlock(Layer):
     def forward(self, x):
         return residual_forward(x, self)
 
-    def backward(self, dout, cache):
-        return residual_backward(dout, self, cache)
+    def backward(self, dout, cache, need_dx=True):
+        return residual_backward(dout, self, cache, need_dx)
 
     def params(self):
         return [
@@ -437,8 +443,8 @@ class MultiHeadAttention(Layer):
     def forward(self, x):
         return attention_forward(x, self)
 
-    def backward(self, dout, cache):
-        return attention_backward(dout, self, cache)
+    def backward(self, dout, cache, need_dx=True):
+        return attention_backward(dout, self, cache, need_dx)
 
     def params(self):
         return [
@@ -527,14 +533,16 @@ def linear_forward(x: np.ndarray, layer: Linear):
     return out.reshape(*lead, layer.out_features), (x2, lead)
 
 
-def linear_backward(dout: np.ndarray, layer: Linear, cache):
+def linear_backward(dout: np.ndarray, layer: Linear, cache, need_dx=True):
     x2, lead = cache
     d2 = dout.reshape(-1, layer.out_features)
     dtype = d2.dtype
     d64 = _up64(d2)  # shared by both products
     dw = _matmul64(d64.T, x2, dtype)
     db = d2.sum(axis=0, dtype=np.float64).astype(dtype)
-    dx = _matmul64(d64, _param(layer.weight, dtype), dtype).reshape(*lead, layer.in_features)
+    dx = None
+    if need_dx:
+        dx = _matmul64(d64, _param(layer.weight, dtype), dtype).reshape(*lead, layer.in_features)
     return dx, {"weight": dw, "bias": db}
 
 
@@ -553,11 +561,11 @@ def attention_forward(x: np.ndarray, layer: MultiHeadAttention):
     return out.reshape(*lead, layer.out_features), (x2, lead)
 
 
-def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache):
+def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache, need_dx=True):
     x2, lead = cache
     d2 = dout.reshape(-1, layer.out_features)
     grads = {}
-    dx = np.zeros_like(x2)
+    dx = np.zeros_like(x2) if need_dx else None
     offset = 0
     for h, (w, b) in enumerate(zip(layer.weights, layer.biases)):
         m_h = w.data.shape[0]
@@ -565,9 +573,10 @@ def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache):
         dh64 = _up64(dh)  # a contiguous copy, shared by both products
         grads[f"h{h}.weight"] = _matmul64(dh64.T, x2, d2.dtype)
         grads[f"h{h}.bias"] = dh.sum(axis=0, dtype=np.float64).astype(d2.dtype)
-        dx += _matmul64(dh64, _param(w, d2.dtype), d2.dtype)
+        if need_dx:
+            dx += _matmul64(dh64, _param(w, d2.dtype), d2.dtype)
         offset += m_h
-    return dx.reshape(*lead, layer.in_features), grads
+    return (dx.reshape(*lead, layer.in_features) if need_dx else None), grads
 
 
 # ---------------------------------------------------------------------------
@@ -663,7 +672,7 @@ def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None
     return out, (x.shape, cols, pre, act)
 
 
-def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache):
+def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache, need_dx=True):
     x_shape, cols, pre, act = cache
     dtype = dout.dtype
     std = _param(layer.std, dtype)[None, :, None, None]
@@ -681,9 +690,11 @@ def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache):
     cols2 = cols.reshape(-1, cols.shape[-1])
     d64 = _up64(dpre2)  # shared by both products
     dk = _matmul64(d64.T, cols2, dtype)
+    grads = {"kernel": dk, "bias": db, "gamma": dgamma, "beta": dbeta}
+    if not need_dx:
+        return None, grads
     dcols = _matmul64(d64, _param(layer.kernel, dtype), dtype).reshape(cols.shape)
-    dx = _col2im(dcols, x_shape, layer.kh, layer.kw, layer.stride, layer.padding)
-    return dx, {"kernel": dk, "bias": db, "gamma": dgamma, "beta": dbeta}
+    return _col2im(dcols, x_shape, layer.kh, layer.kw, layer.stride, layer.padding), grads
 
 
 def residual_forward(x: np.ndarray, layer: ResidualBlock):
@@ -698,13 +709,13 @@ def residual_forward(x: np.ndarray, layer: ResidualBlock):
     return out1 + out2, (cache1, cache2)
 
 
-def residual_backward(dout: np.ndarray, layer: ResidualBlock, cache):
+def residual_backward(dout: np.ndarray, layer: ResidualBlock, cache, need_dx=True):
     cache1, cache2 = cache
-    dx1, g1 = conv_bn_backward(dout, layer.branch1, cache1)
-    dx2, g2 = conv_bn_backward(dout, layer.branch2, cache2)
+    dx1, g1 = conv_bn_backward(dout, layer.branch1, cache1, need_dx)
+    dx2, g2 = conv_bn_backward(dout, layer.branch2, cache2, need_dx)
     grads = {f"b1.{k}": v for k, v in g1.items()}
     grads.update({f"b2.{k}": v for k, v in g2.items()})
-    return dx1 + dx2, grads
+    return (dx1 + dx2 if need_dx else None), grads
 
 
 def activation_forward(x: np.ndarray, layer: Activation):

@@ -17,6 +17,15 @@ Parameter arrays live in a registry keyed by stable ids (``L3.kernel``,
 ``L5.b1.gamma``, ``L7.h0.weight``); the flattened view used by the
 optimizers concatenates the trainable arrays in registry order. BN mean/std
 are stored constants and are not part of the flat view.
+
+Buffer ownership: the graph holds one float32 parameter buffer and one
+gradient buffer in flat-view order, and every trainable tensor's `data` and
+`grad` is a view into them, so `get_flat`, `set_flat` and `get_flat_grad`
+are one copy each and `backward` writes each gradient once, into its view.
+A layer list belongs to the one graph built over it: building a second graph
+over the same layers raises `InvalidModelError` rather than leave the first
+graph's buffer out of step with its layers; `clone` gives a copy with its
+own buffers.
 """
 
 from __future__ import annotations
@@ -62,20 +71,35 @@ class ModelGraph:
         self.shapes = infer_shapes(self.layers, self.input_shape)
         self.params: dict[str, Tensor] = {}
         self.constants: dict[str, Tensor] = {}
+        self._first_param = len(self.layers)  # backward stops at this layer
         for i, layer in enumerate(self.layers):
             for name, tensor, trainable in layer.params():
                 key = f"L{i}.{name}"
                 if trainable:
-                    tensor.ensure_grad()
                     self.params[key] = tensor
+                    self._first_param = min(self._first_param, i)
                 else:
                     self.constants[key] = tensor
+        held = set()
+        for key, tensor in self.params.items():
+            if tensor.grad is not None or id(tensor) in held:
+                raise InvalidModelError(
+                    f"parameter {key} already belongs to a model; build each model over "
+                    f"its own layers (clone() copies a model)"
+                )
+            held.add(id(tensor))
+        self.n_flat = sum(t.size for t in self.params.values())
+        self._flat = np.empty(self.n_flat, dtype=np.float32)
+        self._flat_grad = np.zeros(self.n_flat, dtype=np.float32)
         self._offsets: dict[str, tuple[int, int]] = {}
         pos = 0
         for key, tensor in self.params.items():
-            self._offsets[key] = (pos, pos + tensor.size)
-            pos += tensor.size
-        self.n_flat = pos
+            start, pos = pos, pos + tensor.size
+            shape = tensor.shape
+            self._offsets[key] = (start, pos)
+            self._flat[start:pos] = tensor.data.ravel()
+            tensor.data = self._flat[start:pos].reshape(shape)
+            tensor.grad = self._flat_grad[start:pos].reshape(shape)
         self._tape = None
         self._layer_outputs = None
         self._dloss = None
@@ -92,28 +116,24 @@ class ModelGraph:
         return dict(self._offsets)
 
     def clone(self) -> "ModelGraph":
-        return copy.deepcopy(self)
+        """A copy with its own parameters, constants and layers, and no forward record."""
+        # the copied layers take fresh tensors over this graph's parameter
+        # views; the new graph copies their values into its own buffer
+        fresh = {id(t): Tensor(t.data) for t in self.params.values()}
+        return ModelGraph(copy.deepcopy(self.layers, fresh), self.input_shape)
 
     # -- flat parameter view -------------------------------------------------
 
     def get_flat(self) -> np.ndarray:
-        out = np.empty(self.n_flat, dtype=np.float32)
-        for key, (start, stop) in self._offsets.items():
-            out[start:stop] = self.params[key].data.ravel()
-        return out
+        return self._flat.copy()
 
     def set_flat(self, x: np.ndarray):
         if x.shape != (self.n_flat,):
             raise ShapeError(f"flat view has {self.n_flat} entries, got {x.shape}")
-        for key, (start, stop) in self._offsets.items():
-            t = self.params[key]
-            t.data[...] = x[start:stop].reshape(t.shape)
+        self._flat[...] = x
 
     def get_flat_grad(self) -> np.ndarray:
-        out = np.empty(self.n_flat, dtype=np.float32)
-        for key, (start, stop) in self._offsets.items():
-            out[start:stop] = self.params[key].grad.ravel()
-        return out
+        return self._flat_grad.copy()
 
     # -- execution -----------------------------------------------------------
 
@@ -185,26 +205,30 @@ class ModelGraph:
         return self._layer_outputs
 
     def backward(self, adjoint: float = 1.0) -> dict[str, np.ndarray]:
-        """Backpropagate from the recorded loss; fills grads, returns them by id."""
+        """Backpropagate from the recorded loss; writes the gradient views, returns the gradients by id.
+
+        The returned arrays are the layers' own, in the forward pass's
+        precision; the views hold them rounded to float32. Layers before the
+        first parameterized one get no gradient, and that layer computes no
+        input gradient, since nothing reads it.
+        """
         if self._tape is None:
             raise StateError("backward called before forward")
         if self._dloss is None:
             raise StateError("backward needs a forward pass that computed a loss")
-        for t in self.params.values():
-            t.zero_grad()
         grads: dict[str, np.ndarray] = {}
         d = self._dloss if adjoint == 1.0 else self._dloss * adjoint
-        for i, layer, cache, pre_flatten in reversed(self._tape):
-            d, g = layer.backward(d, cache)
+        for i, layer, cache, pre_flatten in reversed(self._tape[self._first_param :]):
+            if i == self._first_param:
+                d, g = layer.backward(d, cache, need_dx=False)
+            else:
+                d, g = layer.backward(d, cache)
             for name, grad in g.items():
                 key = f"L{i}.{name}"
-                grads[key] = grad
                 self.params[key].grad[...] = grad
-            if pre_flatten is not None:
+                grads[key] = grad
+            if pre_flatten is not None and d is not None:
                 d = d.reshape(pre_flatten)
-        for key in self.params:
-            if key not in grads:
-                grads[key] = np.zeros(self.params[key].shape, dtype=np.float32)
         return grads
 
     # -- persistence ---------------------------------------------------------

@@ -41,15 +41,23 @@ def subgradient(x: np.ndarray, partition: GroupPartition, lam: float) -> np.ndar
     out = np.zeros_like(x)
     if partition.pen_perm.size == 0 or lam == 0.0:
         return out
-    norms = group_norms(x, partition)
+    xp = x[partition.pen_perm].astype(np.float64)
+    sub = pen_subgradient(xp, partition.pen_sum(xp * xp), partition, lam)
+    out[partition.pen_perm] = sub.astype(x.dtype)
+    return out
+
+
+def pen_subgradient(xp: np.ndarray, sqnorms: np.ndarray, partition: GroupPartition, lam: float):
+    """lam * zeta on the gathered penalized entries ``x[pen_perm]`` (float64).
+
+    `sqnorms` are their group sums of squares; the result is float64, for the
+    caller to round.
+    """
+    norms = np.sqrt(sqnorms)
     scale = np.zeros_like(norms)
     nz = norms > 0.0
     scale[nz] = lam / norms[nz]
-    per_entry = np.repeat(scale, partition.pen_sizes)
-    out[partition.pen_perm] = (x[partition.pen_perm].astype(np.float64) * per_entry).astype(
-        x.dtype
-    )
-    return out
+    return xp * np.repeat(scale, partition.pen_sizes)
 
 
 def group_prox(v: np.ndarray, partition: GroupPartition, tau: float) -> np.ndarray:
@@ -63,14 +71,13 @@ def group_prox(v: np.ndarray, partition: GroupPartition, tau: float) -> np.ndarr
     out = v.copy()
     if partition.pen_perm.size == 0 or tau == 0.0:
         return out
-    norms = group_norms(v, partition)
+    vp = v[partition.pen_perm].astype(np.float64)
+    norms = np.sqrt(partition.pen_sum(vp * vp))
     keep = norms > tau
     factor = np.zeros_like(norms)
     factor[keep] = 1.0 - tau / norms[keep]
-    per_entry = np.repeat(factor, partition.pen_sizes)
-    shrunk = (v[partition.pen_perm].astype(np.float64) * per_entry).astype(v.dtype)
-    killed = np.repeat(~keep, partition.pen_sizes)
-    shrunk[killed] = 0.0
+    shrunk = (vp * np.repeat(factor, partition.pen_sizes)).astype(v.dtype)
+    shrunk[np.repeat(~keep, partition.pen_sizes)] = 0.0
     out[partition.pen_perm] = shrunk
     return out
 

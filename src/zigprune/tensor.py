@@ -1,4 +1,4 @@
-"""Dense float32 tensor with an optional gradient buffer, plus checkpoint IO.
+"""Dense float32 tensor with a gradient slot, plus checkpoint IO.
 
 The checkpoint format is a flat binary container: the magic string
 ``OTOCKPT1``, a little-endian uint32 array count, then per array its
@@ -18,13 +18,23 @@ CHECKPOINT_MAGIC = b"OTOCKPT1"
 
 
 class Tensor:
-    """N-dimensional float32 buffer with a same-shape gradient slot."""
+    """N-dimensional float32 array with a same-shape gradient slot.
+
+    Buffer ownership: a trainable tensor belongs to at most one `ModelGraph`.
+    Building the graph copies the tensor's values into the graph's flat
+    parameter buffer and rebinds `data` to a view of that buffer and `grad` to
+    a view of the graph's gradient buffer. From then on, write through the
+    views (``t.data[...] = values``) and never rebind them, or the layer and
+    the graph's flat view would part. `grad` stays None until a graph owns the
+    tensor, and a graph refuses a tensor whose `grad` is set, so a layer list
+    cannot be shared by two graphs; `ModelGraph.clone` copies one instead.
+    """
 
     __slots__ = ("data", "grad")
 
-    def __init__(self, data, with_grad: bool = False):
+    def __init__(self, data):
         self.data = np.ascontiguousarray(data, dtype=np.float32)
-        self.grad = np.zeros_like(self.data) if with_grad else None
+        self.grad = None
 
     @property
     def shape(self) -> tuple:
@@ -33,21 +43,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def ensure_grad(self) -> np.ndarray:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        return self.grad
-
-    def zero_grad(self):
-        if self.grad is not None:
-            self.grad.fill(0.0)
-
-    def copy(self) -> "Tensor":
-        out = Tensor(self.data.copy(), with_grad=self.grad is not None)
-        if self.grad is not None:
-            out.grad[...] = self.grad
-        return out
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape})"

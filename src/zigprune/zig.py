@@ -56,7 +56,10 @@ class GroupPartition:
 
     Vectorized per-group reductions run over the penalized groups via a
     single permutation + reduceat pass; that keeps the optimizer loop free
-    of per-group Python overhead.
+    of per-group Python overhead. `pen_sum` reduces values in the gathered
+    layout ``x[pen_perm]`` to one per group; ``np.repeat(v, pen_sizes)``
+    spreads one value per group back over its entries. `free_perm` lists
+    the positions outside every penalized group.
     """
 
     def __init__(self, groups: list[Group], n_flat: int, require_cover: bool = False):
@@ -73,6 +76,9 @@ class GroupPartition:
             self.pen_perm = np.empty(0, dtype=np.int64)
             self.pen_sizes = np.empty(0, dtype=np.int64)
             self.pen_starts = np.empty(0, dtype=np.int64)
+        free = np.ones(self.n_flat, dtype=bool)
+        free[self.pen_perm] = False
+        self.free_perm = np.flatnonzero(free)
 
     def _validate(self, require_cover: bool):
         seen = np.zeros(self.n_flat, dtype=bool)
@@ -101,26 +107,24 @@ class GroupPartition:
     def group_values(self, x: np.ndarray, gid: int) -> np.ndarray:
         return x[self.groups[gid].indices]
 
+    def pen_sum(self, values: np.ndarray) -> np.ndarray:
+        """Per-penalized-group sums of `values`, given in the ``x[pen_perm]`` layout."""
+        if self.pen_perm.size == 0:
+            return np.empty(0, dtype=values.dtype)
+        return np.add.reduceat(values, self.pen_starts)
+
     def pen_sqnorms(self, x: np.ndarray) -> np.ndarray:
         """Per-penalized-group sum of squares, accumulated in float64."""
-        if self.pen_perm.size == 0:
-            return np.empty(0, dtype=np.float64)
         gathered = x[self.pen_perm].astype(np.float64)
-        return np.add.reduceat(gathered * gathered, self.pen_starts)
+        return self.pen_sum(gathered * gathered)
 
     def pen_dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-penalized-group inner products <x_g, y_g> in float64."""
-        if self.pen_perm.size == 0:
-            return np.empty(0, dtype=np.float64)
-        prod = x[self.pen_perm].astype(np.float64) * y[self.pen_perm].astype(np.float64)
-        return np.add.reduceat(prod, self.pen_starts)
+        return self.pen_sum(x[self.pen_perm].astype(np.float64) * y[self.pen_perm].astype(np.float64))
 
     def pen_nonzero_counts(self, x: np.ndarray) -> np.ndarray:
         """Per-penalized-group count of entries that are not exactly 0.0."""
-        if self.pen_perm.size == 0:
-            return np.empty(0, dtype=np.int64)
-        flags = (x[self.pen_perm] != 0.0).astype(np.int64)
-        return np.add.reduceat(flags, self.pen_starts)
+        return self.pen_sum((x[self.pen_perm] != 0.0).astype(np.int64))
 
     def zero_groups_inplace(self, x: np.ndarray, gids) -> None:
         for gid in gids:

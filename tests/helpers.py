@@ -140,3 +140,86 @@ def col2im_reference(dcols, x_shape, kh, kw, stride, padding):
     if padding:
         return dxp[:, :, padding : padding + h, padding : padding + w]
     return dxp
+
+
+# -- the optimizer step as it stood before the single-gather version ----------
+# `subgradient` and `hspg_step` gathered the penalized entries once per query
+# (norms, nonzero counts, dots) and `train` added the two; the fused
+# `zigprune.hspg.hspg_step` must reproduce every iterate of this pair bit for bit.
+
+
+def reference_subgradient(x, partition, lam):
+    out = np.zeros_like(x)
+    if partition.pen_perm.size == 0 or lam == 0.0:
+        return out
+    norms = np.sqrt(partition.pen_sqnorms(x))
+    scale = np.zeros_like(norms)
+    nz = norms > 0.0
+    scale[nz] = lam / norms[nz]
+    per_entry = np.repeat(scale, partition.pen_sizes)
+    out[partition.pen_perm] = (x[partition.pen_perm].astype(np.float64) * per_entry).astype(
+        x.dtype
+    )
+    return out
+
+
+def _reference_zero_groups(out, partition, mask):
+    if mask.any():
+        out[partition.pen_perm[np.repeat(mask, partition.pen_sizes)]] = 0.0
+
+
+def reference_hspg_step(state, nu, partition):
+    """The half-space step along a given direction nu (loss gradient plus subgradient)."""
+    from zigprune.errors import InvariantError, NumericalFailureError
+
+    if not np.all(np.isfinite(nu)):
+        raise NumericalFailureError(
+            f"non-finite subgradient entries at iteration {state.k}", iteration=state.k
+        )
+    alpha = state.alpha
+    x = state.x
+    trial = (x.astype(np.float64) - alpha * nu.astype(np.float64)).astype(np.float32)
+    info = {"k": state.k, "stage": "subgradient", "zeroed": np.empty(0, dtype=np.int64)}
+    if state.k >= state.switch_iteration:
+        info["stage"] = "half_space"
+        if partition.pen_perm.size:
+            frozen = partition.pen_nonzero_counts(x) == 0
+            _reference_zero_groups(trial, partition, frozen)
+            s = partition.pen_sqnorms(x)
+            kill = (partition.pen_dots(trial, x) < state.epsilon * s) & ~frozen
+            if kill.any():
+                needed = (1.0 - state.epsilon) * s / alpha
+                bad = kill & ~(partition.pen_dots(x, nu) > needed)
+                if bad.any():
+                    gid = int(partition.pen_gids[np.argmax(bad)])
+                    raise InvariantError(
+                        f"projection of group {gid} at iteration {state.k} does not satisfy "
+                        f"the descent inequality"
+                    )
+                _reference_zero_groups(trial, partition, kill)
+                info["zeroed"] = partition.pen_gids[kill]
+    state.x = trial
+    state.k += 1
+    if state.steps_per_epoch > 0 and state.k % state.steps_per_epoch == 0:
+        state.alpha *= state.decay
+    return info
+
+
+def reference_group_prox(v, partition, tau):
+    out = v.copy()
+    if partition.pen_perm.size == 0 or tau == 0.0:
+        return out
+    norms = np.sqrt(partition.pen_sqnorms(v))
+    keep = norms > tau
+    factor = np.zeros_like(norms)
+    factor[keep] = 1.0 - tau / norms[keep]
+    per_entry = np.repeat(factor, partition.pen_sizes)
+    shrunk = (v[partition.pen_perm].astype(np.float64) * per_entry).astype(v.dtype)
+    shrunk[np.repeat(~keep, partition.pen_sizes)] = 0.0
+    out[partition.pen_perm] = shrunk
+    return out
+
+
+def bits(a):
+    """The raw bytes of an array, so that -0.0 and +0.0 compare unequal."""
+    return np.ascontiguousarray(a).tobytes()

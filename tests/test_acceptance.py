@@ -266,7 +266,7 @@ def _instrumented_hspg_run(epsilon, iters, switch, alpha, lam):
         nu = grad + subgradient(st.x, partition, lam)
         x_prev = st.x.copy()
         alpha_step = st.alpha
-        info = hspg_step(st, nu, partition)
+        info = hspg_step(st, grad, partition)
         if info["stage"] != "half_space":
             continue
         # monotone sparsity

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,24 @@ class TestIdx:
         assert ds.inputs.shape == (7, 1, 5, 4)
         assert np.allclose(ds.inputs[:, 0] * 255.0, images)
         assert np.array_equal(ds.targets, labels.astype(np.int64))
+
+    def test_scaling_is_bitwise_and_holds_one_float_copy(self, tmp_path):
+        rng = np.random.default_rng(8)
+        images = rng.integers(0, 256, size=(2000, 28, 28), dtype=np.uint8)
+        ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"
+        write_idx_images(ip, images)
+        write_idx_labels(lp, rng.integers(0, 10, size=2000))
+        tracemalloc.start()
+        try:
+            ds = load_idx(ip, lp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        expected = (images.astype(np.float32) / 255.0)[:, None]
+        assert ds.inputs.tobytes() == expected.tobytes()
+        # the file's uint8 payload is held while it converts; beyond it, one
+        # float32 copy (two copies would reach 2x the result)
+        assert peak <= images.nbytes + 1.2 * ds.inputs.nbytes
 
     def test_all_zero_image(self, tmp_path):
         ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"

@@ -5,7 +5,7 @@ import pytest
 
 from zigprune.config import build_layers
 from zigprune.data import Dataset, generate_group_lasso
-from zigprune.errors import NumericalFailureError, ParameterError
+from zigprune.errors import InvariantError, NumericalFailureError, ParameterError
 from zigprune.hspg import (
     OptimizerState,
     TrainConfig,
@@ -20,6 +20,14 @@ from zigprune.model import EVAL_CHUNK, ModelGraph
 from zigprune.oracle import bcd_oracle, least_squares_objective
 from zigprune.regularizer import group_prox, sparsity_metrics, subgradient
 from zigprune.zig import GroupPartition, partition_zig
+
+from helpers import (
+    bits,
+    build_random_model,
+    reference_group_prox,
+    reference_hspg_step,
+    reference_subgradient,
+)
 
 
 def two_group_partition():
@@ -107,7 +115,8 @@ class TestSteps:
     def test_subgradient_stage_zero_direction_keeps_x(self):
         p = two_group_partition()
         st = OptimizerState(x=QUAD_CENTER.copy(), alpha=0.1, lam=0.1, switch_iteration=50)
-        info = hspg_step(st, np.zeros(4, dtype=np.float32), p)
+        # a loss gradient that cancels the regularizer's: nu = 0
+        info = hspg_step(st, -subgradient(st.x, p, st.lam), p)
         assert info["stage"] == "subgradient"
         assert np.array_equal(st.x, QUAD_CENTER)
         assert st.k == 1
@@ -116,8 +125,8 @@ class TestSteps:
         p = two_group_partition()
         x0 = np.array([0.0, 0.0, 1.0, 1.0], dtype=np.float32)
         st = OptimizerState(x=x0, alpha=0.1, lam=0.1, switch_iteration=1, k=5)
-        nu = np.array([5.0, -3.0, 0.1, 0.1], dtype=np.float32)
-        info = hspg_step(st, nu, p)
+        grad = np.array([5.0, -3.0, 0.1, 0.1], dtype=np.float32)
+        info = hspg_step(st, grad, p)
         assert info["stage"] == "half_space"
         assert np.all(st.x[:2] == 0.0)  # frozen despite a nonzero direction
 
@@ -126,8 +135,7 @@ class TestSteps:
         st = OptimizerState(x=QUAD_CENTER.copy(), alpha=0.1, lam=0.1, switch_iteration=10)
         prev_zero: set = set()
         for _ in range(200):
-            nu = quad_grad(st.x) + subgradient(st.x, p, st.lam)
-            hspg_step(st, nu, p)
+            hspg_step(st, quad_grad(st.x), p)
             if st.k > st.switch_iteration:
                 now_zero = set(compute_index_sets(st.x, p).zero.tolist())
                 assert prev_zero <= now_zero
@@ -142,8 +150,7 @@ class TestSteps:
 
         st = OptimizerState(x=QUAD_CENTER.copy(), alpha=0.1, lam=lam, switch_iteration=50)
         for _ in range(2000):
-            nu = quad_grad(st.x) + subgradient(st.x, p, lam)
-            hspg_step(st, nu, p)
+            hspg_step(st, quad_grad(st.x), p)
         assert np.all(st.x[:2] == 0.0)  # exact zeros, not small values
         assert np.all(st.x[2:] != 0.0)
         assert np.abs(st.x - oracle).max() <= 1e-3
@@ -187,8 +194,7 @@ class TestSteps:
         rng = np.random.default_rng(0)
         st_h = OptimizerState(x=QUAD_CENTER.copy(), alpha=alpha, lam=lam, switch_iteration=1000)
         for _ in range(iters):
-            nu = noisy_grad(st_h.x, rng) + subgradient(st_h.x, p, lam)
-            hspg_step(st_h, nu, p)
+            hspg_step(st_h, noisy_grad(st_h.x, rng), p)
         rng = np.random.default_rng(0)
         st_p = OptimizerState(x=QUAD_CENTER.copy(), alpha=alpha, lam=lam, switch_iteration=1)
         for _ in range(iters):
@@ -230,6 +236,157 @@ class TestSteps:
         assert st.alpha == pytest.approx(0.25)
 
 
+def random_partition(rng, n, pen_frac=0.8):
+    """Groups of random sizes over a random part of n entries, most of them penalized."""
+    order = rng.permutation(n)[: int(rng.integers(n // 2, n + 1))]
+    cuts = np.sort(rng.choice(np.arange(1, order.size), size=min(order.size - 1, n // 3), replace=False))
+    lists = [c for c in np.split(order, cuts) if c.size]
+    return GroupPartition.from_indices(n, lists, list(rng.random(len(lists)) < pen_frac))
+
+
+def signed_zero_vector(rng, n, partition, zero_frac=0.3):
+    """Random float32 entries, some groups all zero, and some -0.0 entries."""
+    x = rng.standard_normal(n).astype(np.float32)
+    for g in partition.groups:
+        if rng.random() < zero_frac:
+            x[g.indices] = 0.0
+    x[rng.random(n) < 0.1] = -0.0
+    return x
+
+
+def step_gradient(rng, x, partition, alpha):
+    """Noise with -0.0 entries, plus a push across the half-space on some groups."""
+    grad = (0.3 * rng.standard_normal(x.size)).astype(np.float32)
+    grad[rng.random(x.size) < 0.1] = -0.0
+    for g in partition.groups:
+        if rng.random() < 0.25:
+            grad[g.indices] = x[g.indices] * np.float32(rng.uniform(1.2, 2.5) / alpha)
+    return grad
+
+
+def outcome(step, *args):
+    """A step's info, or the type and message of what it raised."""
+    try:
+        return step(*args)
+    except (InvariantError, NumericalFailureError) as exc:
+        return (type(exc), str(exc), exc.iteration if hasattr(exc, "iteration") else None)
+
+
+def run_lockstep(rng, partition, lam, eps, steps=12, switch=3):
+    """Fused step vs the reference pair from one start; returns the projection events seen."""
+    alpha = float(rng.uniform(0.05, 0.5))
+    x0 = signed_zero_vector(rng, partition.n_flat, partition)
+    new = OptimizerState(x=x0, alpha=alpha, lam=lam, epsilon=eps, switch_iteration=switch)
+    ref = OptimizerState(x=x0, alpha=alpha, lam=lam, epsilon=eps, switch_iteration=switch)
+    events = 0
+    for _ in range(steps):
+        grad = step_gradient(rng, new.x, partition, alpha)
+        nu = grad + reference_subgradient(ref.x, partition, lam)
+        got = outcome(hspg_step, new, grad, partition)
+        want = outcome(reference_hspg_step, ref, nu, partition)
+        if isinstance(want, tuple):
+            assert got == want
+            return events
+        assert got["stage"] == want["stage"] and got["k"] == want["k"]
+        assert np.array_equal(got["zeroed"], want["zeroed"])
+        assert bits(new.x) == bits(ref.x)
+        assert new.k == ref.k
+        events += len(want["zeroed"])
+    return events
+
+
+class TestSingleGatherStep:
+    """The fused step equals `subgradient` + the old step bit for bit, signed zeros included."""
+
+    def test_random_partitions(self):
+        rng = np.random.default_rng(40)
+        events = 0
+        for _ in range(30):
+            p = random_partition(rng, int(rng.integers(4, 40)))
+            for lam in (0.0, float(rng.uniform(0.01, 0.5))):
+                for eps in (0.0, 0.25):
+                    events += run_lockstep(rng, p, lam, eps)
+        assert events > 20  # projection events did happen
+
+    def test_model_partitions(self):
+        rng = np.random.default_rng(41)
+        events = 0
+        for _ in range(8):
+            p = partition_zig(build_random_model(rng))
+            for lam in (0.0, 0.2):
+                events += run_lockstep(rng, p, lam, 0.1, steps=8, switch=2)
+        assert events > 0
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_no_penalized_groups(self, lam):
+        rng = np.random.default_rng(42)
+        for p in (random_partition(rng, 12, pen_frac=0.0), GroupPartition([], 12)):
+            assert p.n_penalized == 0
+            run_lockstep(rng, p, lam, 0.0)
+
+    def test_frozen_groups_and_a_projection_event(self):
+        p = two_group_partition()
+        x0 = np.array([0.0, -0.0, 1.0, 0.5], dtype=np.float32)
+        grad = np.array([5.0, -3.0, 30.0, 15.0], dtype=np.float32)  # pushes group 1 across
+        for step, direction in ((hspg_step, grad), (reference_hspg_step, grad + subgradient(x0, p, 0.1))):
+            st = OptimizerState(x=x0, alpha=0.1, lam=0.1, switch_iteration=1, k=1)
+            info = step(st, direction, p)
+            assert list(info["zeroed"]) == [1]
+            assert bits(st.x) == bits(np.zeros(4, dtype=np.float32))
+
+    def test_signed_zero_of_the_zero_subgradient_is_kept(self):
+        # nu = grad + 0.0 turns a -0.0 gradient entry into +0.0, and -0.0 - alpha * +0.0
+        # stays -0.0; stepping along the raw -0.0 would give +0.0 instead
+        p = GroupPartition.from_indices(3, [[0, 1]], [True])
+        x0 = np.array([-0.0, 1.0, -0.0], dtype=np.float32)
+        grad = np.array([-0.0, 0.5, -0.0], dtype=np.float32)
+        for lam in (0.0, 0.1):
+            st = OptimizerState(x=x0, alpha=0.1, lam=lam)
+            ref = OptimizerState(x=x0, alpha=0.1, lam=lam)
+            hspg_step(st, grad, p)
+            reference_hspg_step(ref, grad + reference_subgradient(x0, p, lam), p)
+            assert bits(st.x) == bits(ref.x)
+            assert bits(st.x[2:]) == bits(np.float32([-0.0]))
+
+    @pytest.mark.parametrize("where", [0, 3], ids=["penalized", "unpenalized"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gradient_message(self, where, bad):
+        p = GroupPartition.from_indices(4, [[0, 1], [2], [3]], [True, True, False])
+        grad = np.ones(4, dtype=np.float32)
+        grad[where] = bad
+        x0 = np.ones(4, dtype=np.float32)
+        got = outcome(hspg_step, OptimizerState(x=x0, alpha=0.1, lam=0.1, k=9), grad, p)
+        nu = grad + reference_subgradient(x0, p, 0.1)
+        want = outcome(reference_hspg_step, OptimizerState(x=x0, alpha=0.1, lam=0.1, k=9), nu, p)
+        assert got == want
+        assert got[0] is NumericalFailureError and got[2] == 9
+
+    def test_descent_check_message(self):
+        # a trial point on the half-space boundary whose float32 rounding
+        # zeroes the group although the float64 descent test fails
+        p = GroupPartition.from_indices(2, [[0, 1]])
+        x0 = np.array([0.35151007771492004, 0.9034701585769653], dtype=np.float32)
+        grad = np.array([1.4886643886566162, 1.2886542081832886], dtype=np.float32)
+        states = [
+            OptimizerState(x=x0, alpha=0.3898407787192646, lam=0.0, epsilon=0.3,
+                           switch_iteration=1, k=3)
+            for _ in range(2)
+        ]
+        got = outcome(hspg_step, states[0], grad, p)
+        want = outcome(reference_hspg_step, states[1], grad, p)
+        assert want[0] is InvariantError and got == want
+        assert bits(states[0].x) == bits(x0)  # a failed step leaves the iterate alone
+
+    def test_group_prox_and_subgradient(self):
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            p = random_partition(rng, int(rng.integers(4, 30)), pen_frac=float(rng.choice([0.0, 0.8])))
+            v = signed_zero_vector(rng, p.n_flat, p)
+            for tau in (0.0, 0.05, float(rng.uniform(0.5, 3.0))):
+                assert bits(group_prox(v, p, tau)) == bits(reference_group_prox(v, p, tau))
+                assert bits(subgradient(v, p, tau)) == bits(reference_subgradient(v, p, tau))
+
+
 class TestProjectionGeometry:
     def test_kept_groups_satisfy_half_space_membership(self):
         # after a projection step every kept group satisfies
@@ -244,12 +401,9 @@ class TestProjectionGeometry:
             for _ in range(300):
                 x_prev = st.x.copy()
                 alpha_step = st.alpha
-                nu = (
-                    quad_grad(st.x)
-                    + 0.05 * rng.standard_normal(4).astype(np.float32)
-                    + subgradient(st.x, p, st.lam)
-                )
-                info = hspg_step(st, nu, p)
+                grad = quad_grad(st.x) + 0.05 * rng.standard_normal(4).astype(np.float32)
+                nu = grad + subgradient(st.x, p, st.lam)
+                info = hspg_step(st, grad, p)
                 if info["stage"] != "half_space":
                     continue
                 s = p.pen_sqnorms(x_prev)

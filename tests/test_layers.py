@@ -308,6 +308,31 @@ GEOMETRIES = [
 ]
 
 
+class TestSkippedInputGradient:
+    """need_dx=False drops dx and leaves every parameter gradient as it was."""
+
+    @pytest.mark.parametrize(
+        "spec, shape",
+        [("linear:4", (5,)), ("mha:2x3", (5,)), ("convbn:3:3x3:s1:p1:relu", (2, 5, 5)),
+         ("residual:3:3x3:s1:p1:gelu", (2, 5, 5))],
+        ids=["linear", "mha", "convbn", "residual"],
+    )
+    def test_same_parameter_gradients(self, spec, shape):
+        rng = np.random.default_rng(5)
+        layer = build_layers([spec], shape, None, "normal:0.5", 6)[0]
+        x = rng.standard_normal((3, *shape)).astype(np.float32)
+        if layer.flattens:
+            x = x.reshape(3, -1)
+        out, cache = layer.forward(x)
+        dout = rng.standard_normal(out.shape).astype(np.float32)
+        dx, grads = layer.backward(dout, cache)
+        none, grads_skipped = layer.backward(dout, cache, need_dx=False)
+        assert dx.shape == x.shape and none is None
+        assert grads.keys() == grads_skipped.keys()
+        for key in grads:
+            assert grads[key].tobytes() == grads_skipped[key].tobytes(), key
+
+
 class TestBitExactConvPath:
     """The conv data movement reproduces the strided reference bit for bit."""
 

@@ -9,7 +9,7 @@ from zigprune.layers import Activation, Linear, Loss
 from zigprune.model import EVAL_CHUNK, ModelGraph, finite_difference_check, infer_shapes
 from zigprune.tensor import Tensor, load_arrays, save_arrays
 
-from helpers import build_random_model, linear_oracle, random_batch
+from helpers import bits, build_random_model, linear_oracle, random_batch
 
 
 def mlp(widths, input_dim, loss="mse", seed=0, init="normal:0.5"):
@@ -318,6 +318,97 @@ class TestFlatView:
         c = m.clone()
         c.params["L0.weight"].data[...] = 99.0
         assert not np.array_equal(m.params["L0.weight"].data, c.params["L0.weight"].data)
+
+
+class TestFlatBuffers:
+    """Every trainable tensor's data and grad are views into the model's two buffers."""
+
+    def test_tensors_are_views_into_the_buffers(self):
+        m = build_random_model(np.random.default_rng(30))
+        for key, t in m.params.items():
+            assert np.shares_memory(t.data, m._flat), key
+            assert np.shares_memory(t.grad, m._flat_grad), key
+            assert t.data.dtype == t.grad.dtype == np.float32
+        for key, t in m.constants.items():
+            assert not np.shares_memory(t.data, m._flat), key
+
+    def test_offsets_follow_registry_order(self):
+        # the flat view concatenates the trainable arrays in registry order
+        m = build_random_model(np.random.default_rng(31))
+        pos, expected = 0, {}
+        for key, t in m.params.items():
+            expected[key] = (pos, pos + t.size)
+            pos += t.size
+        assert m.param_offsets() == expected
+        assert list(expected) == [k for k in m.all_arrays() if k in m.params]
+
+    def test_set_flat_writes_through(self):
+        rng = np.random.default_rng(32)
+        m = build_random_model(rng)
+        views = {key: t.data for key, t in m.params.items()}
+        x = rng.standard_normal(m.n_flat).astype(np.float32)
+        m.set_flat(x)
+        for key, (start, stop) in m.param_offsets().items():
+            assert m.params[key].data is views[key]
+            assert np.array_equal(views[key].ravel(), x[start:stop])
+        m.params[next(iter(m.params))].data[...] = 7.0
+        assert m.get_flat()[0] == 7.0
+
+    def test_backward_fills_the_gradient_buffer(self):
+        rng = np.random.default_rng(33)
+        m = build_random_model(rng)
+        m.forward(*random_batch(rng, m))
+        grads = m.backward()
+        assert grads.keys() == m.params.keys()
+        flat = m.get_flat_grad()
+        for key, (start, stop) in m.param_offsets().items():
+            assert np.array_equal(flat[start:stop], grads[key].ravel())
+
+    def test_clone_has_its_own_buffers(self):
+        rng = np.random.default_rng(34)
+        m = build_random_model(rng)
+        before = m.get_flat()
+        c = m.clone()
+        assert not np.shares_memory(c._flat, m._flat)
+        assert not np.shares_memory(c._flat_grad, m._flat_grad)
+        assert c.param_offsets() == m.param_offsets()
+        assert bits(c.get_flat()) == bits(before)
+        for key, t in c.params.items():
+            assert np.shares_memory(t.data, c._flat), key
+        c.set_flat(np.zeros(c.n_flat, dtype=np.float32))
+        c.forward(*random_batch(rng, c))
+        c.backward()
+        assert bits(m.get_flat()) == bits(before)
+        assert not m._flat_grad.any()
+        for key, t in m.constants.items():
+            c.constants[key].data[...] = 3.0
+            assert not np.all(t.data == 3.0), key
+
+    def test_a_second_model_over_the_same_layers_raises(self):
+        m = mlp([3, 2], 4, seed=35)
+        with pytest.raises(InvalidModelError, match="already belongs to a model"):
+            ModelGraph(m.layers, m.input_shape)
+        layer = m.layers[0]
+        with pytest.raises(InvalidModelError, match="already belongs to a model"):
+            ModelGraph([Linear(Tensor(np.ones((3, 4))), layer.bias)], (4,))
+
+    def test_one_tensor_twice_in_a_layer_list_raises(self):
+        w = Tensor(np.ones((2, 2), dtype=np.float32))
+        b = Tensor(np.zeros(2, dtype=np.float32))
+        with pytest.raises(InvalidModelError, match="L2.weight already belongs"):
+            ModelGraph([Linear(w, b), Activation("relu"), Linear(w, b)], (2,))
+        assert w.grad is None  # a refused list is left unbound
+
+    def test_clone_after_forward_holds_no_record(self):
+        rng = np.random.default_rng(36)
+        m = build_random_model(rng)
+        m.forward(*random_batch(rng, m))
+        c = m.clone()
+        with pytest.raises(StateError):
+            c.backward()
+        with pytest.raises(StateError):
+            c.layer_outputs()
+        assert m.layer_outputs()  # the original keeps its own
 
 
 class TestCheckpoint:

@@ -298,6 +298,31 @@ class TestReport:
         _, report = prune(m, p)
         assert len(report.zero_groups) + len(report.retained_groups) == p.n_groups
 
+    def test_forward_record_does_not_change_the_prune(self, monkeypatch):
+        # prune's working copy takes parameters and structure, not the record
+        # the last training forward left on the model
+        fresh, p = TestEquivalence().toy_cnn(seed=18)
+        traced, _ = TestEquivalence().toy_cnn(seed=18)
+        for m in (fresh, traced):
+            zero_groups(m, p, [1, 6])
+        traced.forward(np.ones((3, 2, 5, 5), dtype=np.float32), np.array([0, 1, 2]))
+        clones = []
+        original_clone = ModelGraph.clone
+
+        def spy(model):
+            clones.append(original_clone(model))
+            return clones[-1]
+
+        monkeypatch.setattr(ModelGraph, "clone", spy)
+        slim_a, report_a = prune(fresh, p)
+        slim_b, report_b = prune(traced, p)
+        assert clones[-1]._tape is None and clones[-1]._layer_outputs is None
+        assert report_a.to_jsonl() == report_b.to_jsonl()
+        arrays_a, arrays_b = slim_a.all_arrays(), slim_b.all_arrays()
+        assert arrays_a.keys() == arrays_b.keys()
+        for key in arrays_a:
+            assert arrays_a[key].tobytes() == arrays_b[key].tobytes(), key
+
     def test_x_star_argument(self):
         m = model_from(["linear:4", "linear:2"], (3,), seed=17)
         p = partition_zig(m)
