@@ -11,6 +11,10 @@ allowed. A compact layer DSL describes architectures:
 
 The loss layer is appended from `model.loss`. Every numeric range is
 validated at load time, before any compute starts.
+
+`build_layers` checks each layer against the shape of the layers before it
+(by the layer's own `out_shape`), so a bad architecture fails naming its
+spec; `model_to_specs` writes layers back through each kind's `spec()`.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import layers as L
-from .errors import ConfigError, ParameterError, ZigPruneError
-from .hspg import OPTIMIZER_KINDS, TrainConfig
+from .errors import ConfigError, InvalidModelError, ParameterError
+from .hspg import TrainConfig
 from .model import ModelGraph, infer_shapes
 from .tensor import Tensor
 
@@ -163,8 +167,6 @@ def load_config(path) -> ExperimentConfig:
         )
     except ParameterError as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
-    if train.optimizer not in OPTIMIZER_KINDS:
-        raise ConfigError(f"optimizer.kind must be one of {OPTIMIZER_KINDS}")
 
     verify_inputs = typed.get("prune.verify_inputs", 100)
     if verify_inputs < 1:
@@ -184,11 +186,7 @@ def load_config(path) -> ExperimentConfig:
         output_dir=typed.get("output.dir", "out"),
     )
     # fail early on an inconsistent architecture; its shapes need no initialized weights
-    layers = build_layers(layer_specs, input_shape, loss, "zeros", 0)
-    try:
-        infer_shapes(layers, input_shape)
-    except ZigPruneError as exc:
-        raise ConfigError(f"model does not validate: {exc}") from exc
+    build_layers(layer_specs, input_shape, loss, "zeros", 0)
     return cfg
 
 
@@ -294,6 +292,14 @@ def _parse_conv_spec(spec: str, parts: list[str]):
     return out_channels, kh, kw, stride, padding, act
 
 
+def _make_linear(rng, out_features: int, shape, init):
+    in_features = int(np.prod(shape))
+    return L.Linear(
+        weight=Tensor(_init_weight(rng, (out_features, in_features), in_features, init)),
+        bias=Tensor(np.zeros(out_features, dtype=np.float32)),
+    )
+
+
 def _make_convbn(rng, in_channels, out_channels, kh, kw, stride, padding, act, init):
     fan_in = in_channels * kh * kw
     return L.ConvBN(
@@ -321,44 +327,23 @@ def build_layers(layer_specs, input_shape, loss: str | None, init: str, seed: in
         parts = spec.split(":")
         head = parts[0]
         if head in L.ACTIVATIONS:
-            layers.append(L.Activation(head))
-            continue
-        if head == "linear":
+            layer = L.Activation(head)
+        elif head == "linear":
             if len(parts) != 2:
                 raise ConfigError(f"layer {spec!r}: expected linear:OUT")
             out_features = _spec_int(spec, parts[1])
             if out_features < 1:
                 raise ConfigError(f"layer {spec!r}: width must be positive")
-            in_features = int(np.prod(shape))
-            layers.append(
-                L.Linear(
-                    weight=Tensor(
-                        _init_weight(rng, (out_features, in_features), in_features, init)
-                    ),
-                    bias=Tensor(np.zeros(out_features, dtype=np.float32)),
-                )
-            )
-            shape = (out_features,)
-            continue
-        if head in ("convbn", "residual"):
+            layer = _make_linear(rng, out_features, shape, init)
+        elif head in ("convbn", "residual"):
             if len(shape) != 3:
                 raise ConfigError(f"layer {spec!r}: needs a CxHxW input, have {shape}")
             out_channels, kh, kw, stride, padding, act = _parse_conv_spec(spec, parts[1:])
             make = lambda: _make_convbn(
                 rng, shape[0], out_channels, kh, kw, stride, padding, act, init
             )
-            if head == "convbn":
-                layer = make()
-            else:
-                layer = L.ResidualBlock(branch1=make(), branch2=make())
-            layers.append(layer)
-            probe = layer if head == "convbn" else layer.branch1
-            oh, ow = L.conv_output_hw(shape[1], shape[2], probe)
-            if oh < 1 or ow < 1:
-                raise ConfigError(f"layer {spec!r}: empty output for input {shape}")
-            shape = (out_channels, oh, ow)
-            continue
-        if head == "mha":
+            layer = make() if head == "convbn" else L.ResidualBlock(make(), make())
+        elif head == "mha":
             if len(parts) != 2:
                 raise ConfigError(f"layer {spec!r}: expected mha:HxM or mha:m0,m1,...")
             if "x" in parts[1]:
@@ -368,19 +353,14 @@ def build_layers(layer_specs, input_shape, loss: str | None, init: str, seed: in
                 dims = [_spec_int(spec, v) for v in parts[1].split(",")]
             if not dims or any(d < 1 for d in dims):
                 raise ConfigError(f"layer {spec!r}: head widths must be positive")
-            in_features = int(np.prod(shape))
-            layers.append(
-                L.MultiHeadAttention(
-                    weights=[
-                        Tensor(_init_weight(rng, (d, in_features), in_features, init))
-                        for d in dims
-                    ],
-                    biases=[Tensor(np.zeros(d, dtype=np.float32)) for d in dims],
-                )
-            )
-            shape = (sum(dims),)
-            continue
-        raise ConfigError(f"unknown layer spec {spec!r}")
+            layer = L.MultiHeadAttention([_make_linear(rng, d, shape, init) for d in dims])
+        else:
+            raise ConfigError(f"unknown layer spec {spec!r}")
+        try:
+            (shape,) = infer_shapes([layer], shape)
+        except InvalidModelError as exc:  # name the spec, not its index in a one-layer list
+            raise ConfigError(f"layer {spec!r}: {exc.__cause__ or exc}") from exc
+        layers.append(layer)
     if loss:
         layers.append(L.Loss(loss))
     return layers
@@ -388,45 +368,11 @@ def build_layers(layer_specs, input_shape, loss: str | None, init: str, seed: in
 
 def build_model(cfg: ExperimentConfig) -> ModelGraph:
     layers = build_layers(cfg.layer_specs, cfg.input_shape, cfg.loss, cfg.init, cfg.model_seed)
-    try:
-        return ModelGraph(layers, cfg.input_shape)
-    except ZigPruneError as exc:
-        raise ConfigError(f"model does not validate: {exc}") from exc
-
-
-def format_layer_spec(layer) -> str:
-    """DSL string for a layer object (used to serialize slim architectures)."""
-    if isinstance(layer, L.Linear):
-        return f"linear:{layer.out_features}"
-    if isinstance(layer, L.ConvBN):
-        return (
-            f"convbn:{layer.out_channels}:{layer.kh}x{layer.kw}:s{layer.stride}:"
-            f"p{layer.padding}:{layer.activation}"
-        )
-    if isinstance(layer, L.ResidualBlock):
-        b1, b2 = layer.branch1, layer.branch2
-        same = (
-            b1.out_channels == b2.out_channels
-            and (b1.kh, b1.kw, b1.stride, b1.padding, b1.activation)
-            == (b2.kh, b2.kw, b2.stride, b2.padding, b2.activation)
-        )
-        if not same:
-            raise ConfigError("cannot format a residual block with differing branch shapes")
-        return (
-            f"residual:{b1.out_channels}:{b1.kh}x{b1.kw}:s{b1.stride}:"
-            f"p{b1.padding}:{b1.activation}"
-        )
-    if isinstance(layer, L.MultiHeadAttention):
-        return "mha:" + ",".join(str(d) for d in layer.head_dims)
-    if isinstance(layer, L.Activation):
-        return layer.kind
-    if isinstance(layer, L.Loss):
-        return ""  # carried separately
-    raise ConfigError(f"cannot format layer {type(layer).__name__}")
+    return ModelGraph(layers, cfg.input_shape)
 
 
 def model_to_specs(model: ModelGraph) -> list[str]:
-    return [s for s in (format_layer_spec(layer) for layer in model.layers) if s]
+    return [s for s in (layer.spec() for layer in model.layers) if s]
 
 
 def build_dataset(cfg: ExperimentConfig):

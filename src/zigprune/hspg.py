@@ -229,6 +229,8 @@ class TrainConfig:
             raise ParameterError(f"decay factor must be > 0, got {self.decay}")
 
 
+# a diverging run overflows before `_check_finite` raises; numpy's warnings would repeat it
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def train(model, partition: GroupPartition, dataset, config: TrainConfig, callback=None):
     """Mini-batch training loop; returns (final flat parameters, per-epoch trace).
 

@@ -2,15 +2,20 @@
 activations and losses.
 
 Each kind is one class implementing the `Layer` protocol, so a kind's rules
-live in one place and the model, the grouping and the pruning never branch
-on type:
+live in one place and the model, the grouping, the pruning and the DSL
+writer never branch on type:
 
   * `layer_kind` labels the kind in group tags and prune layer maps, and
     `flattens` asks the model to reshape a (C, H, W) value to (C*H*W,) first;
   * `out_shape`, `forward`, `backward` and `params` define the computation;
   * `units` gives each output unit's zero-invariant group as parameter spans;
   * `slim`, `macs` and `kinks` serve pruning, FLOP counting and the
-    finite-difference check.
+    finite-difference check;
+  * `spec` writes the layer back as its `config` DSL string.
+
+Composite kinds are made of simpler ones: a residual block of two `ConvBN`
+branches, attention of one `Linear` per head. They prefix their parts'
+parameter names (``b1.``, ``h0.``) and leave checks, groups and slicing to them.
 
 The numeric work sits in module-level functions: every forward returns
 ``(out, cache)`` and its backward takes ``(dout, cache)`` and returns
@@ -46,11 +51,11 @@ zero output channel.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidModelError, ParameterError, ShapeError, TargetError
+from .errors import ConfigError, InvalidModelError, ParameterError, ShapeError, TargetError
 from .tensor import Tensor
 
 _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
@@ -190,18 +195,14 @@ class Layer:
         """Sign patterns of the relu-family pre-activations recorded in `cache`."""
         return []
 
+    def spec(self) -> str:
+        """The layer's DSL string (see `config`); "" for a kind written elsewhere."""
+        raise ConfigError(f"layer kind {type(self).__name__} has no DSL form")
+
 
 def _check_in_extent(extent: int, expected: int):
     if extent != expected:
         raise InvalidModelError(f"input extent {extent} does not match expected {expected}")
-
-
-def _row_units(m: int, n: int, prefix: str = "", head: int | None = None):
-    """Row r of an (m, n) weight with its bias entry, for every row."""
-    return [
-        (head, r, [(f"{prefix}weight", r * n, (r + 1) * n), (f"{prefix}bias", r, r + 1)])
-        for r in range(m)
-    ]
 
 
 @dataclass
@@ -243,7 +244,11 @@ class Linear(Layer):
         return [("weight", self.weight, True), ("bias", self.bias, True)]
 
     def units(self):
-        return _row_units(self.out_features, self.in_features)
+        n = self.in_features
+        return [
+            (None, r, [("weight", r * n, (r + 1) * n), ("bias", r, r + 1)])
+            for r in range(self.out_features)
+        ]
 
     def slim(self, kept_in, kept_out):
         rows = np.asarray(kept_out, dtype=np.int64)
@@ -252,6 +257,9 @@ class Linear(Layer):
 
     def macs(self, out_shape):
         return {"flops": self.out_features * self.in_features}
+
+    def spec(self):
+        return f"linear:{self.out_features}"
 
 
 _BN_VECTORS = ("bias", "mean", "std", "gamma", "beta")
@@ -350,6 +358,13 @@ class ConvBN(Layer):
     def kinks(self, cache):
         return [cache[2] > 0] if self.activation != "gelu" else []
 
+    def spec(self, kind="convbn"):
+        """`kind` names the DSL head: a residual block writes its branches' shape."""
+        return (
+            f"{kind}:{self.out_channels}:{self.kh}x{self.kw}:s{self.stride}:"
+            f"p{self.padding}:{self.activation}"
+        )
+
 
 @dataclass
 class ResidualBlock(Layer):
@@ -396,41 +411,39 @@ class ResidualBlock(Layer):
     def kinks(self, cache):
         return self.branch1.kinks(cache[0]) + self.branch2.kinks(cache[1])
 
+    def spec(self):
+        s1, s2 = (branch.spec("residual") for _, branch in self.branches)
+        if s1 != s2:
+            raise ConfigError(f"cannot format a residual block with differing branches: {s1}, {s2}")
+        return s1
+
 
 @dataclass
 class MultiHeadAttention(Layer):
-    """Projection-only attention: per head ``w_h @ x + b_h``, outputs concatenated."""
+    """Projection-only attention: one `Linear` per head, outputs concatenated."""
 
-    weights: list[Tensor] = field(default_factory=list)  # per head (m_h, n)
-    biases: list[Tensor] = field(default_factory=list)  # per head (m_h,)
+    heads: list[Linear]
 
     layer_kind = "mha"
     flattens = True
 
     def __post_init__(self):
-        if len(self.weights) != len(self.biases) or not self.weights:
-            raise ShapeError("attention needs one (weight, bias) pair per head")
-        n = self.weights[0].data.shape[1]
-        for h, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.data.ndim != 2 or w.data.shape[1] != n:
-                raise ShapeError(f"attention head {h} input extent differs from shared {n}")
-            if b.data.shape != (w.data.shape[0],):
+        if not self.heads:
+            raise ShapeError("attention needs at least one head")
+        for h, head in enumerate(self.heads):
+            if head.in_features != self.in_features:
                 raise ShapeError(
-                    f"attention head {h} output extent {w.data.shape[0]} inconsistent "
-                    f"with bias extent {b.data.shape}"
+                    f"attention head {h} input extent {head.in_features} differs from "
+                    f"shared {self.in_features}"
                 )
 
     @property
-    def n_heads(self):
-        return len(self.weights)
-
-    @property
     def head_dims(self):
-        return [w.data.shape[0] for w in self.weights]
+        return [head.out_features for head in self.heads]
 
     @property
     def in_features(self):
-        return self.weights[0].data.shape[1]
+        return self.heads[0].in_features
 
     @property
     def out_features(self):
@@ -448,31 +461,30 @@ class MultiHeadAttention(Layer):
 
     def params(self):
         return [
-            (f"h{h}.{n}", t, True)
-            for h, pair in enumerate(zip(self.weights, self.biases))
-            for n, t in zip(("weight", "bias"), pair)
+            (f"h{h}.{n}", t, tr) for h, head in enumerate(self.heads) for n, t, tr in head.params()
         ]
 
     def units(self):
-        n = self.in_features
-        return [u for h, m_h in enumerate(self.head_dims) for u in _row_units(m_h, n, f"h{h}.", h)]
+        return [
+            (h, r, [(f"h{h}.{n}", a, b) for n, a, b in spans])
+            for h, head in enumerate(self.heads)
+            for _, r, spans in head.units()
+        ]
 
     def slim(self, kept_in, kept_out):
-        cols = np.asarray(kept_in, dtype=np.int64)
-        weights, biases = [], []
-        offset = 0
-        for w, b in zip(self.weights, self.biases):
-            m_h = w.data.shape[0]
-            rows = [o - offset for o in kept_out if offset <= o < offset + m_h]
-            rows = np.asarray(rows, dtype=np.int64)
-            offset += m_h
-            if rows.size:  # a head with no kept row is dropped entirely
-                weights.append(Tensor(w.data[np.ix_(rows, cols)]))
-                biases.append(Tensor(b.data[rows]))
-        return MultiHeadAttention(weights=weights, biases=biases)
+        heads, offset = [], 0
+        for head in self.heads:
+            rows = [o - offset for o in kept_out if offset <= o < offset + head.out_features]
+            offset += head.out_features
+            if rows:  # a head with no kept row is dropped entirely
+                heads.append(head.slim(kept_in, rows))
+        return MultiHeadAttention(heads)
 
     def macs(self, out_shape):
         return {"flops": self.out_features * self.in_features}
+
+    def spec(self):
+        return "mha:" + ",".join(str(d) for d in self.head_dims)
 
 
 @dataclass
@@ -494,6 +506,9 @@ class Activation(Layer):
     def kinks(self, cache):
         return [cache > 0] if self.kind != "gelu" else []
 
+    def spec(self):
+        return self.kind
+
 
 @dataclass
 class Loss(Layer):
@@ -507,6 +522,9 @@ class Loss(Layer):
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ParameterError(f"unknown loss kind {self.kind!r}")
+
+    def spec(self):
+        return ""  # the config carries the loss as `model.loss`
 
 
 def _check_std(std: np.ndarray):
@@ -555,8 +573,8 @@ def attention_forward(x: np.ndarray, layer: MultiHeadAttention):
     lead = x.shape[:-1]
     x2 = x.reshape(-1, x.shape[-1])
     outs = []
-    for w, b in zip(layer.weights, layer.biases):
-        outs.append(_matmul64(x2, _param(w, x.dtype).T) + _param(b, x.dtype))
+    for head in layer.heads:
+        outs.append(_matmul64(x2, _param(head.weight, x.dtype).T) + _param(head.bias, x.dtype))
     out = np.concatenate(outs, axis=1)
     return out.reshape(*lead, layer.out_features), (x2, lead)
 
@@ -567,14 +585,14 @@ def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache, need_
     grads = {}
     dx = np.zeros_like(x2) if need_dx else None
     offset = 0
-    for h, (w, b) in enumerate(zip(layer.weights, layer.biases)):
-        m_h = w.data.shape[0]
+    for h, head in enumerate(layer.heads):
+        m_h = head.out_features
         dh = d2[:, offset : offset + m_h]
         dh64 = _up64(dh)  # a contiguous copy, shared by both products
         grads[f"h{h}.weight"] = _matmul64(dh64.T, x2, d2.dtype)
         grads[f"h{h}.bias"] = dh.sum(axis=0, dtype=np.float64).astype(d2.dtype)
         if need_dx:
-            dx += _matmul64(dh64, _param(w, d2.dtype), d2.dtype)
+            dx += _matmul64(dh64, _param(head.weight, d2.dtype), d2.dtype)
         offset += m_h
     return (dx.reshape(*lead, layer.in_features) if need_dx else None), grads
 

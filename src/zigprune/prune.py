@@ -14,7 +14,7 @@ sum of m_h*n per head.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -39,21 +39,8 @@ class PruneReport:
     input_shape: list[int] | None = None
 
     def to_jsonl(self) -> str:
-        summary = {
-            "type": "summary",
-            "zero_groups": self.zero_groups,
-            "retained_groups": self.retained_groups,
-            "params_before": self.params_before,
-            "params_after": self.params_after,
-            "bn_stats_before": self.bn_stats_before,
-            "bn_stats_after": self.bn_stats_after,
-            "flops_before": self.flops_before,
-            "flops_after": self.flops_after,
-            "max_deviation": self.max_deviation,
-            "slim_layers": self.slim_layers,
-            "input_shape": self.input_shape,
-        }
-        lines = [json.dumps(summary, sort_keys=True)]
+        summary = {f.name: getattr(self, f.name) for f in _SUMMARY_FIELDS}
+        lines = [json.dumps({"type": "summary", **summary}, sort_keys=True)]
         for entry in self.layer_maps:
             lines.append(json.dumps({"type": "layer", **entry}, sort_keys=True))
         return "\n".join(lines) + "\n"
@@ -68,19 +55,16 @@ class PruneReport:
             if obj.get("type") == "layer"
         ]
         return cls(
-            zero_groups=summary["zero_groups"],
-            retained_groups=summary["retained_groups"],
             layer_maps=layer_maps,
-            params_before=summary["params_before"],
-            params_after=summary["params_after"],
-            bn_stats_before=summary["bn_stats_before"],
-            bn_stats_after=summary["bn_stats_after"],
-            flops_before=summary["flops_before"],
-            flops_after=summary["flops_after"],
-            max_deviation=summary.get("max_deviation"),
-            slim_layers=summary.get("slim_layers"),
-            input_shape=summary.get("input_shape"),
+            **{
+                f.name: summary[f.name] if f.default is MISSING else summary.get(f.name, f.default)
+                for f in _SUMMARY_FIELDS
+            },
         )
+
+
+# the summary line of report.jsonl holds every field but the per-layer maps
+_SUMMARY_FIELDS = [f for f in fields(PruneReport) if f.name != "layer_maps"]
 
 
 # ---------------------------------------------------------------------------

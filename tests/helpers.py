@@ -102,9 +102,7 @@ def linear_oracle(x2d, weight, bias):
 
 
 def attention_oracle(x2d, layer):
-    outs = [
-        linear_oracle(x2d, w.data, b.data) for w, b in zip(layer.weights, layer.biases)
-    ]
+    outs = [linear_oracle(x2d, head.weight.data, head.bias.data) for head in layer.heads]
     return np.concatenate(outs, axis=1)
 
 

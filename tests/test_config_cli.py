@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ import zigprune.model
 from zigprune.cli import main
 from zigprune.config import (
     build_layers,
-    format_layer_spec,
     load_config,
     model_to_specs,
     parse_config_text,
 )
 from zigprune.errors import ConfigError
+from zigprune.layers import Layer
 from zigprune.model import ModelGraph
 from zigprune.prune import PruneReport
 from zigprune.tensor import load_arrays
@@ -160,7 +161,7 @@ class TestLayerDsl:
     def test_mha_per_head_list(self):
         layers = build_layers(["mha:4,2"], (3,), None, "zeros", 0)
         assert layers[0].head_dims == [4, 2]
-        assert format_layer_spec(layers[0]) == "mha:4,2"
+        assert layers[0].spec() == "mha:4,2"
 
     def test_bad_specs(self):
         for spec in ("linear:", "convbn:3", "mha:", "dense:4", "linear:0"):
@@ -170,6 +171,18 @@ class TestLayerDsl:
     def test_conv_needs_spatial_input(self):
         with pytest.raises(ConfigError, match="CxHxW"):
             build_layers(["convbn:3:3x3"], (4,), None, "zeros", 0)
+
+    def test_empty_conv_output_names_the_spec(self):
+        with pytest.raises(ConfigError, match=r"^layer 'residual:2:5x5': empty .*\(2, 4, 4\)$"):
+            build_layers(["convbn:2:3x3:p1", "residual:2:5x5"], (1, 4, 4), None, "zeros", 0)
+
+    def test_kind_without_a_dsl_form_is_not_dropped(self):
+        class Identity(Layer):
+            pass
+
+        m = ModelGraph([Identity()], (3,))
+        with pytest.raises(ConfigError, match="Identity has no DSL form"):
+            model_to_specs(m)
 
 
 class TestCli:
@@ -198,6 +211,17 @@ class TestCli:
         assert report.params_after == report.params_before
         assert report.flops_after == report.flops_before
         assert (tmp_path / "out" / "metrics.jsonl").read_text() == ""
+
+    def test_diverging_run_fails_typed_without_numpy_warnings(self, tmp_path, capsys):
+        cfgp = write_config(
+            tmp_path, **{"model.layers": "linear:64, relu, linear:10", "optimizer.alpha0": "1e6"}
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run("run", "--config", str(cfgp)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[train] epoch ")
+        assert "non-finite" in err
 
     def test_same_seed_bitwise_identical_artifacts(self, tmp_path):
         cfgp = write_config(tmp_path)

@@ -532,8 +532,6 @@ class TestTrain:
         assert trace[-1]["loss"] < trace[0]["loss"]
         assert sparsity_metrics(x, part).zero_groups == 0
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_numerical_failure_carries_epoch_and_step(self):
         ds, model, part, _ = self.make_problem()
         cfg = TrainConfig(optimizer="sgd", alpha0=1e6, lam=0.0, batch_size=32,

@@ -3,7 +3,7 @@ import pytest
 
 import zigprune.layers as layers_module
 from zigprune.config import build_layers
-from zigprune.errors import ParameterError, ShapeError, TargetError
+from zigprune.errors import ConfigError, ParameterError, ShapeError, TargetError
 from zigprune.layers import (
     ACTIVATIONS,
     Activation,
@@ -242,8 +242,7 @@ class TestAttention:
     def test_identity_heads_concatenate(self):
         eye = np.eye(2, dtype=np.float32)
         layer = MultiHeadAttention(
-            weights=[Tensor(eye), Tensor(eye)],
-            biases=[Tensor(np.zeros(2)), Tensor(np.zeros(2))],
+            [Linear(Tensor(eye), Tensor(np.zeros(2))), Linear(Tensor(eye), Tensor(np.zeros(2)))]
         )
         out, _ = attention_forward(np.array([[1.0, 2.0]], dtype=np.float32), layer)
         assert np.array_equal(out, np.array([[1.0, 2.0, 1.0, 2.0]], dtype=np.float32))
@@ -257,7 +256,7 @@ class TestAttention:
         w1[1] = 0.0
         b1[1] = 0.0
         layer = MultiHeadAttention(
-            weights=[Tensor(w1), Tensor(w2)], biases=[Tensor(b1), Tensor(b2)]
+            [Linear(Tensor(w1), Tensor(b1)), Linear(Tensor(w2), Tensor(b2))]
         )
         x = rng.standard_normal((8, 2)).astype(np.float32)
         out, _ = attention_forward(x, layer)
@@ -266,25 +265,28 @@ class TestAttention:
 
     def test_matches_per_head_oracle(self):
         rng = np.random.default_rng(4)
+        weights = [rng.standard_normal((m, 4)).astype(np.float32) for m in (3, 2)]
+        biases = [rng.standard_normal(m).astype(np.float32) for m in (3, 2)]
         layer = MultiHeadAttention(
-            weights=[
-                Tensor(rng.standard_normal((3, 4)).astype(np.float32)),
-                Tensor(rng.standard_normal((2, 4)).astype(np.float32)),
-            ],
-            biases=[
-                Tensor(rng.standard_normal(3).astype(np.float32)),
-                Tensor(rng.standard_normal(2).astype(np.float32)),
-            ],
+            [Linear(Tensor(w), Tensor(b)) for w, b in zip(weights, biases)]
         )
         x = rng.standard_normal((5, 4)).astype(np.float32)
         out, _ = attention_forward(x, layer)
         assert np.abs(out - attention_oracle(x, layer)).max() <= 1e-6
 
     def test_inconsistent_head_extents_rejected(self):
-        with pytest.raises(ShapeError, match="head 0"):
-            MultiHeadAttention(
-                weights=[Tensor(np.zeros((3, 2)))], biases=[Tensor(np.zeros(2))]
-            )
+        # each head is a Linear, which checks its own weight against its bias
+        with pytest.raises(ShapeError, match="bias extent"):
+            MultiHeadAttention([Linear(Tensor(np.zeros((3, 2))), Tensor(np.zeros(2)))])
+
+    def test_head_input_widths_must_agree(self):
+        heads = [Linear(Tensor(np.zeros((2, n))), Tensor(np.zeros(2))) for n in (3, 4)]
+        with pytest.raises(ShapeError, match="head 1 input extent 4 differs from shared 3"):
+            MultiHeadAttention(heads)
+
+    def test_needs_a_head(self):
+        with pytest.raises(ShapeError, match="at least one head"):
+            MultiHeadAttention([])
 
 
 class TestResidual:
@@ -298,6 +300,18 @@ class TestResidual:
         o1, _ = conv_bn_forward(x, b1)
         o2, _ = conv_bn_forward(x, b2)
         assert np.abs(out - (o1 + o2)).max() <= 1e-6
+
+    def test_spec_rejects_differing_branches(self):
+        rng = np.random.default_rng(6)
+        same = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 3, 3))
+        assert same.spec() == "residual:3:3x3:s1:p0:relu"
+        for extra in ({"padding": 1}, {"activation": "gelu"}):
+            block = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 3, 3, **extra))
+            with pytest.raises(ConfigError, match="differing branches"):
+                block.spec()
+        wider = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 4, 3))
+        with pytest.raises(ConfigError, match="residual:3:3x3:s1:p0:relu, residual:4:3x3"):
+            wider.spec()
 
 
 GEOMETRIES = [

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from zigprune.config import build_layers
+from zigprune.config import build_layers, model_to_specs
 from zigprune.errors import DegenerateLayerError, StructuralError
 from zigprune.model import EVAL_CHUNK, ModelGraph
 from zigprune.prune import (
@@ -161,9 +161,24 @@ class TestPruneShapes:
         zero_groups(m, p, [0, 1, 2, 4])
         slim, _ = prune(m, p)
         mha = slim.layers[0]
-        assert mha.n_heads == 1
+        assert len(mha.heads) == 1
         assert mha.head_dims == [2]
         assert slim.layers[1].weight.shape == (2, 2)
+
+    def test_slim_mha_reloads_from_its_specs(self, tmp_path):
+        # the path `verify` takes: slim specs and slim.ckpt rebuild the slim model
+        m = model_from(["mha:2x3", "relu", "linear:2"], (4,), loss="mse", seed=8)
+        p = partition_zig(m)
+        zero_groups(m, p, [0, 1, 2])  # every row of head 0
+        slim, _ = prune(m, p)
+        specs = model_to_specs(slim)
+        assert specs == ["mha:3", "relu", "linear:2"]
+        slim.save_checkpoint(tmp_path / "slim.ckpt")
+        reloaded = ModelGraph(build_layers(specs, (4,), "mse", "zeros", 0), (4,))
+        reloaded.load_checkpoint(tmp_path / "slim.ckpt")
+        assert list(reloaded.params) == ["L0.h0.weight", "L0.h0.bias", "L2.weight", "L2.bias"]
+        x = np.random.default_rng(3).standard_normal((20, 4)).astype(np.float32)
+        assert np.array_equal(reloaded.predict(x), slim.predict(x))
 
     def test_degenerate_layer_error_and_keep_one(self):
         m = model_from(["linear:3", "relu", "linear:2"], (4,), seed=9)
