@@ -37,6 +37,24 @@ layout the strided-add version did. Conv patches are built once in float64
 (`_im2col` of the upcast input), the precision both conv products read them
 in, so no pass upcasts them again; an upcast is exact, so this changes no bit.
 
+A backward reads the operands and intermediates its forward made; it never
+recomputes them. Each kind's cache holds:
+
+  * linear: the float64 input (batch, n) and the float64 weight, transposed
+    and F-contiguous, so that its ``.T`` is the C-layout (m, n) weight the dx
+    product reads (BLAS picks its kernel by layout), and the leading shape;
+  * attention: the float64 input, once for all heads, each head's float64
+    weight as in linear, and the leading shape;
+  * conv+bn: the input shape, the float64 patches (index 1), the
+    pre-activation (index 2), ``xhat = (a(pre) - mean) / std``, the
+    activation's saved term and the float64 kernel as in linear;
+  * residual: its two branches' conv+bn caches;
+  * activation: the input and the activation's saved term.
+
+An activation's saved term is whatever its derivative needs besides x: GELU's
+``erf(x / sqrt 2)``, None for the relu family (see `ACTIVATIONS`). Caching
+changes no arithmetic: the backward reads the very arrays it used to rebuild.
+
 The conv layer fuses batch normalization with the activation applied to the
 convolution output *before* normalization:
 
@@ -66,43 +84,47 @@ PRELU_SLOPE = 0.25  # fixed, non-trainable
 
 
 def _relu(x):
-    return np.maximum(x, 0)
+    return np.maximum(x, 0), None
 
 
-def _relu_deriv(x):
+def _relu_deriv(x, saved):
     return (x > 0).astype(x.dtype)
 
 
+# max(x, s*x) with 0 < s < 1 is where(x > 0, x, s*x) to the bit, signed zeros,
+# infinities and subnormals included, and runs several times faster
 def _leaky(x):
-    return np.where(x > 0, x, x.dtype.type(LEAKY_SLOPE) * x)
+    return np.maximum(x, x.dtype.type(LEAKY_SLOPE) * x), None
 
 
-def _leaky_deriv(x):
+def _leaky_deriv(x, saved):
     return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(LEAKY_SLOPE))
 
 
 def _prelu(x):
-    return np.where(x > 0, x, x.dtype.type(PRELU_SLOPE) * x)
+    return np.maximum(x, x.dtype.type(PRELU_SLOPE) * x), None
 
 
-def _prelu_deriv(x):
+def _prelu_deriv(x, saved):
     return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(PRELU_SLOPE))
 
 
 def _gelu(x):
     from scipy.special import erf  # deferred: only GELU models pay for scipy
 
-    return (0.5 * x * (1.0 + erf(x * _INV_SQRT2))).astype(x.dtype)
+    e = erf(x * _INV_SQRT2)
+    return (0.5 * x * (1.0 + e)).astype(x.dtype), e
 
 
-def _gelu_deriv(x):
-    from scipy.special import erf
-
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+def _gelu_deriv(x, e):
+    cdf = 0.5 * (1.0 + e)
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
     return (cdf + x * pdf).astype(x.dtype)
 
 
+# kind -> (forward, derivative): forward(x) returns (a(x), saved), where
+# `saved` is what the derivative needs besides x (GELU's erf term, else None);
+# derivative(x, saved) returns a'(x)
 ACTIVATIONS = {
     "relu": (_relu, _relu_deriv),
     "leaky_relu": (_leaky, _leaky_deriv),
@@ -114,11 +136,7 @@ LOSS_KINDS = ("softmax_ce", "mse")
 
 
 def apply_activation(x: np.ndarray, kind: str) -> np.ndarray:
-    return ACTIVATIONS[kind][0](x)
-
-
-def activation_deriv(x: np.ndarray, kind: str) -> np.ndarray:
-    return ACTIVATIONS[kind][1](x)
+    return ACTIVATIONS[kind][0](x)[0]
 
 
 def _up64(a: np.ndarray) -> np.ndarray:
@@ -504,7 +522,7 @@ class Activation(Layer):
         return activation_backward(dout, self, cache)
 
     def kinks(self, cache):
-        return [cache > 0] if self.kind != "gelu" else []
+        return [cache[0] > 0] if self.kind != "gelu" else []
 
     def spec(self):
         return self.kind
@@ -537,30 +555,43 @@ def _check_std(std: np.ndarray):
 # linear / attention
 
 
+def _affine(x64: np.ndarray, layer: Linear, dtype):
+    """``x64 @ weight.T + bias`` accumulated in float64, and the float64 weight it read.
+
+    The weight comes back transposed, (n, m) and F-contiguous, so its ``.T``
+    is the C-contiguous (m, n) array that `_up64` of the weight gives: BLAS
+    picks its kernel by layout, so the backward's dx product reads the same.
+    """
+    w64t = _up64(_param(layer.weight, dtype).T)
+    return _matmul64(x64, w64t, dtype) + _param(layer.bias, dtype), w64t
+
+
+def _affine_backward(d: np.ndarray, x64: np.ndarray, w64t: np.ndarray, need_dx: bool):
+    """(dx or None, dweight, dbias) of `_affine` for the (batch, m) output gradient `d`."""
+    dtype = d.dtype
+    d64 = _up64(d)  # shared by both products
+    dw = _matmul64(d64.T, x64, dtype)
+    db = d.sum(axis=0, dtype=np.float64).astype(dtype)
+    return (_matmul64(d64, w64t.T, dtype) if need_dx else None), dw, db
+
+
 def linear_forward(x: np.ndarray, layer: Linear):
     if x.shape[-1] != layer.in_features:
         raise ShapeError(
             f"linear input last extent {x.shape[-1]} does not match weight columns "
             f"{layer.in_features}"
         )
-    w = _param(layer.weight, x.dtype)
-    b = _param(layer.bias, x.dtype)
     lead = x.shape[:-1]
-    x2 = x.reshape(-1, x.shape[-1])
-    out = _matmul64(x2, w.T) + b
-    return out.reshape(*lead, layer.out_features), (x2, lead)
+    x64 = _up64(x.reshape(-1, x.shape[-1]))
+    out, w64t = _affine(x64, layer, x.dtype)
+    return out.reshape(*lead, layer.out_features), (x64, w64t, lead)
 
 
 def linear_backward(dout: np.ndarray, layer: Linear, cache, need_dx=True):
-    x2, lead = cache
-    d2 = dout.reshape(-1, layer.out_features)
-    dtype = d2.dtype
-    d64 = _up64(d2)  # shared by both products
-    dw = _matmul64(d64.T, x2, dtype)
-    db = d2.sum(axis=0, dtype=np.float64).astype(dtype)
-    dx = None
+    x64, w64t, lead = cache
+    dx, dw, db = _affine_backward(dout.reshape(-1, layer.out_features), x64, w64t, need_dx)
     if need_dx:
-        dx = _matmul64(d64, _param(layer.weight, dtype), dtype).reshape(*lead, layer.in_features)
+        dx = dx.reshape(*lead, layer.in_features)
     return dx, {"weight": dw, "bias": db}
 
 
@@ -571,29 +602,28 @@ def attention_forward(x: np.ndarray, layer: MultiHeadAttention):
             f"input extent {layer.in_features}"
         )
     lead = x.shape[:-1]
-    x2 = x.reshape(-1, x.shape[-1])
-    outs = []
+    x64 = _up64(x.reshape(-1, x.shape[-1]))  # one upcast serves every head
+    outs, w64ts = [], []
     for head in layer.heads:
-        outs.append(_matmul64(x2, _param(head.weight, x.dtype).T) + _param(head.bias, x.dtype))
+        out, w64t = _affine(x64, head, x.dtype)
+        outs.append(out)
+        w64ts.append(w64t)
     out = np.concatenate(outs, axis=1)
-    return out.reshape(*lead, layer.out_features), (x2, lead)
+    return out.reshape(*lead, layer.out_features), (x64, w64ts, lead)
 
 
 def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache, need_dx=True):
-    x2, lead = cache
+    x64, w64ts, lead = cache
     d2 = dout.reshape(-1, layer.out_features)
     grads = {}
-    dx = np.zeros_like(x2) if need_dx else None
+    dx = np.zeros(x64.shape, dtype=d2.dtype) if need_dx else None
     offset = 0
-    for h, head in enumerate(layer.heads):
-        m_h = head.out_features
-        dh = d2[:, offset : offset + m_h]
-        dh64 = _up64(dh)  # a contiguous copy, shared by both products
-        grads[f"h{h}.weight"] = _matmul64(dh64.T, x2, d2.dtype)
-        grads[f"h{h}.bias"] = dh.sum(axis=0, dtype=np.float64).astype(d2.dtype)
+    for h, (head, w64t) in enumerate(zip(layer.heads, w64ts)):
+        dh = d2[:, offset : offset + head.out_features]
+        dxh, grads[f"h{h}.weight"], grads[f"h{h}.bias"] = _affine_backward(dh, x64, w64t, need_dx)
         if need_dx:
-            dx += _matmul64(dh64, _param(head.weight, d2.dtype), d2.dtype)
-        offset += m_h
+            dx += dxh
+        offset += head.out_features
     return (dx.reshape(*lead, layer.in_features) if need_dx else None), grads
 
 
@@ -676,31 +706,31 @@ def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None
         )
     _check_std(layer.std.data)
     dtype = x.dtype
-    k = _param(layer.kernel, dtype)
+    k64t = _up64(_param(layer.kernel, dtype).T)  # F-contiguous, as in `_affine`
     if cols is None:
         cols = _im2col(_up64(x), layer.kh, layer.kw, layer.stride, layer.padding)
-    pre = _matmul64(cols.reshape(-1, k.shape[1]), k.T, dtype) + _param(layer.bias, dtype)
+    pre = _matmul64(cols.reshape(-1, k64t.shape[0]), k64t, dtype) + _param(layer.bias, dtype)
     pre = pre.reshape(x.shape[0], oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
-    act = apply_activation(pre, layer.activation)
+    act, saved = ACTIVATIONS[layer.activation][0](pre)
     mean = _param(layer.mean, dtype)[None, :, None, None]
     std = _param(layer.std, dtype)[None, :, None, None]
     gamma = _param(layer.gamma, dtype)[None, :, None, None]
     beta = _param(layer.beta, dtype)[None, :, None, None]
-    out = (act - mean) / std * gamma + beta
-    return out, (x.shape, cols, pre, act)
+    xhat = (act - mean) / std
+    out = xhat * gamma + beta
+    return out, (x.shape, cols, pre, xhat, saved, k64t)
 
 
 def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache, need_dx=True):
-    x_shape, cols, pre, act = cache
+    x_shape, cols, pre, xhat, saved, k64t = cache
     dtype = dout.dtype
     std = _param(layer.std, dtype)[None, :, None, None]
     gamma = _param(layer.gamma, dtype)[None, :, None, None]
-    mean = _param(layer.mean, dtype)[None, :, None, None]
 
-    dgamma = ((act - mean) / std * dout).sum(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+    dgamma = (xhat * dout).sum(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
     dbeta = dout.sum(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
     dact = dout * gamma / std
-    dpre = dact * activation_deriv(pre, layer.activation)
+    dpre = dact * ACTIVATIONS[layer.activation][1](pre, saved)
 
     b, m = dpre.shape[0], layer.out_channels
     dpre2 = dpre.transpose(0, 2, 3, 1).reshape(-1, m)
@@ -711,7 +741,7 @@ def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache, need_dx=True):
     grads = {"kernel": dk, "bias": db, "gamma": dgamma, "beta": dbeta}
     if not need_dx:
         return None, grads
-    dcols = _matmul64(d64, _param(layer.kernel, dtype), dtype).reshape(cols.shape)
+    dcols = _matmul64(d64, k64t.T, dtype).reshape(cols.shape)
     return _col2im(dcols, x_shape, layer.kh, layer.kw, layer.stride, layer.padding), grads
 
 
@@ -737,11 +767,13 @@ def residual_backward(dout: np.ndarray, layer: ResidualBlock, cache, need_dx=Tru
 
 
 def activation_forward(x: np.ndarray, layer: Activation):
-    return apply_activation(x, layer.kind), x
+    out, saved = ACTIVATIONS[layer.kind][0](x)
+    return out, (x, saved)
 
 
 def activation_backward(dout: np.ndarray, layer: Activation, cache):
-    return dout * activation_deriv(cache, layer.kind), {}
+    x, saved = cache
+    return dout * ACTIVATIONS[layer.kind][1](x, saved), {}
 
 
 # ---------------------------------------------------------------------------
@@ -778,17 +810,15 @@ def loss_forward(out: np.ndarray, targets: np.ndarray, kind: str):
         y = np.asarray(targets)
         if y.shape != (batch,):
             raise ShapeError(f"class targets must have shape ({batch},); got {y.shape}")
-        y = y.astype(np.int64)
+        rows, y = np.arange(batch), y.astype(np.int64)
         shifted = out.astype(np.float64) - out.max(axis=1, keepdims=True)
         expv = np.exp(shifted)
         total = expv.sum(axis=1, keepdims=True)
-        logp = shifted - np.log(total)
-        loss = float(-logp[np.arange(batch), y].mean())
-        probs = expv / total
-        dout = probs
-        dout[np.arange(batch), y] -= 1.0
-        dout /= batch
-        return loss, dout.astype(out.dtype)
+        loss = float(-(shifted[rows, y] - np.log(total[:, 0])).mean())  # the target log-probs
+        expv /= total  # the probabilities, in place
+        expv[rows, y] -= 1.0
+        expv /= batch
+        return loss, expv.astype(out.dtype)
     if kind == "mse":
         y = np.asarray(targets, dtype=out.dtype)
         if y.ndim == 1:

@@ -169,6 +169,7 @@ class ModelGraph:
                 tape.append((i, layer, cache, pre_flatten))
             if outputs is not None:
                 outputs.append(x)
+            cache = None  # without a tape, free the record before the next layer runs
         return x, loss, dloss
 
     def forward(self, inputs, targets=None):

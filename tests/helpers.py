@@ -3,6 +3,7 @@
 import numpy as np
 
 from zigprune.config import build_layers
+from zigprune.layers import loss_forward
 from zigprune.model import ModelGraph
 
 ACT_KINDS = ("relu", "leaky_relu", "prelu", "gelu")
@@ -138,6 +139,194 @@ def col2im_reference(dcols, x_shape, kh, kw, stride, padding):
     if padding:
         return dxp[:, :, padding : padding + h, padding : padding + w]
     return dxp
+
+
+# -- the layer functions as they stood before each backward read its forward's --
+# -- operands ------------------------------------------------------------------
+# Each backward here recomputes what its forward already made: the float64
+# input and weights, GELU's erf term, the normalized activation. leaky_relu
+# and prelu take the where form. `zigprune.layers` must reproduce every output,
+# input gradient and parameter gradient bit for bit, with the same strides.
+
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+
+def reference_gelu(x):
+    from scipy.special import erf
+
+    return (0.5 * x * (1.0 + erf(x * _INV_SQRT2))).astype(x.dtype)
+
+
+def reference_gelu_deriv(x):
+    from scipy.special import erf  # the second erf of the same input
+
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+    return (cdf + x * pdf).astype(x.dtype)
+
+
+def _where_form(slope):
+    def act(x):
+        return np.where(x > 0, x, x.dtype.type(slope) * x)
+
+    def deriv(x):
+        return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(slope))
+
+    return act, deriv
+
+
+# kind -> (activation, derivative), each a function of x alone
+REFERENCE_ACTIVATIONS = {
+    "relu": (lambda x: np.maximum(x, 0), lambda x: (x > 0).astype(x.dtype)),
+    "leaky_relu": _where_form(0.01),
+    "prelu": _where_form(0.25),
+    "gelu": (reference_gelu, reference_gelu_deriv),
+}
+
+
+def reference_linear_forward(x, layer):
+    from zigprune.layers import _matmul64, _param
+
+    w = _param(layer.weight, x.dtype)
+    b = _param(layer.bias, x.dtype)
+    lead = x.shape[:-1]
+    x2 = x.reshape(-1, x.shape[-1])
+    out = _matmul64(x2, w.T) + b
+    return out.reshape(*lead, layer.out_features), (x2, lead)
+
+
+def reference_linear_backward(dout, layer, cache, need_dx=True):
+    from zigprune.layers import _matmul64, _param, _up64
+
+    x2, lead = cache
+    d2 = dout.reshape(-1, layer.out_features)
+    dtype = d2.dtype
+    d64 = _up64(d2)
+    dw = _matmul64(d64.T, x2, dtype)
+    db = d2.sum(axis=0, dtype=np.float64).astype(dtype)
+    dx = None
+    if need_dx:
+        dx = _matmul64(d64, _param(layer.weight, dtype), dtype).reshape(*lead, layer.in_features)
+    return dx, {"weight": dw, "bias": db}
+
+
+def reference_attention_forward(x, layer):
+    from zigprune.layers import _matmul64, _param
+
+    lead = x.shape[:-1]
+    x2 = x.reshape(-1, x.shape[-1])
+    outs = []
+    for head in layer.heads:
+        outs.append(_matmul64(x2, _param(head.weight, x.dtype).T) + _param(head.bias, x.dtype))
+    out = np.concatenate(outs, axis=1)
+    return out.reshape(*lead, layer.out_features), (x2, lead)
+
+
+def reference_attention_backward(dout, layer, cache, need_dx=True):
+    from zigprune.layers import _matmul64, _param, _up64
+
+    x2, lead = cache
+    d2 = dout.reshape(-1, layer.out_features)
+    grads = {}
+    dx = np.zeros_like(x2) if need_dx else None
+    offset = 0
+    for h, head in enumerate(layer.heads):
+        m_h = head.out_features
+        dh = d2[:, offset : offset + m_h]
+        dh64 = _up64(dh)
+        grads[f"h{h}.weight"] = _matmul64(dh64.T, x2, d2.dtype)
+        grads[f"h{h}.bias"] = dh.sum(axis=0, dtype=np.float64).astype(d2.dtype)
+        if need_dx:
+            dx += _matmul64(dh64, _param(head.weight, d2.dtype), d2.dtype)
+        offset += m_h
+    return (dx.reshape(*lead, layer.in_features) if need_dx else None), grads
+
+
+def reference_conv_bn_forward(x, layer, cols=None):
+    from zigprune.layers import _im2col, _matmul64, _param, _up64, conv_output_hw
+
+    oh, ow = conv_output_hw(x.shape[2], x.shape[3], layer)
+    dtype = x.dtype
+    k = _param(layer.kernel, dtype)
+    if cols is None:
+        cols = _im2col(_up64(x), layer.kh, layer.kw, layer.stride, layer.padding)
+    pre = _matmul64(cols.reshape(-1, k.shape[1]), k.T, dtype) + _param(layer.bias, dtype)
+    pre = pre.reshape(x.shape[0], oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
+    act = REFERENCE_ACTIVATIONS[layer.activation][0](pre)
+    mean = _param(layer.mean, dtype)[None, :, None, None]
+    std = _param(layer.std, dtype)[None, :, None, None]
+    gamma = _param(layer.gamma, dtype)[None, :, None, None]
+    beta = _param(layer.beta, dtype)[None, :, None, None]
+    out = (act - mean) / std * gamma + beta
+    return out, (x.shape, cols, pre, act)
+
+
+def reference_conv_bn_backward(dout, layer, cache, need_dx=True):
+    from zigprune.layers import _col2im, _matmul64, _param, _up64
+
+    x_shape, cols, pre, act = cache
+    dtype = dout.dtype
+    std = _param(layer.std, dtype)[None, :, None, None]
+    gamma = _param(layer.gamma, dtype)[None, :, None, None]
+    mean = _param(layer.mean, dtype)[None, :, None, None]
+
+    dgamma = ((act - mean) / std * dout).sum(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+    dbeta = dout.sum(axis=(0, 2, 3), dtype=np.float64).astype(dtype)
+    dact = dout * gamma / std
+    dpre = dact * REFERENCE_ACTIVATIONS[layer.activation][1](pre)
+
+    m = layer.out_channels
+    dpre2 = dpre.transpose(0, 2, 3, 1).reshape(-1, m)
+    db = dpre2.sum(axis=0, dtype=np.float64).astype(dtype)
+    cols2 = cols.reshape(-1, cols.shape[-1])
+    d64 = _up64(dpre2)
+    dk = _matmul64(d64.T, cols2, dtype)
+    grads = {"kernel": dk, "bias": db, "gamma": dgamma, "beta": dbeta}
+    if not need_dx:
+        return None, grads
+    dcols = _matmul64(d64, _param(layer.kernel, dtype), dtype).reshape(cols.shape)
+    return _col2im(dcols, x_shape, layer.kh, layer.kw, layer.stride, layer.padding), grads
+
+
+def reference_activation_forward(x, layer):
+    return REFERENCE_ACTIVATIONS[layer.kind][0](x), x
+
+
+def reference_activation_backward(dout, layer, cache):
+    return dout * REFERENCE_ACTIVATIONS[layer.kind][1](cache), {}
+
+
+def reference_loss_forward(out, targets, kind):
+    """softmax_ce as it stood before its probabilities were divided in place."""
+    if kind != "softmax_ce":
+        return loss_forward(out, targets, kind)
+    batch = out.shape[0]
+    y = np.asarray(targets).astype(np.int64)
+    shifted = out.astype(np.float64) - out.max(axis=1, keepdims=True)
+    expv = np.exp(shifted)
+    total = expv.sum(axis=1, keepdims=True)
+    logp = shifted - np.log(total)
+    loss = float(-logp[np.arange(batch), y].mean())
+    probs = expv / total
+    dout = probs
+    dout[np.arange(batch), y] -= 1.0
+    dout /= batch
+    return loss, dout.astype(out.dtype)
+
+
+# module function name -> its reference, for patching onto `zigprune.layers`
+REFERENCE_LAYER_FUNCTIONS = {
+    "linear_forward": reference_linear_forward,
+    "linear_backward": reference_linear_backward,
+    "attention_forward": reference_attention_forward,
+    "attention_backward": reference_attention_backward,
+    "conv_bn_forward": reference_conv_bn_forward,
+    "conv_bn_backward": reference_conv_bn_backward,
+    "activation_forward": reference_activation_forward,
+    "activation_backward": reference_activation_backward,
+    "loss_forward": reference_loss_forward,
+}
 
 
 # -- the optimizer step as it stood before the single-gather version ----------

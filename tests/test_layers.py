@@ -28,11 +28,18 @@ from zigprune.model import ModelGraph
 from zigprune.tensor import Tensor
 
 from helpers import (
+    REFERENCE_ACTIVATIONS,
+    REFERENCE_LAYER_FUNCTIONS,
     attention_oracle,
+    bits,
+    build_random_model,
     col2im_reference,
     conv_bn_oracle,
     im2col_reference,
     linear_oracle,
+    random_batch,
+    reference_gelu,
+    reference_gelu_deriv,
 )
 
 
@@ -90,23 +97,6 @@ class TestGeluDeferredErf:
     """scipy loads on GELU's first call; the function must stay the same to the bit."""
 
     @staticmethod
-    def direct_gelu():
-        from scipy.special import erf
-
-        inv_sqrt2 = float(1.0 / np.sqrt(2.0))
-        inv_sqrt_2pi = float(1.0 / np.sqrt(2.0 * np.pi))
-
-        def gelu(x):
-            return (0.5 * x * (1.0 + erf(x * inv_sqrt2))).astype(x.dtype)
-
-        def gelu_deriv(x):
-            cdf = 0.5 * (1.0 + erf(x * inv_sqrt2))
-            pdf = np.exp(-0.5 * x * x) * inv_sqrt_2pi
-            return (cdf + x * pdf).astype(x.dtype)
-
-        return gelu, gelu_deriv
-
-    @staticmethod
     def outputs_and_grads(dtype):
         shape = (2, 5, 5)
         specs = ["convbn:3:3x3:s1:p1:gelu", "residual:3:3x3:s1:p1:gelu", "linear:6", "gelu",
@@ -120,7 +110,10 @@ class TestGeluDeferredErf:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_model_matches_direct_erf_formula_bitwise(self, dtype, monkeypatch):
         out, loss, acts, grads = self.outputs_and_grads(dtype)
-        monkeypatch.setitem(ACTIVATIONS, "gelu", self.direct_gelu())
+        # the table entry in its (forward -> (a, saved), derivative(x, saved))
+        # form, with a derivative that ignores `saved` and calls erf again
+        direct = (lambda x: (reference_gelu(x), None), lambda x, saved: reference_gelu_deriv(x))
+        monkeypatch.setitem(ACTIVATIONS, "gelu", direct)
         ref_out, ref_loss, ref_acts, ref_grads = self.outputs_and_grads(dtype)
         assert out.dtype == dtype
         assert np.array_equal(out, ref_out)
@@ -133,10 +126,158 @@ class TestGeluDeferredErf:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_functions_match_direct_erf_formula_bitwise(self, dtype):
-        gelu, gelu_deriv = self.direct_gelu()
+        gelu, gelu_deriv = ACTIVATIONS["gelu"]
         x = np.linspace(-9, 9, 4001).astype(dtype)
-        assert np.array_equal(apply_activation(x, "gelu"), gelu(x))
-        assert np.array_equal(layers_module.activation_deriv(x, "gelu"), gelu_deriv(x))
+        out, saved = gelu(x)
+        assert np.array_equal(apply_activation(x, "gelu"), reference_gelu(x))
+        assert np.array_equal(out, reference_gelu(x))
+        assert np.array_equal(gelu_deriv(x, saved), reference_gelu_deriv(x))
+
+
+# every finite and infinite edge of both float types: signed zeros, the
+# smallest and largest subnormals, the smallest normal, the float max
+def _edge_values(dtype):
+    info = np.finfo(dtype)
+    tiny_sub = np.nextafter(dtype(0), dtype(1))
+    big_sub = np.nextafter(info.smallest_normal, dtype(0))
+    pos = np.array([0.0, tiny_sub, big_sub, info.smallest_normal, 1.0, info.max, np.inf], dtype=dtype)
+    return np.concatenate([pos, -pos])
+
+
+class TestMaxFormActivations:
+    """leaky_relu and prelu as max(x, s*x) equal the where form to the bit."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["leaky_relu", "prelu"])
+    def test_edges_bitwise(self, kind, dtype):
+        x = _edge_values(dtype)
+        rng = np.random.default_rng(3)
+        scales = 10.0 ** rng.integers(-30, 30, 1000)
+        x = np.concatenate([x, (rng.standard_normal(1000) * scales).astype(dtype)])
+        out, saved = ACTIVATIONS[kind][0](x)
+        ref_act, ref_deriv = REFERENCE_ACTIVATIONS[kind]
+        assert out.dtype == dtype and saved is None
+        assert bits(out) == bits(ref_act(x))
+        assert bits(ACTIVATIONS[kind][1](x, saved)) == bits(ref_deriv(x))
+
+
+def _assert_same_bits(got, ref, what):
+    assert got.dtype == ref.dtype and got.shape == ref.shape, what
+    assert got.strides == ref.strides, what
+    assert bits(got) == bits(ref), what
+
+
+def _assert_lockstep(name, layer, x, need_dx, rng):
+    """`layers.<name>_forward/_backward` against the reference pair, bytes and strides."""
+    forward, backward = (getattr(layers_module, f"{name}_{d}") for d in ("forward", "backward"))
+    ref_forward, ref_backward = (
+        REFERENCE_LAYER_FUNCTIONS[f"{name}_{d}"] for d in ("forward", "backward")
+    )
+    out, cache = forward(x, layer)
+    ref_out, ref_cache = ref_forward(x, layer)
+    _assert_same_bits(out, ref_out, "out")
+    dout = rng.standard_normal(out.shape).astype(x.dtype)
+    dx, grads = backward(dout, layer, cache, need_dx)
+    ref_dx, ref_grads = ref_backward(dout, layer, ref_cache, need_dx)
+    if need_dx:
+        _assert_same_bits(dx, ref_dx, "dx")
+    else:
+        assert dx is None and ref_dx is None
+    assert grads.keys() == ref_grads.keys()
+    for key in grads:
+        _assert_same_bits(grads[key], ref_grads[key], key)
+
+
+def _edgy(rng, shape, dtype):
+    """Normal draws scaled by 3, with some exact +0.0 and -0.0 entries."""
+    x = 3 * rng.standard_normal(shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.1] = -0.0
+    return x.astype(dtype)
+
+
+class TestLockstepWithReference:
+    """Each layer function reproduces the recomputing version in `helpers` bit for bit."""
+
+    LEADS = [(5,), (2, 3), (0,)]
+    LEAD_IDS = ["rank2", "rank3", "empty"]
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+    def test_linear(self, lead, dtype, need_dx):
+        rng = np.random.default_rng(21)
+        layer = build_layers(["linear:7"], (6,), None, "normal:0.5", 3)[0]
+        _assert_lockstep("linear", layer, _edgy(rng, (*lead, 6), dtype), need_dx, rng)
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", LEADS, ids=LEAD_IDS)
+    def test_attention(self, lead, dtype, need_dx):
+        rng = np.random.default_rng(22)
+        layer = build_layers(["mha:3,1,4"], (6,), None, "normal:0.5", 3)[0]
+        _assert_lockstep("attention", layer, _edgy(rng, (*lead, 6), dtype), need_dx, rng)
+
+    @pytest.mark.parametrize("need_dx", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [2, 0], ids=["batch", "empty"])
+    @pytest.mark.parametrize("activation", ["relu", "leaky_relu", "prelu", "gelu"])
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 0)])
+    def test_conv_bn(self, stride, padding, activation, batch, dtype, need_dx):
+        rng = np.random.default_rng(23)
+        layer = random_convbn(rng, 3, 4, 3, stride=stride, padding=padding, activation=activation)
+        _assert_lockstep("conv_bn", layer, _edgy(rng, (batch, 3, 6, 5), dtype), need_dx, rng)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["relu", "leaky_relu", "prelu", "gelu"])
+    def test_activation(self, kind, dtype):
+        rng = np.random.default_rng(24)
+        layer = Activation(kind)
+        x = np.concatenate([_edgy(rng, (40, 7), dtype), _edge_values(dtype).reshape(2, 7)])
+        dout = rng.standard_normal(x.shape).astype(dtype)
+        with np.errstate(over="ignore", invalid="ignore"):  # GELU at +-inf: 0 * inf
+            out, cache = layers_module.activation_forward(x, layer)
+            ref_out, ref_cache = REFERENCE_LAYER_FUNCTIONS["activation_forward"](x, layer)
+            dx, _ = layers_module.activation_backward(dout, layer, cache)
+            ref_dx, _ = REFERENCE_LAYER_FUNCTIONS["activation_backward"](dout, layer, ref_cache)
+        _assert_same_bits(out, ref_out, "out")
+        _assert_same_bits(dx, ref_dx, "dx")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_ce(self, dtype):
+        rng = np.random.default_rng(25)
+        for batch in (1, 9, 64):
+            out = _edgy(rng, (batch, 10), dtype)
+            y = rng.integers(0, 10, size=batch)
+            loss, dout = loss_forward(out, y, "softmax_ce")
+            ref_loss, ref_dout = REFERENCE_LAYER_FUNCTIONS["loss_forward"](out, y, "softmax_ce")
+            assert loss == ref_loss
+            _assert_same_bits(dout, ref_dout, "dout")
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_model(self, seed, dtype, monkeypatch):
+        """A whole model's outputs, loss and gradients under both sets of functions."""
+        rng = np.random.default_rng(100 + seed)
+        model = build_random_model(rng)
+        x, y = random_batch(rng, model, n=5)
+        x = x.astype(dtype)
+
+        def run():
+            out, loss = model.forward(x, y)
+            return out, loss, list(model.layer_outputs()), model.backward()
+
+        out, loss, acts, grads = run()
+        for name, ref in REFERENCE_LAYER_FUNCTIONS.items():
+            monkeypatch.setattr(layers_module, name, ref)
+        ref_out, ref_loss, ref_acts, ref_grads = run()
+        _assert_same_bits(out, ref_out, "out")
+        assert loss == ref_loss
+        for i, (a, b) in enumerate(zip(acts, ref_acts)):
+            _assert_same_bits(a, b, f"layer {i} output")
+        assert grads.keys() == ref_grads.keys()
+        for key in grads:
+            _assert_same_bits(grads[key], ref_grads[key], key)
 
 
 class TestConvBN:
