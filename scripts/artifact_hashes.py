@@ -7,7 +7,13 @@ DIR/benchmarks, writes each workload's inputs into a temporary directory,
 runs the whole pipeline on them in this process, and prints one line per
 artifact: ``<workload>-<seed> <artifact> <sha256>``. Run it on two source
 trees and diff the outputs to check that a change keeps every artifact
-byte-identical.
+byte-identical; run it twice on one tree and diff the outputs to check that
+repeat runs are.
+
+After each `run`, the five single-stage commands (partition, train, prune,
+verify, flops) run as `python -m zigprune.cli <stage>` subprocesses into a
+second output directory, each reading the files of the one before. The
+script exits 1 unless they write the same bytes as `run`.
 
 Each workload runs at seeds 7 and 11. mlp_blobs runs the checked-in config;
 cnn_idx and attn_prox run at the benchmark's smoke size unless `--full` is
@@ -20,17 +26,39 @@ import argparse
 import contextlib
 import hashlib
 import os
+import subprocess
 import sys
 import tempfile
 
 ARTIFACTS = ("partition.txt", "metrics.jsonl", "full.ckpt", "slim.ckpt", "report.jsonl")
 WORKLOADS = ("mlp_blobs", "cnn_idx", "attn_prox")
 SEEDS = (7, 11)
+STAGES = ("partition", "train", "prune", "verify", "flops")
 
 
 def _sha256(path: str) -> str:
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _run_stages(root: str, config: str, seed: int, out_dir: str) -> str | None:
+    """Run the single-stage commands into `out_dir`; returns the first mismatch, if any."""
+    staged_dir = out_dir + "-staged"
+    staged = config + ".staged"
+    with open(config) as src, open(staged, "w") as dst:
+        for line in src:
+            dst.write(f"output.dir = {staged_dir}\n" if line.startswith("output.dir") else line)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p))
+    for stage in STAGES:
+        cmd = [sys.executable, "-m", "zigprune.cli", stage, "--config", staged, "--seed", str(seed)]
+        status = subprocess.run(cmd, env=env, stdout=sys.stderr).returncode
+        if status != 0:
+            return f"zigprune {stage} exited {status}"
+    for artifact in ARTIFACTS:
+        if _sha256(os.path.join(staged_dir, artifact)) != _sha256(os.path.join(out_dir, artifact)):
+            return f"{artifact} from the single-stage commands differs from run's"
+    return None
 
 
 def main(argv=None) -> int:
@@ -58,6 +86,10 @@ def main(argv=None) -> int:
                     return 1
                 for artifact in ARTIFACTS:
                     print(f"{name}-{seed} {artifact} {_sha256(os.path.join(inputs.out_dir, artifact))}")
+                mismatch = _run_stages(root, inputs.config, seed, inputs.out_dir)
+                if mismatch:
+                    print(f"{name}-{seed}: {mismatch}", file=sys.stderr)
+                    return 1
     return 0
 
 

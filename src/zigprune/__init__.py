@@ -7,11 +7,8 @@ match the full one.
 """
 
 from .hspg import (
-    IndexSets,
     OptimizerState,
     TrainConfig,
-    compute_index_sets,
-    half_space_project,
     hspg_step,
     prox_sg_step,
     sgd_step,
@@ -31,7 +28,6 @@ __all__ = [
     "ConvBN",
     "Group",
     "GroupPartition",
-    "IndexSets",
     "Linear",
     "Loss",
     "ModelGraph",
@@ -41,13 +37,11 @@ __all__ = [
     "ResidualBlock",
     "Tensor",
     "TrainConfig",
-    "compute_index_sets",
     "count_flops_params",
     "equivalence_check",
     "finite_difference_check",
     "group_norm_value",
     "group_prox",
-    "half_space_project",
     "hspg_step",
     "infer_shapes",
     "load_arrays",

@@ -20,9 +20,10 @@ projection event.
 stage it gathers the penalized entries of x and of the gradient once,
 computes their group squared norms once for the subgradient, the frozen
 test, the half-space test and the descent check, and scatters the trial
-point once. Its float operations and their order are those of
-`subgradient` followed by the step and the projection, so every iterate is
-bitwise what those give.
+point once. The projection exists only there. Its float operations and
+their order are those of `subgradient` followed by the step, so the trial
+point is bitwise what stage 1's step would give. Every optimizer steps
+through `_descend`: x - alpha * d in float64, rounded to float32.
 
 Prox-SG replaces the projection with the group soft-threshold of radius
 alpha*lam around the gradient step, which is the mechanism whose zero region
@@ -47,6 +48,15 @@ from .regularizer import (
 from .zig import GroupPartition
 
 
+def _check_step_params(alpha: float, lam: float, epsilon: float):
+    if alpha <= 0:
+        raise ParameterError(f"step size must be > 0, got {alpha}")
+    if lam < 0:
+        raise ParameterError(f"regularization weight must be >= 0, got {lam}")
+    if not (0.0 <= epsilon < 1.0):
+        raise ParameterError(f"epsilon must lie in [0, 1), got {epsilon}")
+
+
 @dataclass
 class OptimizerState:
     x: np.ndarray  # flat float32 iterate
@@ -59,12 +69,7 @@ class OptimizerState:
     steps_per_epoch: int = 0  # 0 disables the decay schedule
 
     def __post_init__(self):
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ParameterError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.alpha <= 0:
-            raise ParameterError(f"step size must be > 0, got {self.alpha}")
-        if self.lam < 0:
-            raise ParameterError(f"regularization weight must be >= 0, got {self.lam}")
+        _check_step_params(self.alpha, self.lam, self.epsilon)
         if self.switch_iteration < 1:
             raise ParameterError(
                 f"switch iteration must be a positive integer, got {self.switch_iteration}"
@@ -72,46 +77,18 @@ class OptimizerState:
         self.x = np.asarray(self.x, dtype=np.float32).copy()
 
 
-@dataclass
-class IndexSets:
-    zero: np.ndarray  # penalized group ids whose entries are all exactly 0.0
-    nonzero: np.ndarray
-
-
-def compute_index_sets(x: np.ndarray, partition: GroupPartition) -> IndexSets:
-    counts = partition.pen_nonzero_counts(x)
-    zero_mask = counts == 0
-    return IndexSets(
-        zero=partition.pen_gids[zero_mask], nonzero=partition.pen_gids[~zero_mask]
-    )
-
-
-def half_space_project(
-    z: np.ndarray, x_k: np.ndarray, partition: GroupPartition, epsilon: float
-) -> np.ndarray:
-    """Group-wise half-space projection of a trial iterate z against x_k.
-
-    For each penalized group that is nonzero at x_k the group is zeroed when
-    <z_g, x_g> < epsilon * ||x_g||^2, otherwise kept. Groups already zero at
-    x_k are left untouched.
-    """
-    if not (0.0 <= epsilon < 1.0):
-        raise ParameterError(f"epsilon must lie in [0, 1), got {epsilon}")
-    out = z.copy()
-    xp = x_k[partition.pen_perm].astype(np.float64)
-    s = partition.pen_sum(xp * xp)
-    dots = partition.pen_sum(z[partition.pen_perm].astype(np.float64) * xp)
-    kill = (dots < epsilon * s) & (s != 0.0)  # groups already zero stay as given
-    if kill.any():
-        out[partition.pen_perm[np.repeat(kill, partition.pen_sizes)]] = 0.0
-    return out
-
-
 def _check_finite(vec: np.ndarray, k: int, what: str):
     if not np.all(np.isfinite(vec)):
         raise NumericalFailureError(
             f"non-finite {what} entries at iteration {k}", iteration=k
         )
+
+
+def _descend(x: np.ndarray, alpha: float, d: np.ndarray) -> np.ndarray:
+    """The step x - alpha * d, taken in float64 and rounded to float32."""
+    return (x.astype(np.float64, copy=False) - alpha * d.astype(np.float64, copy=False)).astype(
+        np.float32
+    )
 
 
 def _advance(state: OptimizerState):
@@ -133,7 +110,7 @@ def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition
     if k < state.switch_iteration:
         nu = grad + subgradient(x, partition, state.lam)
         _check_finite(nu, k, "subgradient")
-        state.x = (x.astype(np.float64) - alpha * nu.astype(np.float64)).astype(np.float32)
+        state.x = _descend(x, alpha, nu)
         info = {"k": k, "stage": "subgradient", "zeroed": np.empty(0, dtype=np.int64)}
         _advance(state)
         return info
@@ -148,7 +125,7 @@ def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition
     for part in (nu_p, nu_f):
         _check_finite(part, k, "subgradient")
     nu64 = nu_p.astype(np.float64)
-    trial_p = (xp - alpha * nu64).astype(np.float32)
+    trial_p = _descend(xp, alpha, nu64)
     frozen = sq == 0.0  # groups already zero stay zero
     if frozen.any():
         trial_p[np.repeat(frozen, partition.pen_sizes)] = 0.0
@@ -166,7 +143,7 @@ def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition
             )
         trial_p[np.repeat(kill, partition.pen_sizes)] = 0.0
     trial = np.empty_like(x)
-    trial[free] = (x[free].astype(np.float64) - alpha * nu_f.astype(np.float64)).astype(np.float32)
+    trial[free] = _descend(x[free], alpha, nu_f)
     trial[perm] = trial_p
     state.x = trial
     info = {"k": k, "stage": "half_space", "zeroed": zeroed}
@@ -177,8 +154,7 @@ def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition
 def prox_sg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition) -> dict:
     """Stochastic proximal gradient step: group soft-threshold of radius alpha*lam."""
     _check_finite(grad, state.k, "gradient")
-    v = (state.x.astype(np.float64) - state.alpha * grad.astype(np.float64)).astype(np.float32)
-    state.x = group_prox(v, partition, state.alpha * state.lam)
+    state.x = group_prox(_descend(state.x, state.alpha, grad), partition, state.alpha * state.lam)
     info = {"k": state.k, "stage": "prox", "zeroed": np.empty(0, dtype=np.int64)}
     _advance(state)
     return info
@@ -187,9 +163,7 @@ def prox_sg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartit
 def sgd_step(state: OptimizerState, grad: np.ndarray) -> dict:
     """Plain stochastic gradient step on the unpenalized loss."""
     _check_finite(grad, state.k, "gradient")
-    state.x = (state.x.astype(np.float64) - state.alpha * grad.astype(np.float64)).astype(
-        np.float32
-    )
+    state.x = _descend(state.x, state.alpha, grad)
     info = {"k": state.k, "stage": "sgd", "zeroed": np.empty(0, dtype=np.int64)}
     _advance(state)
     return info
@@ -213,12 +187,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ParameterError(f"unknown optimizer kind {self.optimizer!r}")
-        if self.alpha0 <= 0:
-            raise ParameterError(f"step size must be > 0, got {self.alpha0}")
-        if self.lam < 0:
-            raise ParameterError(f"regularization weight must be >= 0, got {self.lam}")
-        if not (0.0 <= self.epsilon < 1.0):
-            raise ParameterError(f"epsilon must lie in [0, 1), got {self.epsilon}")
+        _check_step_params(self.alpha0, self.lam, self.epsilon)
         if self.np_epochs < 0:
             raise ParameterError(f"switch epoch must be >= 0, got {self.np_epochs}")
         if self.batch_size < 1:
@@ -299,5 +268,4 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
                 "stage": stage,
             }
         )
-    model.set_flat(state.x)
     return state.x, trace

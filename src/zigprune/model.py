@@ -7,11 +7,12 @@ A value with spatial structure is flattened (batch, -1) before it enters a
 layer whose kind `flattens` (linear, attention, loss). Every per-kind rule
 is a method of the layer class (see `layers`).
 
-`forward` records what `backward` and the zero-invariance checker need.
-`predict` runs the same layer loop over `EVAL_CHUNK`-sample chunks and
-records nothing; every evaluation (the per-epoch full-data loss, accuracy,
-the equivalence check) uses it, so its memory is bounded by the chunk, not
-by the dataset.
+`forward` records what `backward` and the finite-difference check read: the
+tape and the loss gradient. `layer_outputs` returns every layer's output
+and records nothing; the zero-invariance checker reads it. `predict` runs
+the same layer loop over `EVAL_CHUNK`-sample chunks and records nothing;
+every evaluation (the per-epoch full-data loss, accuracy, the equivalence
+check) uses it, so its memory is bounded by the chunk, not by the dataset.
 
 Parameter arrays live in a registry keyed by stable ids (``L3.kernel``,
 ``L5.b1.gamma``, ``L7.h0.weight``); the flattened view used by the
@@ -101,7 +102,6 @@ class ModelGraph:
             tensor.data = self._flat[start:pos].reshape(shape)
             tensor.grad = self._flat_grad[start:pos].reshape(shape)
         self._tape = None
-        self._layer_outputs = None
         self._dloss = None
 
     # -- structure ---------------------------------------------------------
@@ -150,8 +150,8 @@ class ModelGraph:
         """The layer loop; returns (output, loss, dloss).
 
         Appends each layer's backward record to `tape` and its output to
-        `outputs` when given; without them every cache is dropped as soon as
-        its layer has run.
+        `outputs` when given; without a tape every cache is dropped as soon
+        as its layer has run.
         """
         loss = dloss = None
         for i, layer in enumerate(self.layers):
@@ -175,14 +175,14 @@ class ModelGraph:
     def forward(self, inputs, targets=None):
         """Run the layers in order; returns (output, loss-or-None).
 
-        Records the intermediates needed by backward() and the per-layer
-        outputs used by the zero-invariance checker. The previous pass's
-        record is dropped first, so a pass that raises leaves none behind.
+        Records the tape and the loss gradient that backward() reads. The
+        previous pass's record is dropped first, so a pass that raises leaves
+        none behind.
         """
-        self._tape = self._layer_outputs = self._dloss = None
-        tape, outputs = [], []
-        x, loss, dloss = self._run(self._input(inputs), targets, tape, outputs)
-        self._tape, self._layer_outputs, self._dloss = tape, outputs, dloss
+        self._tape = self._dloss = None
+        tape = []
+        x, loss, dloss = self._run(self._input(inputs), targets, tape)
+        self._tape, self._dloss = tape, dloss
         return x, loss
 
     def predict(self, inputs) -> np.ndarray:
@@ -200,10 +200,11 @@ class ModelGraph:
         starts = range(0, max(len(x), 1), EVAL_CHUNK)  # an empty batch runs once
         return np.concatenate([self._run(x[s : s + EVAL_CHUNK])[0] for s in starts])
 
-    def layer_outputs(self) -> list[np.ndarray]:
-        if self._layer_outputs is None:
-            raise StateError("layer_outputs requested before any forward pass")
-        return self._layer_outputs
+    def layer_outputs(self, inputs) -> list[np.ndarray]:
+        """Every layer's output for `inputs`, in one pass that records nothing."""
+        outputs = []
+        self._run(self._input(inputs), outputs=outputs)
+        return outputs
 
     def backward(self, adjoint: float = 1.0) -> dict[str, np.ndarray]:
         """Backpropagate from the recorded loss; writes the gradient views, returns the gradients by id.

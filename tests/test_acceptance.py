@@ -14,7 +14,6 @@ from zigprune.data import classification_accuracy, generate_blobs, generate_grou
 from zigprune.hspg import (
     OptimizerState,
     TrainConfig,
-    compute_index_sets,
     hspg_step,
     train,
 )
@@ -270,7 +269,7 @@ def _instrumented_hspg_run(epsilon, iters, switch, alpha, lam):
         if info["stage"] != "half_space":
             continue
         # monotone sparsity
-        now_zero = set(compute_index_sets(st.x, partition).zero.tolist())
+        now_zero = set(partition.pen_gids[partition.pen_nonzero_counts(st.x) == 0].tolist())
         if not prev_zero <= now_zero:
             violations += 1
         prev_zero = now_zero

@@ -9,8 +9,6 @@ from zigprune.errors import InvariantError, NumericalFailureError, ParameterErro
 from zigprune.hspg import (
     OptimizerState,
     TrainConfig,
-    compute_index_sets,
-    half_space_project,
     hspg_step,
     prox_sg_step,
     sgd_step,
@@ -42,15 +40,17 @@ def quad_grad(x):
 
 
 class TestIndexSets:
+    """The zero set is the penalized groups whose nonzero count is 0."""
+
     def test_all_zero(self):
         p = two_group_partition()
-        s = compute_index_sets(np.zeros(4, dtype=np.float32), p)
-        assert list(s.zero) == [0, 1] and list(s.nonzero) == []
+        counts = p.pen_nonzero_counts(np.zeros(4, dtype=np.float32))
+        assert list(p.pen_gids[counts == 0]) == [0, 1] and list(p.pen_gids[counts > 0]) == []
 
     def test_mixed(self):
         p = two_group_partition()
-        s = compute_index_sets(np.array([0, 0, 1, 2], dtype=np.float32), p)
-        assert list(s.zero) == [0] and list(s.nonzero) == [1]
+        counts = p.pen_nonzero_counts(np.array([0, 0, 1, 2], dtype=np.float32))
+        assert list(p.pen_gids[counts == 0]) == [0] and list(p.pen_gids[counts > 0]) == [1]
 
     def test_exact_partition_on_random_vectors(self):
         rng = np.random.default_rng(0)
@@ -58,57 +58,75 @@ class TestIndexSets:
         for _ in range(50):
             x = rng.standard_normal(9).astype(np.float32)
             x[rng.random(9) < 0.4] = 0.0
-            s = compute_index_sets(x, p)
-            both = sorted(list(s.zero) + list(s.nonzero))
-            assert both == [0, 1, 2]
-            for g in s.zero:
+            counts = p.pen_nonzero_counts(x)
+            zero, nonzero = p.pen_gids[counts == 0], p.pen_gids[counts > 0]
+            assert sorted(list(zero) + list(nonzero)) == [0, 1, 2]
+            for g in zero:
                 assert np.all(x[p.groups[g].indices] == 0.0)
-            for g in s.nonzero:
+            for g in nonzero:
                 assert np.any(x[p.groups[g].indices] != 0.0)
 
 
+def half_space_step(x, z, p, epsilon=0.0):
+    """One half-space step from x whose trial point is z: lam 0, alpha 1, grad x - z."""
+    st = OptimizerState(x=x, alpha=1.0, lam=0.0, epsilon=epsilon, switch_iteration=1, k=1)
+    info = hspg_step(st, (x - z).astype(np.float32), p)
+    assert info["stage"] == "half_space"
+    return st.x, info["zeroed"]
+
+
 class TestHalfSpaceProject:
+    """The projection inside `hspg_step`: zero a group when <z_g, x_g> < eps ||x_g||^2."""
+
     def test_positive_alignment_kept(self):
         p = GroupPartition.from_indices(2, [[0, 1]])
         x = np.array([1.0, 0.0], dtype=np.float32)
         z = np.array([0.5, 0.2], dtype=np.float32)
-        assert np.array_equal(half_space_project(z, x, p, 0.0), z)
+        out, zeroed = half_space_step(x, z, p)
+        assert np.array_equal(out, z) and zeroed.size == 0
 
     def test_negative_alignment_zeroed(self):
         p = GroupPartition.from_indices(2, [[0, 1]])
         x = np.array([1.0, 0.0], dtype=np.float32)
         z = np.array([-0.1, 0.3], dtype=np.float32)
-        assert np.array_equal(
-            half_space_project(z, x, p, 0.0), np.zeros(2, dtype=np.float32)
-        )
+        out, zeroed = half_space_step(x, z, p)
+        assert np.array_equal(out, np.zeros(2, dtype=np.float32)) and list(zeroed) == [0]
 
     def test_aggressive_epsilon_threshold(self):
         p = GroupPartition.from_indices(2, [[0, 1]])
         x = np.array([1.0, 0.0], dtype=np.float32)
-        z = np.array([0.4, 0.0], dtype=np.float32)
-        assert np.array_equal(
-            half_space_project(z, x, p, 0.5), np.zeros(2, dtype=np.float32)
-        )
-
-    def test_zero_groups_untouched(self):
-        p = two_group_partition()
-        x = np.array([0.0, 0.0, 1.0, 1.0], dtype=np.float32)
-        z = np.array([0.3, 0.3, 1.0, 1.0], dtype=np.float32)
-        out = half_space_project(z, x, p, 0.0)
-        assert np.array_equal(out, z)  # group 0 is zero at x: left as given
+        z = np.array([0.4, 0.0], dtype=np.float32)  # <z, x> = 0.4 ||x||^2
+        assert half_space_step(x, z, p)[1].size == 0
+        out, zeroed = half_space_step(x, z, p, epsilon=0.5)
+        assert np.array_equal(out, np.zeros(2, dtype=np.float32)) and list(zeroed) == [0]
 
     def test_identity_when_all_aligned_and_epsilon_zero(self):
         rng = np.random.default_rng(1)
         p = two_group_partition()
         for _ in range(20):
             x = rng.standard_normal(4).astype(np.float32)
-            z = x * rng.uniform(0.5, 1.5)  # positively aligned per group
-            assert np.array_equal(half_space_project(z.copy(), x, p, 0.0), z)
+            z = x * np.float32(rng.uniform(0.5, 1.5))  # positively aligned per group
+            out, zeroed = half_space_step(x, z, p)
+            assert zeroed.size == 0
+            # the projection leaves the trial point as the plain step computes it
+            plain = OptimizerState(x=x, alpha=1.0, lam=0.0, switch_iteration=1)
+            hspg_step(plain, (x - z).astype(np.float32), p)
+            assert np.array_equal(out, plain.x)
 
     def test_epsilon_range_validated(self):
-        p = two_group_partition()
-        with pytest.raises(ParameterError):
-            half_space_project(np.zeros(4, np.float32), np.zeros(4, np.float32), p, 1.0)
+        # OptimizerState and TrainConfig share one check and one set of messages
+        cases = [
+            ((0.1, 0.0, 1.0), "epsilon must lie in [0, 1), got 1.0"),
+            ((0.1, 0.0, -0.5), "epsilon must lie in [0, 1), got -0.5"),
+            ((0.0, 0.0, 0.0), "step size must be > 0, got 0.0"),
+            ((0.1, -1.0, 0.0), "regularization weight must be >= 0, got -1.0"),
+        ]
+        for (alpha, lam, epsilon), message in cases:
+            with pytest.raises(ParameterError) as state_err:
+                OptimizerState(x=np.zeros(4, np.float32), alpha=alpha, lam=lam, epsilon=epsilon)
+            with pytest.raises(ParameterError) as config_err:
+                TrainConfig(alpha0=alpha, lam=lam, epsilon=epsilon)
+            assert str(state_err.value) == str(config_err.value) == message
 
 
 class TestSteps:
@@ -137,7 +155,7 @@ class TestSteps:
         for _ in range(200):
             hspg_step(st, quad_grad(st.x), p)
             if st.k > st.switch_iteration:
-                now_zero = set(compute_index_sets(st.x, p).zero.tolist())
+                now_zero = set(p.pen_gids[p.pen_nonzero_counts(st.x) == 0].tolist())
                 assert prev_zero <= now_zero
                 prev_zero = now_zero
 

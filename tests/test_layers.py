@@ -105,7 +105,7 @@ class TestGeluDeferredErf:
         rng = np.random.default_rng(5)
         x = (3 * rng.standard_normal((7, *shape))).astype(dtype)
         out, loss = m.forward(x, rng.integers(0, 3, size=7))
-        return out, loss, m.layer_outputs(), m.backward()
+        return out, loss, m.layer_outputs(x), m.backward()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_model_matches_direct_erf_formula_bitwise(self, dtype, monkeypatch):
@@ -265,7 +265,7 @@ class TestLockstepWithReference:
 
         def run():
             out, loss = model.forward(x, y)
-            return out, loss, list(model.layer_outputs()), model.backward()
+            return out, loss, model.layer_outputs(x), model.backward()
 
         out, loss, acts, grads = run()
         for name, ref in REFERENCE_LAYER_FUNCTIONS.items():

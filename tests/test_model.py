@@ -133,8 +133,6 @@ class TestBackward:
             m.forward(np.ones(bad_x, dtype=np.float32), np.zeros(bad_y, dtype=np.float32))
         with pytest.raises(StateError):
             m.backward()
-        with pytest.raises(StateError):
-            m.layer_outputs()
 
     def test_constant_output_model_has_zero_gradients(self):
         # second layer all zeros blocks every gradient path to the first layer
@@ -208,17 +206,29 @@ class TestPredict:
         assert out.dtype == ref.dtype == np.float64
         assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("kind", sorted(PREDICT_MODELS))
+    def test_layer_outputs_match_forward(self, kind):
+        m = predict_model(kind)
+        x = np.random.default_rng(3).standard_normal((5, *m.input_shape)).astype(np.float32)
+        outputs = m.layer_outputs(x)
+        assert len(outputs) == len(m.layers)
+        for out, shape in zip(outputs, m.shapes):
+            assert out.shape == (5, *shape)
+        assert np.array_equal(outputs[-1], m.forward(x)[0])
+
     def test_input_shape_validated(self):
+        with pytest.raises(ShapeError, match="input sample shape"):
+            predict_model("mlp").layer_outputs(np.zeros((2, 5), dtype=np.float32))
         with pytest.raises(ShapeError, match="input sample shape"):
             predict_model("mlp").predict(np.zeros((2, 5), dtype=np.float32))
 
     def test_fresh_model_keeps_no_record(self):
         m = predict_model("conv")
-        m.predict(np.ones((3, *m.input_shape), dtype=np.float32))
-        with pytest.raises(StateError):
+        x = np.ones((3, *m.input_shape), dtype=np.float32)
+        m.predict(x)
+        m.layer_outputs(x)
+        with pytest.raises(StateError, match="before forward"):
             m.backward()
-        with pytest.raises(StateError):
-            m.layer_outputs()
 
     @pytest.mark.parametrize("kind", sorted(PREDICT_MODELS))
     def test_leaves_forward_record_alone(self, kind):
@@ -229,9 +239,9 @@ class TestPredict:
         m.forward(x, y)
         expected = {k: g.copy() for k, g in m.backward().items()}
         m.forward(x, y)
-        outputs = m.layer_outputs()
-        m.predict(rng.standard_normal((300, *m.input_shape)).astype(np.float32))
-        assert m.layer_outputs() is outputs
+        other = rng.standard_normal((300, *m.input_shape)).astype(np.float32)
+        m.predict(other)
+        m.layer_outputs(other)
         grads = m.backward()
         assert grads.keys() == expected.keys()
         for key, g in expected.items():
@@ -406,9 +416,7 @@ class TestFlatBuffers:
         c = m.clone()
         with pytest.raises(StateError):
             c.backward()
-        with pytest.raises(StateError):
-            c.layer_outputs()
-        assert m.layer_outputs()  # the original keeps its own
+        assert m.backward()  # the original keeps its own
 
 
 class TestCheckpoint:

@@ -105,8 +105,7 @@ class TestZeroInvariance:
         p.zero_groups_inplace(x, [1])
         m.set_flat(x)
         inputs = rng.standard_normal((20, 3)).astype(np.float32)
-        m.forward(inputs)
-        assert np.all(m.layer_outputs()[0][:, 1] == 0.0)
+        assert np.all(m.layer_outputs(inputs)[0][:, 1] == 0.0)
 
     def test_no_trials_no_deviation(self):
         m = model_from(["linear:3"], (4,))
