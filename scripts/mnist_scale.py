@@ -10,8 +10,8 @@ RSS is above the ceiling. The dataset alone is 188 MB as float32, so the
 ceiling also bounds what the pipeline holds besides it: the forward record
 of a training step, the chunked evaluation, the equivalence check.
 
-The check takes a few seconds and writes about 50 MB, so it runs by hand,
-not in the tier-1 tests or CI. It runs the `zigprune` of this checkout.
+The check takes a few seconds and writes about 50 MB, so it runs as its own
+CI step, not in the tier-1 tests. It runs the `zigprune` of this checkout.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from .config import (
     load_config,
     model_to_specs,
 )
-from .data import Dataset, classification_accuracy
+from .data import classification_accuracy
 from .errors import StateError, ZigPruneError
 from .hspg import train
 from .model import ModelGraph
@@ -76,10 +76,6 @@ def make_partition(cfg: ExperimentConfig, model: ModelGraph) -> GroupPartition:
             penalized.append(False)
         return GroupPartition.from_indices(model.n_flat, index_lists, penalized)
     return partition_zig(model, penalize_output=cfg.penalize_output)
-
-
-def _train_subset(dataset: Dataset) -> Dataset:
-    return dataset.subset("train") if dataset.splits is not None else dataset
 
 
 def _write_partition(cfg: ExperimentConfig, partition: GroupPartition):
@@ -140,7 +136,7 @@ def stage_train(cfg: ExperimentConfig, model=None, partition=None, dataset=None)
         _write_partition(cfg, partition)
     if dataset is None:
         dataset = build_dataset(cfg)
-    x_final, trace = train(model, partition, _train_subset(dataset), cfg.train)
+    x_final, trace = train(model, partition, dataset.subset("train"), cfg.train)
     _ensure_outdir(cfg)
     with open(_path(cfg, "metrics.jsonl"), "w") as fh:
         for entry in trace:

@@ -37,7 +37,7 @@ DATASET_KINDS = ("synthetic-classify", "synthetic-glasso", "idx", "csv")
 class ExperimentConfig:
     input_shape: tuple
     layer_specs: list[str]
-    loss: str
+    loss: str = "softmax_ce"
     init: str = "he"
     model_seed: int = 1
     penalize_output: bool = False
@@ -78,53 +78,57 @@ def parse_config_text(text: str) -> dict[str, str]:
     return pairs
 
 
+# key -> (type, the field it fills): an `ExperimentConfig` field, a `TrainConfig`
+# field as "train.<name>", or None for a `dataset` entry named after the key
 _KNOWN_KEYS = {
-    "model.input_shape": str,
-    "model.layers": str,
-    "model.loss": str,
-    "model.init": str,
-    "model.seed": int,
-    "model.penalize_output": bool,
-    "dataset.kind": str,
-    "dataset.samples": int,
-    "dataset.test_samples": int,
-    "dataset.classes": int,
-    "dataset.features": int,
-    "dataset.separation": float,
-    "dataset.groups": int,
-    "dataset.group_size": int,
-    "dataset.support": int,
-    "dataset.noise": float,
-    "dataset.coef_scale": float,
-    "dataset.seed": int,
-    "dataset.images": str,
-    "dataset.labels": str,
-    "dataset.path": str,
-    "dataset.target": str,
-    "optimizer.kind": str,
-    "optimizer.alpha0": float,
-    "optimizer.decay": float,
-    "optimizer.lambda": float,
-    "optimizer.epsilon": float,
-    "optimizer.np_epochs": int,
-    "optimizer.batch": int,
-    "optimizer.epochs": int,
-    "optimizer.seed": int,
-    "prune.verify_inputs": int,
-    "prune.keep_one": bool,
-    "output.dir": str,
+    "model.input_shape": (str, "input_shape"),
+    "model.layers": (str, "layer_specs"),
+    "model.loss": (str, "loss"),
+    "model.init": (str, "init"),
+    "model.seed": (int, "model_seed"),
+    "model.penalize_output": (bool, "penalize_output"),
+    "dataset.kind": (str, None),
+    "dataset.samples": (int, None),
+    "dataset.test_samples": (int, None),
+    "dataset.classes": (int, None),
+    "dataset.features": (int, None),
+    "dataset.separation": (float, None),
+    "dataset.groups": (int, None),
+    "dataset.group_size": (int, None),
+    "dataset.support": (int, None),
+    "dataset.noise": (float, None),
+    "dataset.coef_scale": (float, None),
+    "dataset.seed": (int, None),
+    "dataset.images": (str, None),
+    "dataset.labels": (str, None),
+    "dataset.path": (str, None),
+    "dataset.target": (str, None),
+    "optimizer.kind": (str, "train.optimizer"),
+    "optimizer.alpha0": (float, "train.alpha0"),
+    "optimizer.decay": (float, "train.decay"),
+    "optimizer.lambda": (float, "train.lam"),
+    "optimizer.epsilon": (float, "train.epsilon"),
+    "optimizer.np_epochs": (int, "train.np_epochs"),
+    "optimizer.batch": (int, "train.batch_size"),
+    "optimizer.epochs": (int, "train.epochs"),
+    "optimizer.seed": (int, "train.seed"),
+    "prune.verify_inputs": (int, "verify_inputs"),
+    "prune.keep_one": (bool, "keep_one"),
+    "output.dir": (str, "output_dir"),
 }
 
 
 def load_config(path) -> ExperimentConfig:
+    """Parse and validate a config file; keys it leaves out take the dataclass defaults."""
     with open(path) as fh:
         pairs = parse_config_text(fh.read())
     unknown = set(pairs) - set(_KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    typed = {key: _parse_value(raw, key, _KNOWN_KEYS[key]) for key, raw in pairs.items()}
+    typed = {key: _parse_value(raw, key, _KNOWN_KEYS[key][0]) for key, raw in pairs.items()}
     for key in ("model.seed", "dataset.seed", "optimizer.seed"):
         check_seed(key, typed.get(key, 0))
+    given = {_KNOWN_KEYS[key][1]: value for key, value in typed.items() if _KNOWN_KEYS[key][1]}
 
     def need(key):
         if key not in typed:
@@ -140,12 +144,13 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(
             f"model.input_shape must be F or CxHxW with positive extents, got {shape_raw}"
         )
-    layer_specs = [s.strip() for s in str(need("model.layers")).split(",") if s.strip()]
-    loss = typed.get("model.loss", "softmax_ce")
-    if loss not in L.LOSS_KINDS:
-        raise ConfigError(f"model.loss must be one of {L.LOSS_KINDS}, got {loss!r}")
-    init = typed.get("model.init", "he")
-    _validate_init(init)
+    given["input_shape"] = input_shape
+    given["layer_specs"] = [s.strip() for s in str(need("model.layers")).split(",") if s.strip()]
+    # the defaults are valid, so only given values need checking
+    if "loss" in given and given["loss"] not in L.LOSS_KINDS:
+        raise ConfigError(f"model.loss must be one of {L.LOSS_KINDS}, got {given['loss']!r}")
+    if "init" in given:
+        _validate_init(given["init"])
 
     kind = need("dataset.kind")
     if kind not in DATASET_KINDS:
@@ -153,40 +158,18 @@ def load_config(path) -> ExperimentConfig:
     dataset = {k.split(".", 1)[1]: v for k, v in typed.items() if k.startswith("dataset.")}
     _validate_dataset(dataset)
 
+    train_fields = {f[len("train.") :]: given.pop(f) for f in list(given) if f.startswith("train.")}
     try:
-        train = TrainConfig(
-            optimizer=typed.get("optimizer.kind", "hspg"),
-            alpha0=typed.get("optimizer.alpha0", 0.1),
-            decay=typed.get("optimizer.decay", 1.0),
-            lam=typed.get("optimizer.lambda", 0.0),
-            epsilon=typed.get("optimizer.epsilon", 0.0),
-            np_epochs=typed.get("optimizer.np_epochs", 1),
-            batch_size=typed.get("optimizer.batch", 64),
-            epochs=typed.get("optimizer.epochs", 0),
-            seed=typed.get("optimizer.seed", 0),
-        )
+        train = TrainConfig(**train_fields)
     except ParameterError as exc:
         raise ConfigError(f"optimizer: {exc}") from exc
 
-    verify_inputs = typed.get("prune.verify_inputs", 100)
-    if verify_inputs < 1:
-        raise ConfigError(f"prune.verify_inputs must be >= 1, got {verify_inputs}")
+    if "verify_inputs" in given and given["verify_inputs"] < 1:
+        raise ConfigError(f"prune.verify_inputs must be >= 1, got {given['verify_inputs']}")
 
-    cfg = ExperimentConfig(
-        input_shape=input_shape,
-        layer_specs=layer_specs,
-        loss=loss,
-        init=init,
-        model_seed=typed.get("model.seed", 1),
-        penalize_output=typed.get("model.penalize_output", False),
-        dataset=dataset,
-        train=train,
-        verify_inputs=verify_inputs,
-        keep_one=typed.get("prune.keep_one", False),
-        output_dir=typed.get("output.dir", "out"),
-    )
+    cfg = ExperimentConfig(dataset=dataset, train=train, **given)
     # fail early on an inconsistent architecture; its shapes need no initialized weights
-    build_layers(layer_specs, input_shape, loss, "zeros", 0)
+    build_layers(cfg.layer_specs, cfg.input_shape, cfg.loss, "zeros", 0)
     return cfg
 
 

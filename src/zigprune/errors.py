@@ -59,10 +59,6 @@ class FormatError(ZigPruneError, ValueError):
         self.offset = offset
 
 
-class OracleFailureError(ZigPruneError, RuntimeError):
-    """A reference solver did not converge within its iteration budget."""
-
-
 class TargetError(ZigPruneError, ValueError):
     """Class targets do not fit the model: not integers, or outside [0, output width)."""
 

@@ -16,14 +16,13 @@ Zeroing a group this way is only possible when the step direction makes
 -x_g a descent direction; the step asserts that inequality at every
 projection event.
 
-`hspg_step` takes the loss gradient and forms nu itself. In the half-space
-stage it gathers the penalized entries of x and of the gradient once,
-computes their group squared norms once for the subgradient, the frozen
-test, the half-space test and the descent check, and scatters the trial
-point once. The projection exists only there. Its float operations and
-their order are those of `subgradient` followed by the step, so the trial
-point is bitwise what stage 1's step would give. Every optimizer steps
-through `_descend`: x - alpha * d in float64, rounded to float32.
+Both stages run one step path. `hspg_step` takes the loss gradient and
+forms nu itself: it gathers the penalized entries of x and of the gradient
+once, computes their group squared norms once for the subgradient and, from
+`switch_iteration` on, for the frozen test, the half-space test and the
+descent check, and scatters the new iterate once. The projection exists
+only there. Every optimizer steps through `_descend`: x - alpha * d in
+float64, rounded to float32.
 
 Prox-SG replaces the projection with the group soft-threshold of radius
 alpha*lam around the gradient step, which is the mechanism whose zero region
@@ -38,13 +37,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import InvariantError, NumericalFailureError, ParameterError
-from .regularizer import (
-    group_norm_value,
-    group_prox,
-    pen_subgradient,
-    sparsity_metrics,
-    subgradient,
-)
+from .regularizer import group_norm_value, group_prox, sparsity_metrics, subgradient
 from .zig import GroupPartition
 
 
@@ -100,53 +93,47 @@ def _advance(state: OptimizerState):
 def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition) -> dict:
     """One half-space optimizer step along nu = grad + lam * zeta(x); mutates `state`.
 
-    `grad` is the loss gradient; nu is ``grad + subgradient(x, partition,
-    lam)``, so entries outside the penalized groups step along ``grad +
-    0.0`` (which turns a -0.0 into +0.0). In the half-space stage a group is
-    frozen at zero when its squared norm is 0.0, which for float32 entries
-    is exactly when all of them are zero.
+    `grad` is the loss gradient. Entries outside the penalized groups, and
+    every entry when lam is 0, step along ``grad + 0.0`` (which turns a -0.0
+    into +0.0). In the half-space stage a group is frozen at zero when its
+    squared norm is 0.0, which for float32 entries is exactly when all of
+    them are zero.
     """
     k, alpha, x = state.k, state.alpha, state.x
-    if k < state.switch_iteration:
-        nu = grad + subgradient(x, partition, state.lam)
-        _check_finite(nu, k, "subgradient")
-        state.x = _descend(x, alpha, nu)
-        info = {"k": k, "stage": "subgradient", "zeroed": np.empty(0, dtype=np.int64)}
-        _advance(state)
-        return info
-
     perm, free = partition.pen_perm, partition.free_perm
     xp = x[perm].astype(np.float64)
     sq = partition.pen_sum(xp * xp)
-    # a zero weight adds +0.0, as `subgradient` does, not lam * zeta's signed zeros
-    sub = pen_subgradient(xp, sq, partition, state.lam).astype(np.float32) if state.lam else 0.0
+    sub = subgradient(xp, sq, partition, state.lam).astype(np.float32) if state.lam else 0.0
     nu_p = grad[perm] + sub
     nu_f = grad[free] + 0.0
     for part in (nu_p, nu_f):
         _check_finite(part, k, "subgradient")
     nu64 = nu_p.astype(np.float64)
     trial_p = _descend(xp, alpha, nu64)
-    frozen = sq == 0.0  # groups already zero stay zero
-    if frozen.any():
-        trial_p[np.repeat(frozen, partition.pen_sizes)] = 0.0
-    kill = (partition.pen_sum(trial_p.astype(np.float64) * xp) < state.epsilon * sq) & ~frozen
-    zeroed = partition.pen_gids[kill]
-    if zeroed.size:
-        # zeroing is legitimate only when -x_g is a descent direction
-        needed = (1.0 - state.epsilon) * sq / alpha
-        bad = kill & ~(partition.pen_sum(xp * nu64) > needed)
-        if bad.any():
-            gid = int(partition.pen_gids[np.argmax(bad)])
-            raise InvariantError(
-                f"projection of group {gid} at iteration {k} does not satisfy "
-                f"the descent inequality"
-            )
-        trial_p[np.repeat(kill, partition.pen_sizes)] = 0.0
+    zeroed = np.empty(0, dtype=np.int64)
+    half_space = k >= state.switch_iteration
+    if half_space:
+        frozen = sq == 0.0  # groups already zero stay zero
+        if frozen.any():
+            trial_p[np.repeat(frozen, partition.pen_sizes)] = 0.0
+        kill = (partition.pen_sum(trial_p.astype(np.float64) * xp) < state.epsilon * sq) & ~frozen
+        zeroed = partition.pen_gids[kill]
+        if zeroed.size:
+            # zeroing is legitimate only when -x_g is a descent direction
+            needed = (1.0 - state.epsilon) * sq / alpha
+            bad = kill & ~(partition.pen_sum(xp * nu64) > needed)
+            if bad.any():
+                gid = int(partition.pen_gids[np.argmax(bad)])
+                raise InvariantError(
+                    f"projection of group {gid} at iteration {k} does not satisfy "
+                    f"the descent inequality"
+                )
+            trial_p[np.repeat(kill, partition.pen_sizes)] = 0.0
     trial = np.empty_like(x)
     trial[free] = _descend(x[free], alpha, nu_f)
     trial[perm] = trial_p
     state.x = trial
-    info = {"k": k, "stage": "half_space", "zeroed": zeroed}
+    info = {"k": k, "stage": "half_space" if half_space else "subgradient", "zeroed": zeroed}
     _advance(state)
     return info
 

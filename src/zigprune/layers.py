@@ -8,14 +8,20 @@ writer never branch on type:
   * `layer_kind` labels the kind in group tags and prune layer maps, and
     `flattens` asks the model to reshape a (C, H, W) value to (C*H*W,) first;
   * `out_shape`, `forward`, `backward` and `params` define the computation;
-  * `units` gives each output unit's zero-invariant group as parameter spans;
-  * `slim`, `macs` and `kinks` serve pruning, FLOP counting and the
-    finite-difference check;
+  * `units` gives each output unit's zero-invariant group as parameter spans:
+    row r of every trainable parameter (the one rule, written on `Layer`),
+    which attention only renumbers by head;
+  * `slim`, `macs` (an int) and `kinks` serve pruning, FLOP counting and
+    the finite-difference check;
   * `spec` writes the layer back as its `config` DSL string.
 
 Composite kinds are made of simpler ones: a residual block of two `ConvBN`
 branches, attention of one `Linear` per head. They prefix their parts'
-parameter names (``b1.``, ``h0.``) and leave checks, groups and slicing to them.
+parameter names (``b1.``, ``h0.``) and leave checks and slicing to them. A
+residual block's groups fall out of the one rule over its prefixed
+parameters: channel c of both branches, so the summed channel is zero. BN
+mean/std are not trainable, so they stay out of every group: with gamma =
+beta = 0 they cannot shift the channel.
 
 The numeric work sits in module-level functions: every forward returns
 ``(out, cache)`` and its backward takes ``(dout, cache)`` and returns
@@ -109,17 +115,28 @@ def _prelu_deriv(x, saved):
     return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(PRELU_SLOPE))
 
 
+def _at_infinities(out, x, at_neg, at_pos):
+    """`out` with its entries at x = -inf / +inf set to the limits `at_neg` / `at_pos`."""
+    inf = np.isinf(x)
+    if inf.any():
+        out[inf] = np.where(x[inf] > 0, at_pos, at_neg)
+    return out
+
+
+# at x = +-inf the formulas read inf * 0; `_at_infinities` writes the limits there
+@np.errstate(invalid="ignore")
 def _gelu(x):
     from scipy.special import erf  # deferred: only GELU models pay for scipy
 
     e = erf(x * _INV_SQRT2)
-    return (0.5 * x * (1.0 + e)).astype(x.dtype), e
+    return _at_infinities((0.5 * x * (1.0 + e)).astype(x.dtype), x, 0.0, np.inf), e
 
 
+@np.errstate(invalid="ignore")
 def _gelu_deriv(x, e):
     cdf = 0.5 * (1.0 + e)
     pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return (cdf + x * pdf).astype(x.dtype)
+    return _at_infinities((cdf + x * pdf).astype(x.dtype), x, 0.0, 1.0)
 
 
 # kind -> (forward, derivative): forward(x) returns (a(x), saved), where
@@ -133,10 +150,6 @@ ACTIVATIONS = {
 }
 
 LOSS_KINDS = ("softmax_ce", "mse")
-
-
-def apply_activation(x: np.ndarray, kind: str) -> np.ndarray:
-    return ACTIVATIONS[kind][0](x)[0]
 
 
 def _up64(a: np.ndarray) -> np.ndarray:
@@ -195,19 +208,28 @@ class Layer:
     def units(self) -> list[tuple[int | None, int, list[tuple[str, int, int]]]]:
         """One (head, row, spans) per output unit, in output order.
 
-        `spans` lists the (parameter name, start, stop) ranges of the unit's
-        zero-invariant group, in flattened array-local positions; `row` is
-        the unit's index within its head (within the layer when head is None).
+        Unit r's zero-invariant group is row r of every trainable parameter,
+        in `params` order; `spans` lists those rows as (parameter name, start,
+        stop) ranges in flattened array-local positions, a row of a parameter
+        being ``prod(shape[1:])`` entries wide. `row` is the unit's index
+        within its head (within the layer when head is None).
         """
-        return []
+        shapes = [(name, t.shape) for name, t, trainable in self.params() if trainable]
+        if not shapes:
+            return []
+        widths = [(name, int(np.prod(shape[1:]))) for name, shape in shapes]
+        return [
+            (None, r, [(name, r * w, (r + 1) * w) for name, w in widths])
+            for r in range(shapes[0][1][0])
+        ]
 
     def slim(self, kept_in, kept_out) -> "Layer":
         """The layer restricted to the kept input and output unit indices."""
         return replace(self)
 
-    def macs(self, out_shape: tuple) -> dict:
-        """Per-sample multiply-accumulates as {"flops": n}, plus any breakdown."""
-        return {"flops": 0}
+    def macs(self, out_shape: tuple) -> int:
+        """Per-sample multiply-accumulates, given the layer's output sample shape."""
+        return 0
 
     def kinks(self, cache) -> list[np.ndarray]:
         """Sign patterns of the relu-family pre-activations recorded in `cache`."""
@@ -261,20 +283,13 @@ class Linear(Layer):
     def params(self):
         return [("weight", self.weight, True), ("bias", self.bias, True)]
 
-    def units(self):
-        n = self.in_features
-        return [
-            (None, r, [("weight", r * n, (r + 1) * n), ("bias", r, r + 1)])
-            for r in range(self.out_features)
-        ]
-
     def slim(self, kept_in, kept_out):
         rows = np.asarray(kept_out, dtype=np.int64)
         cols = np.asarray(kept_in, dtype=np.int64)
         return Linear(Tensor(self.weight.data[np.ix_(rows, cols)]), Tensor(self.bias.data[rows]))
 
     def macs(self, out_shape):
-        return {"flops": self.out_features * self.in_features}
+        return self.out_features * self.in_features
 
     def spec(self):
         return f"linear:{self.out_features}"
@@ -347,15 +362,6 @@ class ConvBN(Layer):
         trainable = [(n, getattr(self, n), True) for n in ("kernel", "bias", "gamma", "beta")]
         return trainable + [("mean", self.mean, False), ("std", self.std, False)]
 
-    def units(self):
-        # bn mean/std stay out: with gamma = beta = 0 they cannot shift the channel
-        ck = self.kernel.data.shape[1]
-        return [
-            (None, c, [("kernel", c * ck, (c + 1) * ck), ("bias", c, c + 1),
-                       ("gamma", c, c + 1), ("beta", c, c + 1)])
-            for c in range(self.out_channels)
-        ]
-
     def slim(self, kept_in, kept_out):
         rows = np.asarray(kept_out, dtype=np.int64)
         block = self.kh * self.kw
@@ -369,9 +375,7 @@ class ConvBN(Layer):
 
     def macs(self, out_shape):
         _, oh, ow = out_shape
-        conv = self.out_channels * self.kernel.data.shape[1] * oh * ow
-        bn = self.out_channels * oh * ow
-        return {"flops": conv + bn, "conv": conv, "bn": bn}
+        return self.out_channels * (self.kernel.data.shape[1] + 1) * oh * ow  # conv + bn scale
 
     def kinks(self, cache):
         return [cache[2] > 0] if self.activation != "gelu" else []
@@ -412,19 +416,11 @@ class ResidualBlock(Layer):
             (f"{tag}.{n}", t, tr) for tag, branch in self.branches for n, t, tr in branch.params()
         ]
 
-    def units(self):
-        # channel c of both branches, so the summed channel is zero
-        per_branch = [
-            [[(f"{tag}.{n}", a, b) for n, a, b in spans] for _, _, spans in branch.units()]
-            for tag, branch in self.branches
-        ]
-        return [(None, c, s1 + s2) for c, (s1, s2) in enumerate(zip(*per_branch))]
-
     def slim(self, kept_in, kept_out):
         return ResidualBlock(*(b.slim(kept_in, kept_out) for _, b in self.branches))
 
     def macs(self, out_shape):
-        return {"flops": sum(b.macs(out_shape)["flops"] for _, b in self.branches)}
+        return sum(b.macs(out_shape) for _, b in self.branches)
 
     def kinks(self, cache):
         return self.branch1.kinks(cache[0]) + self.branch2.kinks(cache[1])
@@ -499,7 +495,7 @@ class MultiHeadAttention(Layer):
         return MultiHeadAttention(heads)
 
     def macs(self, out_shape):
-        return {"flops": self.out_features * self.in_features}
+        return self.out_features * self.in_features
 
     def spec(self):
         return "mha:" + ",".join(str(d) for d in self.head_dims)

@@ -302,5 +302,5 @@ def finite_difference_check(model: ModelGraph, inputs, targets, h: float = 1e-3)
                 continue
             fd = (loss_hi - loss_lo) / denom
             rel = abs(gflat[idx] - fd) / (abs(fd) + 1e-8)
-            worst = max(worst, rel)
+            worst = float(np.maximum(worst, rel))  # not max(): a NaN error must reach the result
     return worst

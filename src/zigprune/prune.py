@@ -6,9 +6,13 @@ parameterized layer that consumed that unit. Because the groups are
 zero-invariant, the slim model computes the same outputs as the full model
 parameterized with the zeroed solution, up to float re-association.
 
-FLOPs are counted as one per multiply-accumulate, per sample:
-linear m*n; conv m*(c*kh*kw)*oh*ow plus m*oh*ow for the BN scale; attention
-sum of m_h*n per head.
+Pruning removes exactly the penalized groups whose entries are all zero in
+the model's parameters; to prune a live group (a negative control), zero it
+on a `clone()` first.
+
+FLOPs are counted as one per multiply-accumulate, per sample, as the sum of
+each layer's `macs`: linear m*n; conv m*(c*kh*kw)*oh*ow plus m*oh*ow for the
+BN scale; a residual block both branches; attention sum of m_h*n per head.
 """
 
 from __future__ import annotations
@@ -78,17 +82,9 @@ def count_params(model: ModelGraph) -> tuple[int, int]:
     return trainable, stats
 
 
-def flops_detail(model: ModelGraph) -> list[dict]:
-    """Per-layer multiply-accumulate counts for one sample."""
-    return [
-        {"layer": i, "kind": type(layer).__name__, **layer.macs(shape)}
-        for i, (layer, shape) in enumerate(zip(model.layers, model.shapes))
-    ]
-
-
 def count_flops_params(model: ModelGraph) -> tuple[int, int]:
     """(per-sample multiply-accumulates, trainable parameter count)."""
-    flops = sum(entry["flops"] for entry in flops_detail(model))
+    flops = sum(layer.macs(shape) for layer, shape in zip(model.layers, model.shapes))
     return flops, count_params(model)[0]
 
 
@@ -97,22 +93,17 @@ def count_flops_params(model: ModelGraph) -> tuple[int, int]:
 
 
 def prune(
-    model: ModelGraph,
-    partition: GroupPartition,
-    keep_one: bool = False,
-    force_zero=(),
+    model: ModelGraph, partition: GroupPartition, keep_one: bool = False
 ) -> tuple[ModelGraph, PruneReport]:
     """Build the slim model implied by the model's exactly-zero penalized groups.
 
-    `force_zero` treats extra group ids as zero regardless of their values
-    (useful as a negative control). When every group of a layer is zero the
-    default is to fail; `keep_one` retains the largest-norm group instead.
+    When every group of a layer is zero the default is to fail; `keep_one`
+    retains the largest-norm group instead.
     """
     x = model.get_flat()
 
     counts = partition.pen_nonzero_counts(x)
     zero_set = set(int(g) for g in partition.pen_gids[counts == 0])
-    zero_set.update(int(g) for g in force_zero)
     retained = [g.gid for g in partition.groups if g.gid not in zero_set]
 
     # per-layer kept units, in group order

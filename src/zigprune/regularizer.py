@@ -3,8 +3,10 @@
 The penalty is r(x) = sum over penalized groups of ||x_g||_2. The chosen
 subgradient is x_g/||x_g|| on nonzero groups and 0 on zero groups (the
 minimum-norm element), so exactly-zero groups feel no regularizer push.
-Zero tests are bitwise (== 0.0): both the prox and the half-space step write
-literal zeros, so no tolerance is involved.
+`subgradient` takes the gathered penalized entries ``x[pen_perm]`` and their
+group sums of squares, which `hspg_step` already holds, so no full-length
+vector is built. Zero tests are bitwise (== 0.0): both the prox and the
+half-space step write literal zeros, so no tolerance is involved.
 """
 
 from __future__ import annotations
@@ -34,24 +36,11 @@ def group_norm_value(x: np.ndarray, partition: GroupPartition) -> float:
     return float(group_norms(x, partition).sum())
 
 
-def subgradient(x: np.ndarray, partition: GroupPartition, lam: float) -> np.ndarray:
-    """lam * zeta(x) with zeta the minimum-norm subgradient of r at x."""
-    if lam < 0:
-        raise ParameterError(f"regularization weight must be >= 0, got {lam}")
-    out = np.zeros_like(x)
-    if partition.pen_perm.size == 0 or lam == 0.0:
-        return out
-    xp = x[partition.pen_perm].astype(np.float64)
-    sub = pen_subgradient(xp, partition.pen_sum(xp * xp), partition, lam)
-    out[partition.pen_perm] = sub.astype(x.dtype)
-    return out
+def subgradient(xp: np.ndarray, sqnorms: np.ndarray, partition: GroupPartition, lam: float):
+    """lam * zeta on the gathered penalized entries ``xp = x[pen_perm]`` (float64).
 
-
-def pen_subgradient(xp: np.ndarray, sqnorms: np.ndarray, partition: GroupPartition, lam: float):
-    """lam * zeta on the gathered penalized entries ``x[pen_perm]`` (float64).
-
-    `sqnorms` are their group sums of squares; the result is float64, for the
-    caller to round.
+    zeta is the minimum-norm subgradient of r at x; `sqnorms` are the group
+    sums of squares of `xp`. The result is float64, for the caller to round.
     """
     norms = np.sqrt(sqnorms)
     scale = np.zeros_like(norms)

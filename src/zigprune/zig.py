@@ -4,11 +4,12 @@ A group collects every parameter scalar that controls one output unit of a
 layer, so that writing zeros over the whole group forces that unit's output
 to be exactly zero for any input. The grouping rules live in each layer
 kind's `units()` (see `layers`); this module only numbers the groups and
-maps their spans into the flat parameter view. The rules are:
+maps their spans into the flat parameter view. One rule covers every kind:
+unit r's group is row r of each trainable parameter of its layer, so
 
   * conv+bn channel c: kernel row c, bias[c], gamma[c], beta[c]
-    (bn mean/std stay out: with gamma = beta = 0 they cannot shift the
-    channel away from zero)
+    (bn mean/std are not trainable and stay out: with gamma = beta = 0 they
+    cannot shift the channel away from zero)
   * residual block channel c: the conv+bn members of channel c in *both*
     branches, so the summed channel is zero
   * linear row i: weight row i and bias[i]
@@ -104,9 +105,6 @@ class GroupPartition:
     def n_penalized(self) -> int:
         return int(self.pen_gids.size)
 
-    def group_values(self, x: np.ndarray, gid: int) -> np.ndarray:
-        return x[self.groups[gid].indices]
-
     def pen_sum(self, values: np.ndarray) -> np.ndarray:
         """Per-penalized-group sums of `values`, given in the ``x[pen_perm]`` layout."""
         if self.pen_perm.size == 0:
@@ -117,10 +115,6 @@ class GroupPartition:
         """Per-penalized-group sum of squares, accumulated in float64."""
         gathered = x[self.pen_perm].astype(np.float64)
         return self.pen_sum(gathered * gathered)
-
-    def pen_dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per-penalized-group inner products <x_g, y_g> in float64."""
-        return self.pen_sum(x[self.pen_perm].astype(np.float64) * y[self.pen_perm].astype(np.float64))
 
     def pen_nonzero_counts(self, x: np.ndarray) -> np.ndarray:
         """Per-penalized-group count of entries that are not exactly 0.0."""
@@ -247,5 +241,5 @@ def verify_zero_invariance(
             g = partition.groups[gid]
             sliced = outs[g.layer_index][:, g.out_index]
             dev = float(np.abs(sliced).max()) if sliced.size else 0.0
-            worst = max(worst, dev)
+            worst = float(np.maximum(worst, dev))  # not max(): a NaN deviation must reach the result
     return worst

@@ -59,8 +59,6 @@ def random_batch(rng, model: ModelGraph, n=3):
 
 def conv_bn_oracle(x, layer):
     """Nested-loop conv + activation + normalization, no shared code paths."""
-    from zigprune.layers import apply_activation
-
     b, c, h, w = x.shape
     kh, kw, stride, pad = layer.kh, layer.kw, layer.stride, layer.padding
     m = layer.kernel.data.shape[0]
@@ -83,7 +81,7 @@ def conv_bn_oracle(x, layer):
                                     * kernel[mi, ci, ki, kj]
                                 )
                     out[bi, mi, oi, oj] = acc + float(layer.bias.data[mi])
-    act = apply_activation(out, layer.activation)
+    act = REFERENCE_ACTIVATIONS[layer.activation][0](out)
     mean = layer.mean.data.astype(np.float64)[None, :, None, None]
     std = layer.std.data.astype(np.float64)[None, :, None, None]
     gamma = layer.gamma.data.astype(np.float64)[None, :, None, None]
@@ -152,18 +150,30 @@ _INV_SQRT2 = float(1.0 / np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
+# the direct erf formulas; at x = -inf (and +inf for the derivative) they read
+# inf * 0, so those entries are set to the limits GELU(-inf) = 0, GELU'(-inf) = 0
+# and GELU'(+inf) = 1
+
+
 def reference_gelu(x):
     from scipy.special import erf
 
-    return (0.5 * x * (1.0 + erf(x * _INV_SQRT2))).astype(x.dtype)
+    with np.errstate(invalid="ignore"):
+        out = (0.5 * x * (1.0 + erf(x * _INV_SQRT2))).astype(x.dtype)
+    out[np.isneginf(x)] = 0.0
+    return out
 
 
 def reference_gelu_deriv(x):
     from scipy.special import erf  # the second erf of the same input
 
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return (cdf + x * pdf).astype(x.dtype)
+    with np.errstate(invalid="ignore"):
+        cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        out = (cdf + x * pdf).astype(x.dtype)
+    out[np.isneginf(x)] = 0.0
+    out[np.isposinf(x)] = 1.0
+    return out
 
 
 def _where_form(slope):
@@ -350,6 +360,37 @@ def reference_subgradient(x, partition, lam):
     return out
 
 
+def pen_dots(partition, x, y):
+    """Per-penalized-group inner products <x_g, y_g> in float64."""
+    return partition.pen_sum(
+        x[partition.pen_perm].astype(np.float64) * y[partition.pen_perm].astype(np.float64)
+    )
+
+
+def scattered_subgradient(x, partition, lam):
+    """`regularizer.subgradient` of x's gathered penalized entries, spread over the flat view."""
+    from zigprune.regularizer import subgradient
+
+    xp = x[partition.pen_perm].astype(np.float64)
+    out = np.zeros_like(x)
+    out[partition.pen_perm] = subgradient(xp, partition.pen_sum(xp * xp), partition, lam)
+    return out
+
+
+def prune_zeroed_copy(model, partition, gids):
+    """The slim model of a clone of `model` whose groups `gids` are zeroed; `model` stays as it is.
+
+    Pruning a live group this way is the negative control of the equivalence check.
+    """
+    from zigprune.prune import prune
+
+    work = model.clone()
+    x = work.get_flat()
+    partition.zero_groups_inplace(x, gids)
+    work.set_flat(x)
+    return prune(work, partition)[0]
+
+
 def _reference_zero_groups(out, partition, mask):
     if mask.any():
         out[partition.pen_perm[np.repeat(mask, partition.pen_sizes)]] = 0.0
@@ -373,10 +414,10 @@ def reference_hspg_step(state, nu, partition):
             frozen = partition.pen_nonzero_counts(x) == 0
             _reference_zero_groups(trial, partition, frozen)
             s = partition.pen_sqnorms(x)
-            kill = (partition.pen_dots(trial, x) < state.epsilon * s) & ~frozen
+            kill = (pen_dots(partition, trial, x) < state.epsilon * s) & ~frozen
             if kill.any():
                 needed = (1.0 - state.epsilon) * s / alpha
-                bad = kill & ~(partition.pen_dots(x, nu) > needed)
+                bad = kill & ~(pen_dots(partition, x, nu) > needed)
                 if bad.any():
                     gid = int(partition.pen_gids[np.argmax(bad)])
                     raise InvariantError(

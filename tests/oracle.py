@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import OracleFailureError, ParameterError
+from zigprune.errors import ParameterError
+
+
+class OracleFailureError(RuntimeError):
+    """The reference solver did not converge within its iteration budget."""
 
 
 def least_squares_objective(design, targets, x, groups, lam) -> float:

@@ -19,12 +19,18 @@ from zigprune.hspg import (
 )
 from zigprune.layers import Linear
 from zigprune.model import ModelGraph, finite_difference_check
-from zigprune.oracle import bcd_oracle, least_squares_objective, oracle_support
 from zigprune.prune import count_flops_params, equivalence_check, prune
-from zigprune.regularizer import sparsity_metrics, subgradient
+from zigprune.regularizer import sparsity_metrics
 from zigprune.zig import GroupPartition, partition_zig, verify_zero_invariance
 
-from helpers import ACT_KINDS, build_random_model
+from helpers import (
+    ACT_KINDS,
+    build_random_model,
+    pen_dots,
+    prune_zeroed_copy,
+    reference_subgradient,
+)
+from oracle import bcd_oracle, least_squares_objective, oracle_support
 
 
 def _report(name, ok, elapsed, budget, detail=""):
@@ -129,7 +135,7 @@ def test_criterion_2_one_shot_equivalence():
         if live:
             norms = [float(np.linalg.norm(x[partition.groups[g].indices])) for g in live]
             victim = live[int(np.argmax(norms))]
-            corrupted, _ = prune(model, partition, force_zero=[victim])
+            corrupted = prune_zeroed_copy(model, partition, [victim])
             control_min = min(
                 control_min, equivalence_check(model, corrupted, 100, seed=4000 + i)
             )
@@ -262,7 +268,7 @@ def _instrumented_hspg_run(epsilon, iters, switch, alpha, lam):
         model.forward(xs64, y)
         model.backward()
         grad = model.get_flat_grad()
-        nu = grad + subgradient(st.x, partition, lam)
+        nu = grad + reference_subgradient(st.x, partition, lam)
         x_prev = st.x.copy()
         alpha_step = st.alpha
         info = hspg_step(st, grad, partition)
@@ -275,7 +281,7 @@ def _instrumented_hspg_run(epsilon, iters, switch, alpha, lam):
         prev_zero = now_zero
         # S_k membership for kept groups, descent inequality for zeroed ones
         s = partition.pen_sqnorms(x_prev)
-        d_new = partition.pen_dots(st.x, x_prev)
+        d_new = pen_dots(partition, st.x, x_prev)
         was_nz = partition.pen_nonzero_counts(x_prev) > 0
         now_nz = partition.pen_nonzero_counts(st.x) > 0
         kept = was_nz & now_nz

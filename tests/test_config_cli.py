@@ -13,6 +13,7 @@ import zigprune.cli
 import zigprune.model
 from zigprune.cli import main
 from zigprune.config import (
+    ExperimentConfig,
     build_layers,
     load_config,
     model_to_specs,
@@ -127,6 +128,33 @@ class TestConfigParsing:
         assert cfg.train.lam == 0.02
         assert cfg.verify_inputs == 50
         assert cfg.penalize_output is False
+
+    def test_left_out_keys_take_the_dataclass_defaults(self, tmp_path):
+        text = "\n".join([
+            "model.input_shape = 4", "model.layers = linear:2",
+            "dataset.kind = synthetic-classify", "dataset.samples = 10",
+            "dataset.classes = 2", "dataset.features = 4",
+        ])
+        cfg = load_config(write_config(tmp_path, text=text))
+        dataset = {"kind": "synthetic-classify", "samples": 10, "classes": 2, "features": 4}
+        assert cfg == ExperimentConfig(input_shape=(4,), layer_specs=["linear:2"], dataset=dataset)
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"model.loss": "hinge"},
+             "model.loss must be one of ('softmax_ce', 'mse'), got 'hinge'"),
+            ({"model.loss": "hinge", "dataset.kind": "imagenet"},  # checked in this order
+             "model.loss must be one of ('softmax_ce', 'mse'), got 'hinge'"),
+            ({"optimizer.decay": "0", "prune.verify_inputs": "0"},
+             "optimizer: decay factor must be > 0, got 0.0"),
+            ({"prune.verify_inputs": "0"}, "prune.verify_inputs must be >= 1, got 0"),
+        ],
+    )
+    def test_messages_and_their_order(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError) as err:
+            load_config(write_config(tmp_path, **overrides))
+        assert str(err.value) == message
 
     def test_penalize_output_key(self, tmp_path):
         from zigprune.config import build_model

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,17 +17,19 @@ from zigprune.hspg import (
     train,
 )
 from zigprune.model import EVAL_CHUNK, ModelGraph
-from zigprune.oracle import bcd_oracle, least_squares_objective
-from zigprune.regularizer import group_prox, sparsity_metrics, subgradient
+from zigprune.regularizer import group_prox, sparsity_metrics
 from zigprune.zig import GroupPartition, partition_zig
 
 from helpers import (
     bits,
     build_random_model,
+    pen_dots,
     reference_group_prox,
     reference_hspg_step,
     reference_subgradient,
+    scattered_subgradient,
 )
+from oracle import bcd_oracle, least_squares_objective
 
 
 def two_group_partition():
@@ -134,7 +138,7 @@ class TestSteps:
         p = two_group_partition()
         st = OptimizerState(x=QUAD_CENTER.copy(), alpha=0.1, lam=0.1, switch_iteration=50)
         # a loss gradient that cancels the regularizer's: nu = 0
-        info = hspg_step(st, -subgradient(st.x, p, st.lam), p)
+        info = hspg_step(st, -reference_subgradient(st.x, p, st.lam), p)
         assert info["stage"] == "subgradient"
         assert np.array_equal(st.x, QUAD_CENTER)
         assert st.k == 1
@@ -346,7 +350,8 @@ class TestSingleGatherStep:
         p = two_group_partition()
         x0 = np.array([0.0, -0.0, 1.0, 0.5], dtype=np.float32)
         grad = np.array([5.0, -3.0, 30.0, 15.0], dtype=np.float32)  # pushes group 1 across
-        for step, direction in ((hspg_step, grad), (reference_hspg_step, grad + subgradient(x0, p, 0.1))):
+        nu = grad + reference_subgradient(x0, p, 0.1)
+        for step, direction in ((hspg_step, grad), (reference_hspg_step, nu)):
             st = OptimizerState(x=x0, alpha=0.1, lam=0.1, switch_iteration=1, k=1)
             info = step(st, direction, p)
             assert list(info["zeroed"]) == [1]
@@ -402,7 +407,9 @@ class TestSingleGatherStep:
             v = signed_zero_vector(rng, p.n_flat, p)
             for tau in (0.0, 0.05, float(rng.uniform(0.5, 3.0))):
                 assert bits(group_prox(v, p, tau)) == bits(reference_group_prox(v, p, tau))
-                assert bits(subgradient(v, p, tau)) == bits(reference_subgradient(v, p, tau))
+                if tau:  # hspg_step forms no subgradient at lam = 0
+                    got = scattered_subgradient(v, p, tau)
+                    assert bits(got) == bits(reference_subgradient(v, p, tau))
 
 
 class TestProjectionGeometry:
@@ -420,12 +427,12 @@ class TestProjectionGeometry:
                 x_prev = st.x.copy()
                 alpha_step = st.alpha
                 grad = quad_grad(st.x) + 0.05 * rng.standard_normal(4).astype(np.float32)
-                nu = grad + subgradient(st.x, p, st.lam)
+                nu = grad + reference_subgradient(st.x, p, st.lam)
                 info = hspg_step(st, grad, p)
                 if info["stage"] != "half_space":
                     continue
                 s = p.pen_sqnorms(x_prev)
-                d_new = p.pen_dots(st.x, x_prev)
+                d_new = pen_dots(p, st.x, x_prev)
                 was_nonzero = p.pen_nonzero_counts(x_prev) > 0
                 now_nonzero = p.pen_nonzero_counts(st.x) > 0
                 kept = was_nonzero & now_nonzero
@@ -564,3 +571,26 @@ class TestTrain:
                           batch_size=40, epochs=2, seed=4)
         train(model, part, ds, cfg, callback=lambda st, info: seen.append(info["k"]))
         assert seen == list(range(6))
+
+    def test_benchmark_tracer_sees_one_subgradient_per_step(self):
+        # benchmarks/spans.py patches `hspg.subgradient` by name: every step of
+        # both stages must call it (lam > 0), inside its `hspg_step` span
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "spans.py")
+        spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        ds, model, part, _ = self.make_problem()
+        cfg = TrainConfig(optimizer="hspg", alpha0=0.01, lam=0.1, np_epochs=1,
+                          batch_size=40, epochs=2, seed=4)
+        stages = []
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            train(model, part, ds, cfg, callback=lambda st, info: stages.append(info["stage"]))
+        finally:
+            tracer.uninstall()
+        steps = [i for i, s in enumerate(tracer.spans) if s[0] == "hspg.hspg_step"]
+        parents = [s[3] for s in tracer.spans if s[0] == "regularizer.subgradient"]
+        assert stages == ["subgradient"] * 3 + ["half_space"] * 3
+        assert len(steps) == len(stages)
+        assert parents == steps

@@ -12,7 +12,6 @@ from zigprune.layers import (
     MultiHeadAttention,
     ResidualBlock,
     activation_forward,
-    apply_activation,
     _col2im,
     _im2col,
     attention_forward,
@@ -77,16 +76,16 @@ class TestActivations:
     def test_zero_maps_to_exact_zero(self):
         zero = np.zeros(4, dtype=np.float32)
         for kind in ACTIVATIONS:
-            out = apply_activation(zero, kind)
+            out = ACTIVATIONS[kind][0](zero)[0]
             assert np.all(out == 0.0), kind
 
     def test_values(self):
         x = np.array([-1.0, 1.0], dtype=np.float32)
-        assert np.allclose(apply_activation(x, "relu"), [0.0, 1.0])
-        assert np.allclose(apply_activation(x, "leaky_relu"), [-0.01, 1.0])
-        assert np.allclose(apply_activation(x, "prelu"), [-0.25, 1.0])
+        assert np.allclose(ACTIVATIONS["relu"][0](x)[0], [0.0, 1.0])
+        assert np.allclose(ACTIVATIONS["leaky_relu"][0](x)[0], [-0.01, 1.0])
+        assert np.allclose(ACTIVATIONS["prelu"][0](x)[0], [-0.25, 1.0])
         # standard normal cdf at 1 is 0.841345
-        assert np.allclose(apply_activation(x, "gelu")[1], 0.841345, atol=1e-5)
+        assert np.allclose(ACTIVATIONS["gelu"][0](x)[0][1], 0.841345, atol=1e-5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
@@ -129,9 +128,24 @@ class TestGeluDeferredErf:
         gelu, gelu_deriv = ACTIVATIONS["gelu"]
         x = np.linspace(-9, 9, 4001).astype(dtype)
         out, saved = gelu(x)
-        assert np.array_equal(apply_activation(x, "gelu"), reference_gelu(x))
         assert np.array_equal(out, reference_gelu(x))
         assert np.array_equal(gelu_deriv(x, saved), reference_gelu_deriv(x))
+
+
+class TestGeluAtInfinities:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_limits_without_warnings(self, dtype):
+        gelu, gelu_deriv = ACTIVATIONS["gelu"]
+        x = np.array([-np.inf, np.inf, -1.0, 0.0, 2.0], dtype=dtype)
+        with np.errstate(all="raise"):
+            out, saved = gelu(x)
+            deriv = gelu_deriv(x, saved)
+        assert out.dtype == deriv.dtype == dtype
+        assert bits(out[:2]) == bits(np.array([0.0, np.inf], dtype=dtype))
+        assert bits(deriv[:2]) == bits(np.array([0.0, 1.0], dtype=dtype))
+        # finite entries keep the direct formula to the bit
+        assert bits(out[2:]) == bits(reference_gelu(x[2:]))
+        assert bits(deriv[2:]) == bits(reference_gelu_deriv(x[2:]))
 
 
 # every finite and infinite edge of both float types: signed zeros, the

@@ -297,6 +297,16 @@ class TestFiniteDifferences:
         y = np.zeros((2, 3), dtype=np.float32)
         assert finite_difference_check(m, x, y) == 0.0
 
+    def test_nan_weight_fails_the_gate(self):
+        # a NaN relative error must reach the result, which fails `<= 1e-3`
+        rng = np.random.default_rng(16)
+        m = mlp([4, 3], 5, loss="mse", seed=17)
+        m.params["L0.weight"].data[1, 2] = np.nan
+        x = rng.standard_normal((4, 5)).astype(np.float32)
+        y = rng.standard_normal((4, 3)).astype(np.float32)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(finite_difference_check(m, x, y, h=1e-3))
+
     def test_step_must_be_positive(self):
         m = mlp([2], 3)
         with pytest.raises(Exception, match="> 0"):

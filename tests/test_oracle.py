@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from zigprune.data import generate_group_lasso
-from zigprune.errors import OracleFailureError
-from zigprune.oracle import bcd_oracle, least_squares_objective, oracle_support
+
+from oracle import OracleFailureError, bcd_oracle, least_squares_objective, oracle_support
 
 
 def make_problem(seed=11, groups=40, size=5, support=10, samples=500, noise=0.01):

@@ -11,12 +11,11 @@ from zigprune.prune import (
     count_flops_params,
     count_params,
     equivalence_check,
-    flops_detail,
     prune,
 )
 from zigprune.zig import partition_zig
 
-from helpers import build_random_model
+from helpers import build_random_model, prune_zeroed_copy
 
 
 def model_from(specs, input_shape, loss=None, seed=0, init="normal:0.5"):
@@ -40,10 +39,10 @@ class TestCounters:
     def test_convbn_flops_formula(self):
         # 4 channels, 2x3x3 patches, 8x8 output: conv part is 4*18*64
         m = model_from(["convbn:4:3x3:s1:p1"], (2, 8, 8))
-        detail = flops_detail(m)[0]
-        assert detail["conv"] == 4 * 18 * 64 == 4608
-        assert detail["bn"] == 4 * 64
-        assert detail["flops"] == 4608 + 256
+        macs = m.layers[0].macs(m.shapes[0])
+        assert type(macs) is int
+        assert macs == 4 * 18 * 64 + 4 * 64 == 4608 + 256  # conv + bn scale
+        assert count_flops_params(m)[0] == macs
 
     def test_residual_counts_both_branches(self):
         m = model_from(["residual:3:1x1"], (2, 4, 4))
@@ -219,7 +218,8 @@ class TestEquivalence:
         x = m.get_flat()
         norms = [np.linalg.norm(x[g.indices]) for g in p.groups]
         victim = int(np.argmax([n if p.groups[i].penalized else -1 for i, n in enumerate(norms)]))
-        slim, _ = prune(m, p, force_zero=[victim])
+        slim = prune_zeroed_copy(m, p, [victim])
+        assert np.array_equal(m.get_flat(), x)  # the victim is still live in the full model
         dev = equivalence_check(m, slim, 100, seed=2)
         assert dev > 1e-3
 

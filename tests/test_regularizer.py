@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from zigprune.errors import ParameterError
+from zigprune.hspg import OptimizerState
 from zigprune.regularizer import (
     group_norm_value,
     group_norms,
@@ -10,6 +11,8 @@ from zigprune.regularizer import (
     subgradient,
 )
 from zigprune.zig import GroupPartition
+
+from helpers import scattered_subgradient
 
 
 def naive_mixed_norm(x, index_lists):
@@ -62,20 +65,28 @@ class TestValue:
 
 class TestSubgradient:
     def test_unit_direction_scaled_by_lambda(self, partition):
-        x = np.array([3.0, 4.0, 0, 0, 0, 0], dtype=np.float32)
-        z = subgradient(x, partition, lam=2.0)
+        x = np.array([3.0, 4.0, 0, 0, 0, 0], dtype=np.float64)  # pen_perm is the identity here
+        z = subgradient(x, partition.pen_sum(x * x), partition, lam=2.0)
+        assert z.dtype == np.float64
         assert np.allclose(z[:2], [1.2, 1.6])
         assert np.all(z[2:] == 0.0)
 
+    def test_gathered_layout(self):
+        # the result follows x[pen_perm]; unpenalized entries are not part of it
+        p = GroupPartition.from_indices(5, [[3, 0], [1], [2, 4]], [True, False, True])
+        x = np.array([4.0, 9.0, 0.0, 3.0, 0.0], dtype=np.float32)
+        xp = x[p.pen_perm].astype(np.float64)
+        assert np.allclose(subgradient(xp, p.pen_sum(xp * xp), p, 1.0), [0.6, 0.8, 0.0, 0.0])
+
     def test_zero_group_contributes_zero(self, partition):
         x = np.zeros(6, dtype=np.float32)
-        assert np.all(subgradient(x, partition, 0.5) == 0.0)
+        assert np.all(scattered_subgradient(x, partition, 0.5) == 0.0)
 
     def test_groupwise_norm_at_most_one(self, partition):
         rng = np.random.default_rng(1)
         for _ in range(50):
             x = rng.standard_normal(6).astype(np.float32)
-            z = subgradient(x, partition, 1.0)
+            z = scattered_subgradient(x, partition, 1.0)
             for idx in ([0, 1], [2, 3], [4, 5]):
                 assert np.linalg.norm(z[idx]) <= 1.0 + 1e-9
 
@@ -87,12 +98,13 @@ class TestSubgradient:
             y = rng.standard_normal(6).astype(np.float32)
             rx = group_norm_value(x, partition)
             ry = group_norm_value(y, partition)
-            zeta = subgradient(x, partition, 1.0).astype(np.float64)
+            zeta = scattered_subgradient(x, partition, 1.0).astype(np.float64)
             assert ry - rx - zeta @ (y.astype(np.float64) - x.astype(np.float64)) >= -1e-6
 
-    def test_negative_lambda_rejected(self, partition):
-        with pytest.raises(ParameterError):
-            subgradient(np.zeros(6, dtype=np.float32), partition, -0.1)
+    def test_negative_lambda_rejected(self):
+        # the optimizer state refuses lam < 0 before any step forms a subgradient
+        with pytest.raises(ParameterError, match="regularization weight must be >= 0"):
+            OptimizerState(x=np.zeros(6, dtype=np.float32), alpha=0.1, lam=-0.1)
 
 
 class TestProx:

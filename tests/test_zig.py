@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+import zigprune.layers as layers_module
 from zigprune.config import build_layers
 from zigprune.errors import InvariantError, UnsupportedStructureError
+from zigprune.layers import Layer
 from zigprune.model import ModelGraph
+from zigprune.tensor import Tensor
 from zigprune.zig import GroupPartition, partition_zig, verify_zero_invariance
 
 from helpers import build_random_model
@@ -47,6 +50,34 @@ class TestGroupCounts:
         assert all(g.size == 5 for g in mha_groups)
         assert [g.out_index for g in mha_groups] == [0, 1, 2, 3, 4, 5]
         assert [g.head for g in mha_groups] == [0, 0, 0, 1, 1, 1]
+
+    def test_units_are_row_r_of_every_trainable_parameter(self):
+        # one rule for every kind: unit r spans row r of each trainable parameter,
+        # in params() order; attention numbers its rows per head
+        m = model_from(["residual:2:1x3", "linear:3", "mha:1,2"], (2, 4, 4))  # 2x4x2 into linear
+        res, lin, mha = m.layers[:3]
+        ck = 2 * 3
+        assert res.units()[1] == (None, 1, [
+            ("b1.kernel", ck, 2 * ck), ("b1.bias", 1, 2), ("b1.gamma", 1, 2), ("b1.beta", 1, 2),
+            ("b2.kernel", ck, 2 * ck), ("b2.bias", 1, 2), ("b2.gamma", 1, 2), ("b2.beta", 1, 2),
+        ])
+        assert lin.units() == [
+            (None, r, [("weight", 16 * r, 16 * (r + 1)), ("bias", r, r + 1)]) for r in range(3)
+        ]
+        assert mha.units() == [
+            (0, 0, [("h0.weight", 0, 3), ("h0.bias", 0, 1)]),
+            (1, 0, [("h1.weight", 0, 3), ("h1.bias", 0, 1)]),
+            (1, 1, [("h1.weight", 3, 6), ("h1.bias", 1, 2)]),
+        ]
+        assert m.layers[3].units() == []  # the loss has no parameters
+
+    def test_units_of_a_zero_width_parameter(self):
+        class Custom(Layer):
+            def params(self):
+                return [("w", Tensor(np.zeros((3, 0))), True), ("b", Tensor(np.zeros(3)), True),
+                        ("s", Tensor(np.ones(3)), False)]
+
+        assert Custom().units() == [(None, r, [("w", 0, 0), ("b", r, r + 1)]) for r in range(3)]
 
     def test_bn_statistics_stay_out_of_groups(self):
         m = model_from(["convbn:3:3x3", "linear:2"], (1, 5, 5))
@@ -123,6 +154,21 @@ class TestZeroInvariance:
         p = partition_zig(m)
         assert verify_zero_invariance(m, p, trials=50, seed=3) == 0.0
 
+    def test_nan_in_a_zeroed_unit_fails_the_gate(self, monkeypatch):
+        # a linear forward that writes NaN into every unit whose row is zero:
+        # the gate must report NaN, which fails `== 0.0`, not drop it
+        original = layers_module.linear_forward
+
+        def poisoned(x, layer):
+            out, cache = original(x, layer)
+            dead = ~np.any(layer.weight.data != 0, axis=1) & (layer.bias.data == 0)
+            out[..., dead] = np.nan
+            return out, cache
+
+        monkeypatch.setattr(layers_module, "linear_forward", poisoned)
+        m = model_from(["linear:4", "relu", "linear:3"], (5,), seed=12)
+        assert np.isnan(verify_zero_invariance(m, partition_zig(m), trials=20, seed=5))
+
     def test_does_not_mutate_the_model(self):
         m = model_from(["linear:3"], (4,), seed=11)
         before = m.get_flat()
@@ -148,4 +194,4 @@ class TestExport:
         x = np.array([3.0, 4.0, 1.0, 0.0, 0.0, 9.0], dtype=np.float32)
         assert np.allclose(p.pen_sqnorms(x), [25.0])
         assert p.n_penalized == 1
-        assert np.array_equal(p.group_values(x, 1), [1.0, 0.0, 0.0])
+        assert np.array_equal(x[p.groups[1].indices], [1.0, 0.0, 0.0])
