@@ -61,6 +61,19 @@ An activation's saved term is whatever its derivative needs besides x: GELU's
 ``erf(x / sqrt 2)``, None for the relu family (see `ACTIVATIONS`). Caching
 changes no arithmetic: the backward reads the very arrays it used to rebuild.
 
+GELU's erf is `_erf`, a NumPy port of cephes `erf` (``ndtr.c``), the
+algorithm behind `scipy.special.erf`, so the package needs NumPy alone and
+GELU gives the bits SciPy's erf gave. Like SciPy's float32 loop, it
+computes in float64 and rounds once. Its erfc branch calls exp, and which
+exp depends on the dtype. NumPy's vectorized float64 exp differs from the C
+library's exp, which cephes calls, in the last bit of some arguments: on an
+AVX-512 x86_64 host with numpy 2.4, 46,420 of 1M uniform x in [1, 6] gave
+another exp(-x^2), and 672 of them another float64 erf. Float64 inputs, the
+finite-difference shadow, therefore take the C library's exp, one
+`math.exp` call per entry. Float32 inputs, every pipeline run, take
+NumPy's exp: rounding to float32 hides each of those differences, which
+`scripts/erf_exhaustive.py` checks on every non-negative float32.
+
 The conv layer fuses batch normalization with the activation applied to the
 convolution output *before* normalization:
 
@@ -75,6 +88,7 @@ zero output channel.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -115,28 +129,102 @@ def _prelu_deriv(x, saved):
     return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(PRELU_SLOPE))
 
 
-def _at_infinities(out, x, at_neg, at_pos):
-    """`out` with its entries at x = -inf / +inf set to the limits `at_neg` / `at_pos`."""
+# cephes `ndtr.c`: erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and
+# erf(x) = 1 - exp(-x^2) P(x) / Q(x) for 1 < x < 8; U and Q are monic
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_libm_exp = np.frompyfunc(math.exp, 1, 1)  # the C library's exp, the one cephes calls
+
+
+def _polevl(x, coefs):
+    """cephes `polevl`: Horner's rule from coefs[0], ``ans = ans * x + c``."""
+    ans = x * coefs[0]
+    ans += coefs[1]
+    for c in coefs[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _p1evl(x, coefs):
+    """cephes `p1evl`: `_polevl` with a leading coefficient 1, so it starts at ``x + coefs[0]``."""
+    ans = x + coefs[0]
+    for c in coefs[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _erf(x):
+    """erf of a float32 or float64 array, to the bit what `scipy.special.erf` returns.
+
+    Both branches run over every entry and `np.where` picks one, so the
+    result keeps x's memory layout. The erfc branch reads |x| clipped to [1, 8]:
+    from |x| = 6 on, 1 - erfc is exactly 1.0, so the clip changes no output
+    and no entry overflows.
+    """
+    x64 = x.astype(np.float64, copy=False)
+    a = np.abs(x64)
+    s = np.minimum(a, 1.0)
+    z = s * s
+    s *= _polevl(z, _ERF_T)
+    s /= _p1evl(z, _ERF_U)
+    b = np.maximum(a, 1.0)
+    np.minimum(b, 8.0, out=b)
+    e = b * b
+    np.negative(e, out=e)
+    e = _libm_exp(e).astype(np.float64) if x.dtype == np.float64 else np.exp(e, out=e)
+    e *= _polevl(b, _ERFC_P)
+    e /= _p1evl(b, _ERFC_Q)
+    np.subtract(1.0, e, out=e)
+    out = np.where(a <= 1.0, s, e)
+    np.copysign(out, x64, out=out)
+    out[np.isnan(x64)] = np.nan  # scipy's positive quiet NaN, whatever the input's sign or payload
+    return out.astype(x.dtype, copy=False)
+
+
+def _at_infinities(formula, x, at_neg, at_pos):
+    """formula() in x's dtype, set to the limits `at_neg` / `at_pos` at x = -inf / +inf.
+
+    GELU's formulas read inf * 0 only there, so finite inputs skip the patch.
+    """
     inf = np.isinf(x)
-    if inf.any():
-        out[inf] = np.where(x[inf] > 0, at_pos, at_neg)
+    if not inf.any():
+        return formula().astype(x.dtype, copy=False)
+    with np.errstate(invalid="ignore"):
+        out = formula().astype(x.dtype, copy=False)
+    out[inf] = np.where(x[inf] > 0, at_pos, at_neg)
     return out
 
 
-# at x = +-inf the formulas read inf * 0; `_at_infinities` writes the limits there
-@np.errstate(invalid="ignore")
 def _gelu(x):
-    from scipy.special import erf  # deferred: only GELU models pay for scipy
-
-    e = erf(x * _INV_SQRT2)
-    return _at_infinities((0.5 * x * (1.0 + e)).astype(x.dtype), x, 0.0, np.inf), e
+    e = _erf(x * _INV_SQRT2)
+    return _at_infinities(lambda: 0.5 * x * (1.0 + e), x, 0.0, np.inf), e
 
 
-@np.errstate(invalid="ignore")
 def _gelu_deriv(x, e):
-    cdf = 0.5 * (1.0 + e)
-    pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-    return _at_infinities((cdf + x * pdf).astype(x.dtype), x, 0.0, 1.0)
+    def formula():
+        cdf = 0.5 * (1.0 + e)
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        return cdf + x * pdf
+
+    return _at_infinities(formula, x, 0.0, 1.0)
 
 
 # kind -> (forward, derivative): forward(x) returns (a(x), saved), where
@@ -565,9 +653,9 @@ def _affine(x64: np.ndarray, layer: Linear, dtype):
 def _affine_backward(d: np.ndarray, x64: np.ndarray, w64t: np.ndarray, need_dx: bool):
     """(dx or None, dweight, dbias) of `_affine` for the (batch, m) output gradient `d`."""
     dtype = d.dtype
-    d64 = _up64(d)  # shared by both products
+    d64 = _up64(d)  # shared by both products and the bias sum
     dw = _matmul64(d64.T, x64, dtype)
-    db = d.sum(axis=0, dtype=np.float64).astype(dtype)
+    db = d64.sum(axis=0).astype(dtype)
     return (_matmul64(d64, w64t.T, dtype) if need_dx else None), dw, db
 
 
@@ -730,9 +818,9 @@ def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache, need_dx=True):
 
     b, m = dpre.shape[0], layer.out_channels
     dpre2 = dpre.transpose(0, 2, 3, 1).reshape(-1, m)
-    db = dpre2.sum(axis=0, dtype=np.float64).astype(dtype)
+    d64 = _up64(dpre2)  # shared by both products and the bias sum
+    db = d64.sum(axis=0).astype(dtype)
     cols2 = cols.reshape(-1, cols.shape[-1])
-    d64 = _up64(dpre2)  # shared by both products
     dk = _matmul64(d64.T, cols2, dtype)
     grads = {"kernel": dk, "bias": db, "gamma": dgamma, "beta": dbeta}
     if not need_dx:

@@ -93,7 +93,7 @@ class TestActivations:
 
 
 class TestGeluDeferredErf:
-    """scipy loads on GELU's first call; the function must stay the same to the bit."""
+    """GELU reads the NumPy port of cephes erf; it must equal SciPy's erf formula to the bit."""
 
     @staticmethod
     def outputs_and_grads(dtype):
@@ -146,6 +146,69 @@ class TestGeluAtInfinities:
         # finite entries keep the direct formula to the bit
         assert bits(out[2:]) == bits(reference_gelu(x[2:]))
         assert bits(deriv[2:]) == bits(reference_gelu_deriv(x[2:]))
+
+
+def _float32_range(lo, hi, step=1):
+    """Every `step`-th float32 from `lo` to `hi`, both included when step is 1."""
+    first, last = np.array([lo, hi], dtype=np.float32).view(np.uint32)
+    return np.arange(first, last + 1, step, dtype=np.uint32).view(np.float32)
+
+
+class TestErfPort:
+    """`layers._erf` against `scipy.special.erf`, bit for bit.
+
+    `scripts/erf_exhaustive.py` checks every non-negative float32; these
+    cover each branch and both dtypes in tier-1 time.
+    """
+
+    @staticmethod
+    def assert_matches_scipy(x):
+        from scipy.special import erf
+
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            got = layers_module._erf(x)
+        ref = erf(x)
+        assert got.dtype == ref.dtype == x.dtype
+        assert got.strides == ref.strides
+        uint = np.uint32 if x.dtype == np.float32 else np.uint64
+        differ = np.ascontiguousarray(got).view(uint) != np.ascontiguousarray(ref).view(uint)
+        assert not differ.any(), f"{differ.sum()} differ, the first at x = {x.ravel()[differ.argmax()]!r}"
+
+    def test_every_float32_of_the_exp_branch(self):
+        # the erfc branch runs past 1, and from 6 on its 1 - erfc is exactly 1.0
+        x = _float32_range(1.0, 6.0)
+        assert x.size == 20_971_521
+        for chunk in np.array_split(x, 16):
+            self.assert_matches_scipy(chunk)
+
+    def test_float32_small_branch_strided(self):
+        x = _float32_range(0.0, 1.0, step=509)  # subnormals to 1, about 2.1M values
+        self.assert_matches_scipy(np.concatenate([x, -x]))
+
+    def test_seeded_float64(self):
+        rng = np.random.default_rng(13)
+        x = np.concatenate([
+            rng.standard_normal(400_000) * 3,
+            rng.uniform(-7.0, 7.0, 400_000),
+            rng.standard_normal(200_000) * 10.0 ** rng.integers(-30, 30, 200_000),
+        ])
+        self.assert_matches_scipy(x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edges_and_nans(self, dtype):
+        # just past 1; 6, from where erf is 1.0; 8, where cephes changes erfc
+        # polynomials; either side of its erfc underflow at 26.6
+        ends = np.array([np.nextafter(dtype(1), dtype(2)), 6.0, 8.0, 26.0, 27.0], dtype=dtype)
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        nans = np.array([np.nan, -np.nan], dtype=dtype)
+        payload = (nans[:1].view(uint) + 1).view(dtype)  # a quiet NaN with a payload
+        self.assert_matches_scipy(np.concatenate([_edge_values(dtype), ends, -ends, nans, payload]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_the_input_layout(self, dtype):
+        x = 3 * np.random.default_rng(2).standard_normal((3, 4, 5, 6)).astype(dtype)
+        self.assert_matches_scipy(x.transpose(0, 3, 1, 2))
+        self.assert_matches_scipy(x[:, ::2, :, 1:4])
 
 
 # every finite and infinite edge of both float types: signed zeros, the
