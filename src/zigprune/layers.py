@@ -39,9 +39,20 @@ data, but it must not change any accumulation order or precision, so every
 artifact of a run stays byte-identical across such changes. That covers the
 memory layout of arrays that reach a reduction too: numpy sums a (B, C, H, W)
 array in an order that follows its strides, so `_col2im` hands back the same
-layout the strided-add version did. Conv patches are built once in float64
-(`_im2col` of the upcast input), the precision both conv products read them
-in, so no pass upcasts them again; an upcast is exact, so this changes no bit.
+layout the strided-add version did. Conv patches are built once in float64,
+the precision both conv products read them in, so no pass upcasts them
+again; `_im2col` upcasts the input as it copies it into its zero-padded
+buffer, in one pass. An upcast is exact, so this changes no bit.
+
+A forward that records nothing (every evaluation) runs each conv layer,
+residual blocks included, over blocks of samples: each block holds about
+`_PATCH_BYTES` (1 MiB) of float64 patches but at least `_MIN_ROWS` (1,024)
+GEMM rows, and writes into one preallocated output. So evaluation memory is
+bounded by the block, not by the batch. The row floor is there because
+BLAS picks its kernel by problem size: with it, every block product measured
+gave each row the bits of the unsplit product. A recording forward stays
+one call: its patches are the record the backward reads. Blocks only re-slice the samples; the conv math is the
+same module function either way.
 
 A backward reads the operands and intermediates its forward made; it never
 recomputes them. Each kind's cache holds:
@@ -277,8 +288,12 @@ class Layer:
         """Output sample shape for an input sample shape; raises InvalidModelError."""
         return shape
 
-    def forward(self, x: np.ndarray):
-        """(out, cache) for a batch."""
+    def forward(self, x: np.ndarray, record: bool = True):
+        """(out, cache) for a batch.
+
+        `record` is False when no tape keeps the cache: a conv kind then runs
+        over blocks of samples (`_by_sample_blocks`) and may return None.
+        """
         return x, None
 
     def backward(self, dout: np.ndarray, cache):
@@ -362,7 +377,7 @@ class Linear(Layer):
         _check_in_extent(shape[0], self.in_features)
         return (self.out_features,)
 
-    def forward(self, x):
+    def forward(self, x, record=True):
         return linear_forward(x, self)
 
     def backward(self, dout, cache, need_dx=True):
@@ -440,8 +455,8 @@ class ConvBN(Layer):
             raise InvalidModelError(f"empty conv output for input {shape}")
         return (self.out_channels, oh, ow)
 
-    def forward(self, x):
-        return conv_bn_forward(x, self)
+    def forward(self, x, record=True):
+        return _by_sample_blocks(conv_bn_forward, x, self, (self,), record)
 
     def backward(self, dout, cache, need_dx=True):
         return conv_bn_backward(dout, self, cache, need_dx)
@@ -493,8 +508,14 @@ class ResidualBlock(Layer):
             raise InvalidModelError(f"residual branch outputs disagree: {s1} vs {s2}")
         return s1
 
-    def forward(self, x):
-        return residual_forward(x, self)
+    @property
+    def shares_patches(self):
+        """Both branches read x: one im2col serves both when their windows agree."""
+        return self.branch1.geometry == self.branch2.geometry
+
+    def forward(self, x, record=True):
+        convs = (self.branch1,) if self.shares_patches else (self.branch1, self.branch2)
+        return _by_sample_blocks(residual_forward, x, self, convs, record)
 
     def backward(self, dout, cache, need_dx=True):
         return residual_backward(dout, self, cache, need_dx)
@@ -555,7 +576,7 @@ class MultiHeadAttention(Layer):
         _check_in_extent(shape[0], self.in_features)
         return (self.out_features,)
 
-    def forward(self, x):
+    def forward(self, x, record=True):
         return attention_forward(x, self)
 
     def backward(self, dout, cache, need_dx=True):
@@ -599,7 +620,7 @@ class Activation(Layer):
         if self.kind not in ACTIVATIONS:
             raise ParameterError(f"unknown activation kind {self.kind!r}")
 
-    def forward(self, x):
+    def forward(self, x, record=True):
         return activation_forward(x, self)
 
     def backward(self, dout, cache):
@@ -714,6 +735,13 @@ def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache, need_
 # ---------------------------------------------------------------------------
 # conv + bn
 
+# A forward that records nothing runs a conv layer over blocks of samples of
+# about _PATCH_BYTES of float64 patches, but of at least _MIN_ROWS GEMM rows:
+# OpenBLAS picks its dgemm kernel by problem size, and with OpenBLAS 0.3.31
+# blocks of 512 rows or more gave every row the bits of the unsplit product
+_PATCH_BYTES = 1 << 20
+_MIN_ROWS = 1024
+
 
 @functools.lru_cache(maxsize=256)
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
@@ -736,11 +764,15 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """(B, C, H, W) -> (B, oh, ow, C*kh*kw) patches, channel-major rows."""
+    """(B, C, H, W) -> (B, oh, ow, C*kh*kw) float64 patches, channel-major rows.
+
+    x is upcast as it is copied into the zero-padded buffer, one pass in
+    whatever layout x has; the upcast is exact.
+    """
     b, c, h, w = x.shape
     idx, oh, ow = _im2col_index(c, h, w, kh, kw, stride, padding)
-    flat = np.zeros((b, c * h * w + 1), dtype=x.dtype)  # last column: the padding sentinel
-    flat[:, :-1] = x.reshape(b, c * h * w)
+    flat = np.zeros((b, c * h * w + 1), dtype=np.float64)  # last column: the padding sentinel
+    flat[:, :-1].reshape(b, c, h, w)[...] = x  # the reshape of the row slice is a view
     return np.take(flat, idx, axis=1).reshape(b, oh, ow, c * kh * kw)
 
 
@@ -765,6 +797,44 @@ def conv_output_hw(h: int, w: int, layer: ConvBN) -> tuple[int, int]:
     oh = (h + 2 * layer.padding - layer.kh) // layer.stride + 1
     ow = (w + 2 * layer.padding - layer.kw) // layer.stride + 1
     return oh, ow
+
+
+def _sample_blocks(batch: int, rows: int, row_bytes: int) -> list[int]:
+    """Bounds of the sample blocks `_by_sample_blocks` runs, from 0 to `batch`.
+
+    Each sample makes `rows` patch rows of `row_bytes` bytes. The blocks split
+    the batch evenly, aim at `_PATCH_BYTES` of patches each, and hold at least
+    `_MIN_ROWS` rows, so a batch below that floor stays one block.
+    """
+    floor = -(-_MIN_ROWS // max(rows, 1))  # the fewest samples with _MIN_ROWS rows
+    per = max(floor, _PATCH_BYTES // max(rows * row_bytes, 1))
+    n = max(1, min(-(-batch // per), batch // floor))
+    return [batch * i // n for i in range(n + 1)]
+
+
+def _by_sample_blocks(forward, x: np.ndarray, layer: Layer, convs, record: bool):
+    """``forward(x, layer)``, run over blocks of samples when nothing records.
+
+    `convs` are the `ConvBN` layers whose float64 patches one call holds at
+    once. A recording forward stays one call: its patches are the record the
+    backward reads. Otherwise every block's output is written into one
+    channels-last array, whose (B, C, H, W) transpose has the layout one call
+    returns, and the cache is None.
+    """
+    if record or x.ndim != 4:
+        return forward(x, layer)
+    oh, ow = conv_output_hw(x.shape[2], x.shape[3], convs[0])
+    row_bytes = 8 * sum(conv.kernel.data.shape[1] for conv in convs)  # float64 patch columns
+    bounds = _sample_blocks(len(x), oh * ow, row_bytes)
+    if len(bounds) == 2:
+        return forward(x, layer)
+    out = None
+    for start, stop in zip(bounds, bounds[1:]):
+        y = forward(x[start:stop], layer)[0].transpose(0, 2, 3, 1)
+        if out is None:
+            out = np.empty((len(x), *y.shape[1:]), dtype=y.dtype)
+        out[start:stop] = y
+    return out.transpose(0, 3, 1, 2), None
 
 
 def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None):
@@ -792,16 +862,19 @@ def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None
     dtype = x.dtype
     k64t = _up64(_param(layer.kernel, dtype).T)  # F-contiguous, as in `_affine`
     if cols is None:
-        cols = _im2col(_up64(x), layer.kh, layer.kw, layer.stride, layer.padding)
-    pre = _matmul64(cols.reshape(-1, k64t.shape[0]), k64t, dtype) + _param(layer.bias, dtype)
+        cols = _im2col(x, layer.kh, layer.kw, layer.stride, layer.padding)
+    pre = _matmul64(cols.reshape(-1, k64t.shape[0]), k64t, dtype)  # a fresh array
+    pre += _param(layer.bias, dtype)
     pre = pre.reshape(x.shape[0], oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
     act, saved = ACTIVATIONS[layer.activation][0](pre)
     mean = _param(layer.mean, dtype)[None, :, None, None]
     std = _param(layer.std, dtype)[None, :, None, None]
     gamma = _param(layer.gamma, dtype)[None, :, None, None]
     beta = _param(layer.beta, dtype)[None, :, None, None]
-    xhat = (act - mean) / std
-    out = xhat * gamma + beta
+    xhat = act - mean
+    xhat /= std
+    out = xhat * gamma
+    out += beta
     return out, (x.shape, cols, pre, xhat, saved, k64t)
 
 
@@ -831,8 +904,7 @@ def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache, need_dx=True):
 
 def residual_forward(x: np.ndarray, layer: ResidualBlock):
     out1, cache1 = conv_bn_forward(x, layer.branch1)
-    # both branches read x: one im2col serves both when their windows agree
-    shared = cache1[1] if layer.branch1.geometry == layer.branch2.geometry else None
+    shared = cache1[1] if layer.shares_patches else None
     out2, cache2 = conv_bn_forward(x, layer.branch2, shared)
     if out1.shape != out2.shape:
         raise ShapeError(

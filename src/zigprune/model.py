@@ -13,6 +13,8 @@ and records nothing; the zero-invariance checker reads it. `predict` runs
 the same layer loop over `EVAL_CHUNK`-sample chunks and records nothing;
 every evaluation (the per-epoch full-data loss, accuracy, the equivalence
 check) uses it, so its memory is bounded by the chunk, not by the dataset.
+The loop tells each layer whether a tape records; when none does, a conv
+layer runs over blocks of samples, which bounds its patches by the block.
 
 Parameter arrays live in a registry keyed by stable ids (``L3.kernel``,
 ``L5.b1.gamma``, ``L7.h0.weight``); the flattened view used by the
@@ -160,7 +162,7 @@ class ModelGraph:
                 pre_flatten = x.shape
                 x = x.reshape(x.shape[0], _flat_size(x.shape[1:]))
             try:
-                x, cache = layer.forward(x)
+                x, cache = layer.forward(x, tape is not None)
                 if isinstance(layer, L.Loss) and targets is not None:
                     loss, dloss = L.loss_forward(x, targets, layer.kind)
             except (ShapeError, ParameterError) as exc:
@@ -190,11 +192,17 @@ class ModelGraph:
 
         Runs the layers over `EVAL_CHUNK`-sample chunks and records nothing,
         so its memory is bounded by the chunk, not by the number of inputs,
-        and the record of the last forward() stays as it was. Each sample's
+        and the record of the last forward() stays as it was. Within a chunk
+        each conv layer runs over smaller blocks of samples (see `layers`),
+        which bounds its float64 patches by the block. Each sample's
         arithmetic is the same as in one pass, but BLAS picks its kernel by
         problem size, so a float64 product may differ in its last bits. A
-        float32 layer output hides such a difference unless it straddles a
-        float32 rounding boundary, which no seeded comparison has met.
+        conv block therefore keeps at least `layers._MIN_ROWS` GEMM rows,
+        twice the size from which OpenBLAS 0.3.31 gave every row the unsplit
+        product's bits; a chunk smaller than `EVAL_CHUNK` can still change a
+        linear layer's kernel. A float32 layer output hides such a
+        difference unless it straddles a float32 rounding boundary, which no
+        seeded comparison has met.
         """
         x = self._input(inputs)
         starts = range(0, max(len(x), 1), EVAL_CHUNK)  # an empty batch runs once

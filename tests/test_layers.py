@@ -574,10 +574,14 @@ class TestBitExactConvPath:
         rng = np.random.default_rng(13)
         for shape in ((2, 3, 5, 7), (1, 2, 9, 3)):
             x = rng.standard_normal(shape).astype(dtype)
-            cols = _im2col(x, kh, kw, stride, padding)
+            # a conv output: (B, C, H, W) strides over channels-last memory
+            x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
             ref = im2col_reference(x, kh, kw, stride, padding)
-            assert cols.dtype == ref.dtype
-            assert np.array_equal(cols, ref)
+            for inp in (x, x_cl):
+                cols = _im2col(inp, kh, kw, stride, padding)
+                # the patches are float64 whatever the input dtype: the upcast is exact
+                assert cols.dtype == np.float64
+                assert np.array_equal(cols, ref)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("kh, kw, stride, padding", GEOMETRIES)

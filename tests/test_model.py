@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from zigprune.config import build_layers
 from zigprune.errors import FormatError, InvalidModelError, ShapeError, StateError
-from zigprune.layers import Activation, Linear, Loss
+from zigprune.layers import _MIN_ROWS, _PATCH_BYTES, Activation, Linear, Loss, _sample_blocks
 from zigprune.model import EVAL_CHUNK, ModelGraph, finite_difference_check, infer_shapes
 from zigprune.tensor import Tensor, load_arrays, save_arrays
 
@@ -266,6 +267,102 @@ class TestPredict:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0]
+
+
+MNIST_SHAPE = (1, 28, 28)
+
+
+def mnist_conv_model():
+    specs = ["convbn:8:3x3:s1:p1:relu", "residual:8:3x3:s1:p1:gelu", "linear:3"]
+    return ModelGraph(build_layers(specs, MNIST_SHAPE, "softmax_ce", "normal:0.5", 0), MNIST_SHAPE)
+
+
+class TestSampleBlocks:
+    """A forward that records nothing runs conv layers over blocks of samples."""
+
+    @pytest.mark.parametrize(
+        "dtype, n", [(np.float32, n) for n in (0, 1, 256, 300)] + [(np.float64, n) for n in (0, 1, 256)]
+    )
+    def test_predict_equals_forward_bitwise(self, dtype, n):
+        m = mnist_conv_model()
+        x = np.random.default_rng(n).standard_normal((n, *MNIST_SHAPE)).astype(dtype)
+        out = m.predict(x)
+        ref, _ = m.forward(x)
+        assert out.dtype == ref.dtype == dtype
+        assert out.shape == ref.shape == (n, 3)
+        assert np.array_equal(out, ref)
+
+    def test_float64_remainder_chunk_agrees_to_rounding(self):
+        # the 44-sample remainder chunk changes the linear layer's dgemm kernel
+        m = mnist_conv_model()
+        x = np.random.default_rng(300).standard_normal((300, *MNIST_SHAPE))
+        out = m.predict(x)
+        ref, _ = m.forward(x)
+        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_layer_outputs_equal_the_recording_pass(self):
+        m = mnist_conv_model()
+        x = np.random.default_rng(4).standard_normal((EVAL_CHUNK, *MNIST_SHAPE)).astype(np.float32)
+        outputs = m.layer_outputs(x)
+        recorded = []
+        m._run(m._input(x), tape=[], outputs=recorded)
+        assert len(outputs) == len(recorded) == len(m.layers)
+        for out, ref in zip(outputs, recorded):
+            assert out.dtype == ref.dtype
+            assert out.strides == ref.strides  # the layout one call returns
+            assert np.array_equal(out, ref)
+
+    def test_recording_forward_is_one_call_per_conv(self, monkeypatch):
+        import zigprune.layers as layers_module
+
+        batches = []
+        original = layers_module.conv_bn_forward
+
+        def counted(x, layer, cols=None):
+            batches.append(len(x))
+            return original(x, layer, cols)
+
+        monkeypatch.setattr(layers_module, "conv_bn_forward", counted)
+        m = mnist_conv_model()
+        x = np.random.default_rng(5).standard_normal((EVAL_CHUNK, *MNIST_SHAPE)).astype(np.float32)
+        m.forward(x)
+        assert batches == [EVAL_CHUNK] * 3  # the conv layer and both residual branches
+        batches.clear()
+        m.predict(x)
+        assert len(batches) > 3 and sum(batches) == 3 * EVAL_CHUNK
+
+    @pytest.mark.parametrize("batch", [0, 1, 2, 3, 7, 64, 255, 256, 300, 1024])
+    def test_split_keeps_the_row_floor_and_covers_every_sample(self, batch):
+        for rows, row_bytes in itertools.product([1, 4, 16, 64, 100, 784, 1500, 5000],
+                                                 [8, 72, 576, 1152, 4608]):
+            bounds = _sample_blocks(batch, rows, row_bytes)
+            assert bounds[0] == 0 and bounds[-1] == batch
+            sizes = np.diff(bounds)
+            if batch == 0:
+                assert list(sizes) == [0]
+                continue
+            assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1  # an even split
+            if batch * rows < _MIN_ROWS:
+                assert len(sizes) == 1  # a product below the floor stays one call
+            else:
+                assert sizes.min() * rows >= _MIN_ROWS
+            floor = -(-_MIN_ROWS // rows)  # the fewest samples with _MIN_ROWS rows
+            for size in sizes:
+                # a block above the patch budget could not be split into two above the floor
+                assert size * rows * row_bytes <= _PATCH_BYTES or size < 2 * floor
+
+    def test_mnist_shape_evaluation_memory(self):
+        # one chunk's 16-channel float64 patches alone were 231 MB before blocks
+        specs = ["convbn:16:3x3:s1:p1:relu", "residual:16:3x3:s1:p1:relu", "linear:10"]
+        m = ModelGraph(build_layers(specs, MNIST_SHAPE, "softmax_ce", "normal:0.1", 0), MNIST_SHAPE)
+        x = np.random.default_rng(6).standard_normal((EVAL_CHUNK, *MNIST_SHAPE)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            m.predict(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
 
 class TestFiniteDifferences:
