@@ -17,7 +17,11 @@ script exits 1 unless they write the same bytes as `run`.
 
 Each workload runs at seeds 7 and 11. mlp_blobs runs the checked-in config;
 cnn_idx and attn_prox run at the benchmark's smoke size unless `--full` is
-given. BLAS runs one thread unless the environment already says otherwise.
+given. Two more workloads are mlp_blobs with one optimizer key changed,
+written here because no benchmark workload reaches their code:
+mlp_blobs_eps (`optimizer.epsilon = 0.5`, the half-space test with
+epsilon > 0) and mlp_blobs_sgd (`optimizer.kind = sgd`, the plain step).
+BLAS runs one thread unless the environment already says otherwise.
 """
 
 from __future__ import annotations
@@ -31,7 +35,12 @@ import sys
 import tempfile
 
 ARTIFACTS = ("partition.txt", "metrics.jsonl", "full.ckpt", "slim.ckpt", "report.jsonl")
-WORKLOADS = ("mlp_blobs", "cnn_idx", "attn_prox")
+# workloads outside the benchmark: (the benchmark workload each starts from, the keys it replaces)
+VARIANTS = {
+    "mlp_blobs_eps": ("mlp_blobs", {"optimizer.epsilon": "0.5"}),
+    "mlp_blobs_sgd": ("mlp_blobs", {"optimizer.kind": "sgd"}),
+}
+WORKLOADS = ("mlp_blobs", "cnn_idx", "attn_prox", *VARIANTS)
 SEEDS = (7, 11)
 STAGES = ("partition", "train", "prune", "verify", "flops")
 
@@ -41,13 +50,27 @@ def _sha256(path: str) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _rewrite_config(src: str, dst: str, values: dict[str, str]):
+    """Write config `src` to `dst` with the value of every key in `values` replaced."""
+    with open(src) as fh:
+        lines = fh.read().splitlines()
+    missing = set(values)
+    for i, line in enumerate(lines):
+        key = line.split("=", 1)[0].strip()
+        if key in values:
+            lines[i] = f"{key} = {values[key]}"
+            missing.discard(key)
+    if missing:
+        raise KeyError(f"{src} sets no {', '.join(sorted(missing))}")
+    with open(dst, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def _run_stages(root: str, config: str, seed: int, out_dir: str) -> str | None:
     """Run the single-stage commands into `out_dir`; returns the first mismatch, if any."""
     staged_dir = out_dir + "-staged"
     staged = config + ".staged"
-    with open(config) as src, open(staged, "w") as dst:
-        for line in src:
-            dst.write(f"output.dir = {staged_dir}\n" if line.startswith("output.dir") else line)
+    _rewrite_config(config, staged, {"output.dir": staged_dir})
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (os.path.join(root, "src"), os.environ.get("PYTHONPATH")) if p))
     for stage in STAGES:
@@ -77,8 +100,10 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="artifact_hashes_") as tmp:
         for name in WORKLOADS:
             for seed in SEEDS:
-                smoke = name != "mlp_blobs" and not args.full
-                inputs = write_inputs(name, seed, os.path.join(tmp, f"{name}-{seed}"), root, smoke=smoke)
+                base, values = VARIANTS.get(name, (name, {}))
+                smoke = base != "mlp_blobs" and not args.full
+                inputs = write_inputs(base, seed, os.path.join(tmp, f"{name}-{seed}"), root, smoke=smoke)
+                _rewrite_config(inputs.config, inputs.config, values)
                 with contextlib.redirect_stdout(sys.stderr):  # keep stdout to the hashes
                     status = zigprune_main(["run", "--config", inputs.config, "--seed", str(seed)])
                 if status != 0:

@@ -34,8 +34,7 @@ def main() -> int:
 
     for start in range(0, 1 << 31, CHUNK):
         x = np.arange(start, start + CHUNK, dtype=np.uint32).view(np.float32)
-        with np.errstate(invalid="ignore"):  # NumPy's float64 cast of a signaling NaN flags it
-            got = _erf(x)
+        got = _erf(x)
         differ = got.view(np.uint32) != erf(x).view(np.uint32)
         if differ.any():
             first = x[differ.argmax()]

@@ -17,16 +17,19 @@ Zeroing a group this way is only possible when the step direction makes
 projection event.
 
 Both stages run one step path. `hspg_step` takes the loss gradient and
-forms nu itself: it gathers the penalized entries of x and of the gradient
-once, computes their group squared norms once for the subgradient and, from
-`switch_iteration` on, for the frozen test, the half-space test and the
-descent check, and scatters the new iterate once. The projection exists
-only there. Every optimizer steps through `_descend`: x - alpha * d in
-float64, rounded to float32.
+forms nu itself. It gathers x and the gradient once each in the partition's
+`order` (the penalized entries group by group, then the free ones), so the
+penalized entries are a leading slice. Over that one vector it adds the
+subgradient (+0.0 on the free entries), checks finiteness and steps once;
+the group squared norms, computed once on the slice, serve the subgradient
+and, from `switch_iteration` on, the frozen test, the half-space test and
+the descent check. One `take(inverse)` puts the new iterate back in flat
+order. The projection exists only there. Every optimizer steps through
+`_descend`: x - alpha * d in float64, rounded to float32.
 
 Prox-SG replaces the projection with the group soft-threshold of radius
 alpha*lam around the gradient step, which is the mechanism whose zero region
-vanishes for small steps.
+vanishes for small steps; `group_prox` works in the same order.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class OptimizerState:
 
 
 def _check_finite(vec: np.ndarray, k: int, what: str):
-    if not np.all(np.isfinite(vec)):
+    if not np.isfinite(vec).all():
         raise NumericalFailureError(
             f"non-finite {what} entries at iteration {k}", iteration=k
         )
@@ -99,40 +102,42 @@ def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition
     squared norm is 0.0, which for float32 entries is exactly when all of
     them are zero.
     """
-    k, alpha, x = state.k, state.alpha, state.x
-    perm, free = partition.pen_perm, partition.free_perm
-    xp = x[perm].astype(np.float64)
+    k, alpha = state.k, state.alpha
+    n_pen, sizes = partition.pen_perm.size, partition.pen_sizes
+    x64 = state.x.take(partition.order).astype(np.float64)
+    xp = x64[:n_pen]
     sq = partition.pen_sum(xp * xp)
-    sub = subgradient(xp, sq, partition, state.lam).astype(np.float32) if state.lam else 0.0
-    nu_p = grad[perm] + sub
-    nu_f = grad[free] + 0.0
-    for part in (nu_p, nu_f):
-        _check_finite(part, k, "subgradient")
-    nu64 = nu_p.astype(np.float64)
-    trial_p = _descend(xp, alpha, nu64)
+    nu = grad.take(partition.order)
+    if state.lam:
+        shift = np.zeros(nu.size, dtype=np.float32)  # +0.0 on the free entries
+        shift[:n_pen] = subgradient(xp, sq, partition, state.lam)  # rounds to float32
+        nu += shift
+    else:
+        nu += 0.0
+    _check_finite(nu, k, "subgradient")
+    nu64 = nu.astype(np.float64)
+    trial = _descend(x64, alpha, nu64)
     zeroed = np.empty(0, dtype=np.int64)
     half_space = k >= state.switch_iteration
     if half_space:
+        trial_p = trial[:n_pen]
         frozen = sq == 0.0  # groups already zero stay zero
         if frozen.any():
-            trial_p[np.repeat(frozen, partition.pen_sizes)] = 0.0
+            trial_p[np.repeat(frozen, sizes)] = 0.0
         kill = (partition.pen_sum(trial_p.astype(np.float64) * xp) < state.epsilon * sq) & ~frozen
         zeroed = partition.pen_gids[kill]
         if zeroed.size:
             # zeroing is legitimate only when -x_g is a descent direction
             needed = (1.0 - state.epsilon) * sq / alpha
-            bad = kill & ~(partition.pen_sum(xp * nu64) > needed)
+            bad = kill & ~(partition.pen_sum(xp * nu64[:n_pen]) > needed)
             if bad.any():
                 gid = int(partition.pen_gids[np.argmax(bad)])
                 raise InvariantError(
                     f"projection of group {gid} at iteration {k} does not satisfy "
                     f"the descent inequality"
                 )
-            trial_p[np.repeat(kill, partition.pen_sizes)] = 0.0
-    trial = np.empty_like(x)
-    trial[free] = _descend(x[free], alpha, nu_f)
-    trial[perm] = trial_p
-    state.x = trial
+            trial_p[np.repeat(kill, sizes)] = 0.0
+    state.x = trial.take(partition.inverse)
     info = {"k": k, "stage": "half_space" if half_space else "subgradient", "zeroed": zeroed}
     _advance(state)
     return info

@@ -190,7 +190,11 @@ def _erf(x):
     from |x| = 6 on, 1 - erfc is exactly 1.0, so the clip changes no output
     and no entry overflows.
     """
-    x64 = x.astype(np.float64, copy=False)
+    if x.dtype == np.float64:
+        x64 = x
+    else:
+        with np.errstate(invalid="ignore"):  # the cast flags a signaling NaN; scipy's erf does not
+            x64 = x.astype(np.float64)
     a = np.abs(x64)
     s = np.minimum(a, 1.0)
     z = s * s
@@ -668,7 +672,9 @@ def _affine(x64: np.ndarray, layer: Linear, dtype):
     picks its kernel by layout, so the backward's dx product reads the same.
     """
     w64t = _up64(_param(layer.weight, dtype).T)
-    return _matmul64(x64, w64t, dtype) + _param(layer.bias, dtype), w64t
+    out = _matmul64(x64, w64t, dtype)  # a fresh array
+    out += _param(layer.bias, dtype)
+    return out, w64t
 
 
 def _affine_backward(d: np.ndarray, x64: np.ndarray, w64t: np.ndarray, need_dx: bool):
@@ -966,13 +972,13 @@ def loss_forward(out: np.ndarray, targets: np.ndarray, kind: str):
         y = np.asarray(targets)
         if y.shape != (batch,):
             raise ShapeError(f"class targets must have shape ({batch},); got {y.shape}")
-        rows, y = np.arange(batch), y.astype(np.int64)
         shifted = out.astype(np.float64) - out.max(axis=1, keepdims=True)
+        target = np.arange(0, out.size, out.shape[1]) + y.astype(np.int64)  # flat indices
         expv = np.exp(shifted)
         total = expv.sum(axis=1, keepdims=True)
-        loss = float(-(shifted[rows, y] - np.log(total[:, 0])).mean())  # the target log-probs
+        loss = float(-(shifted.take(target) - np.log(total[:, 0])).mean())  # the target log-probs
         expv /= total  # the probabilities, in place
-        expv[rows, y] -= 1.0
+        expv.put(target, expv.take(target) - 1.0)
         expv /= batch
         return loss, expv.astype(out.dtype)
     if kind == "mse":

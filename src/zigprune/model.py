@@ -103,6 +103,11 @@ class ModelGraph:
             self._flat[start:pos] = tensor.data.ravel()
             tensor.data = self._flat[start:pos].reshape(shape)
             tensor.grad = self._flat_grad[start:pos].reshape(shape)
+        # per layer, parameter name -> (id, gradient view): what backward writes through
+        self._grad_slots = [
+            {name: (f"L{i}.{name}", t.grad) for name, t, trainable in layer.params() if trainable}
+            for i, layer in enumerate(self.layers)
+        ]
         self._tape = None
         self._dloss = None
 
@@ -233,9 +238,10 @@ class ModelGraph:
                 d, g = layer.backward(d, cache, need_dx=False)
             else:
                 d, g = layer.backward(d, cache)
+            slots = self._grad_slots[i]
             for name, grad in g.items():
-                key = f"L{i}.{name}"
-                self.params[key].grad[...] = grad
+                key, view = slots[name]
+                np.copyto(view, grad)
                 grads[key] = grad
             if pre_flatten is not None and d is not None:
                 d = d.reshape(pre_flatten)

@@ -44,8 +44,7 @@ def subgradient(xp: np.ndarray, sqnorms: np.ndarray, partition: GroupPartition, 
     """
     norms = np.sqrt(sqnorms)
     scale = np.zeros_like(norms)
-    nz = norms > 0.0
-    scale[nz] = lam / norms[nz]
+    np.divide(lam, norms, out=scale, where=norms > 0.0)
     return xp * np.repeat(scale, partition.pen_sizes)
 
 
@@ -57,18 +56,19 @@ def group_prox(v: np.ndarray, partition: GroupPartition, tau: float) -> np.ndarr
     """
     if tau < 0:
         raise ParameterError(f"prox threshold must be >= 0, got {tau}")
-    out = v.copy()
     if partition.pen_perm.size == 0 or tau == 0.0:
-        return out
-    vp = v[partition.pen_perm].astype(np.float64)
+        return v.copy()
+    n_pen, sizes = partition.pen_perm.size, partition.pen_sizes
+    out = v.take(partition.order)  # penalized entries first, as in `hspg_step`
+    vp = out[:n_pen].astype(np.float64)
     norms = np.sqrt(partition.pen_sum(vp * vp))
     keep = norms > tau
     factor = np.zeros_like(norms)
     factor[keep] = 1.0 - tau / norms[keep]
-    shrunk = (vp * np.repeat(factor, partition.pen_sizes)).astype(v.dtype)
-    shrunk[np.repeat(~keep, partition.pen_sizes)] = 0.0
-    out[partition.pen_perm] = shrunk
-    return out
+    shrunk = out[:n_pen]
+    shrunk[...] = vp * np.repeat(factor, sizes)  # rounds to v's dtype
+    shrunk[np.repeat(~keep, sizes)] = 0.0
+    return out.take(partition.inverse)
 
 
 def sparsity_metrics(x: np.ndarray, partition: GroupPartition) -> SparsityMetrics:

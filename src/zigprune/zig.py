@@ -60,7 +60,10 @@ class GroupPartition:
     of per-group Python overhead. `pen_sum` reduces values in the gathered
     layout ``x[pen_perm]`` to one per group; ``np.repeat(v, pen_sizes)``
     spreads one value per group back over its entries. `free_perm` lists
-    the positions outside every penalized group.
+    the positions outside every penalized group. `order` is `pen_perm`
+    followed by `free_perm`, a permutation of the flat view, and `inverse`
+    undoes it: ``x.take(order)[:pen_perm.size]`` is ``x[pen_perm]``, and
+    ``y.take(inverse)`` puts a vector in that layout back in flat order.
     """
 
     def __init__(self, groups: list[Group], n_flat: int, require_cover: bool = False):
@@ -80,6 +83,9 @@ class GroupPartition:
         free = np.ones(self.n_flat, dtype=bool)
         free[self.pen_perm] = False
         self.free_perm = np.flatnonzero(free)
+        self.order = np.concatenate((self.pen_perm, self.free_perm))
+        self.inverse = np.empty_like(self.order)
+        self.inverse[self.order] = np.arange(self.n_flat)
 
     def _validate(self, require_cover: bool):
         seen = np.zeros(self.n_flat, dtype=bool)

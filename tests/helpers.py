@@ -434,6 +434,7 @@ def reference_hspg_step(state, nu, partition):
 
 
 def reference_group_prox(v, partition, tau):
+    """`regularizer.group_prox` as it stood before the gather order: gather, shrink, scatter."""
     out = v.copy()
     if partition.pen_perm.size == 0 or tau == 0.0:
         return out
@@ -446,6 +447,97 @@ def reference_group_prox(v, partition, tau):
     shrunk[np.repeat(~keep, partition.pen_sizes)] = 0.0
     out[partition.pen_perm] = shrunk
     return out
+
+
+# -- the optimizer steps as they stood before the single gather order ----------
+# `hspg_step` gathered the penalized and the free entries of x and of the
+# gradient separately, checked and stepped each part, and scattered both back;
+# `prox_sg_step` went through `reference_group_prox`. The steps that gather
+# once in `GroupPartition.order` must match these bit for bit.
+
+
+def _reference_check_finite(vec, k, what):
+    from zigprune.errors import NumericalFailureError
+
+    if not np.all(np.isfinite(vec)):
+        raise NumericalFailureError(f"non-finite {what} entries at iteration {k}", iteration=k)
+
+
+def _reference_descend(x, alpha, d):
+    return (x.astype(np.float64, copy=False) - alpha * d.astype(np.float64, copy=False)).astype(
+        np.float32
+    )
+
+
+def _reference_advance(state):
+    state.k += 1
+    if state.steps_per_epoch > 0 and state.k % state.steps_per_epoch == 0:
+        state.alpha *= state.decay
+
+
+def _reference_gathered_subgradient(xp, sqnorms, partition, lam):
+    norms = np.sqrt(sqnorms)
+    scale = np.zeros_like(norms)
+    nz = norms > 0.0
+    scale[nz] = lam / norms[nz]
+    return xp * np.repeat(scale, partition.pen_sizes)
+
+
+def reference_split_hspg_step(state, grad, partition):
+    """`hspg.hspg_step` with separate gathers of the penalized and the free entries."""
+    from zigprune.errors import InvariantError
+
+    k, alpha, x = state.k, state.alpha, state.x
+    perm, free = partition.pen_perm, partition.free_perm
+    xp = x[perm].astype(np.float64)
+    sq = partition.pen_sum(xp * xp)
+    sub = (
+        _reference_gathered_subgradient(xp, sq, partition, state.lam).astype(np.float32)
+        if state.lam
+        else 0.0
+    )
+    nu_p = grad[perm] + sub
+    nu_f = grad[free] + 0.0
+    for part in (nu_p, nu_f):
+        _reference_check_finite(part, k, "subgradient")
+    nu64 = nu_p.astype(np.float64)
+    trial_p = _reference_descend(xp, alpha, nu64)
+    zeroed = np.empty(0, dtype=np.int64)
+    half_space = k >= state.switch_iteration
+    if half_space:
+        frozen = sq == 0.0
+        if frozen.any():
+            trial_p[np.repeat(frozen, partition.pen_sizes)] = 0.0
+        kill = (partition.pen_sum(trial_p.astype(np.float64) * xp) < state.epsilon * sq) & ~frozen
+        zeroed = partition.pen_gids[kill]
+        if zeroed.size:
+            needed = (1.0 - state.epsilon) * sq / alpha
+            bad = kill & ~(partition.pen_sum(xp * nu64) > needed)
+            if bad.any():
+                gid = int(partition.pen_gids[np.argmax(bad)])
+                raise InvariantError(
+                    f"projection of group {gid} at iteration {k} does not satisfy "
+                    f"the descent inequality"
+                )
+            trial_p[np.repeat(kill, partition.pen_sizes)] = 0.0
+    trial = np.empty_like(x)
+    trial[free] = _reference_descend(x[free], alpha, nu_f)
+    trial[perm] = trial_p
+    state.x = trial
+    info = {"k": k, "stage": "half_space" if half_space else "subgradient", "zeroed": zeroed}
+    _reference_advance(state)
+    return info
+
+
+def reference_prox_sg_step(state, grad, partition):
+    """`hspg.prox_sg_step` over `reference_group_prox`."""
+    _reference_check_finite(grad, state.k, "gradient")
+    state.x = reference_group_prox(
+        _reference_descend(state.x, state.alpha, grad), partition, state.alpha * state.lam
+    )
+    info = {"k": state.k, "stage": "prox", "zeroed": np.empty(0, dtype=np.int64)}
+    _reference_advance(state)
+    return info
 
 
 def bits(a):

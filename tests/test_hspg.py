@@ -26,6 +26,8 @@ from helpers import (
     pen_dots,
     reference_group_prox,
     reference_hspg_step,
+    reference_prox_sg_step,
+    reference_split_hspg_step,
     reference_subgradient,
     scattered_subgradient,
 )
@@ -410,6 +412,132 @@ class TestSingleGatherStep:
                 if tau:  # hspg_step forms no subgradient at lam = 0
                     got = scattered_subgradient(v, p, tau)
                     assert bits(got) == bits(reference_subgradient(v, p, tau))
+
+
+def assert_same_step(new, old, got, want):
+    """Two steps from equal states gave the same state and outcome, bit for bit."""
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert (got["k"], got["stage"]) == (want["k"], want["stage"])
+        assert got["zeroed"].dtype == want["zeroed"].dtype and bits(got["zeroed"]) == bits(want["zeroed"])
+    assert bits(new.x) == bits(old.x)
+    assert new.k == old.k and bits(np.float64(new.alpha)) == bits(np.float64(old.alpha))
+
+
+def run_order_lockstep(rng, partition, lam, eps, step, reference, steps=12, switch=3):
+    """`step` against `reference` from one start; returns counts of what the steps met.
+
+    The counts: half-space steps that met a frozen group, projection events,
+    and the type of the error that ended the run, if one did.
+    """
+    alpha = float(rng.uniform(0.05, 0.5))
+    x0 = signed_zero_vector(rng, partition.n_flat, partition)
+    new, old = (
+        OptimizerState(x=x0, alpha=alpha, lam=lam, epsilon=eps, switch_iteration=switch,
+                       decay=0.5, steps_per_epoch=5)
+        for _ in range(2)
+    )
+    seen = {"frozen": 0, "zeroed": 0, "error": None}
+    for _ in range(steps):
+        grad = step_gradient(rng, new.x, partition, alpha)
+        if new.k >= switch and (partition.pen_nonzero_counts(new.x) == 0).any():
+            seen["frozen"] += 1
+        got = outcome(step, new, grad, partition)
+        want = outcome(reference, old, grad, partition)
+        assert_same_step(new, old, got, want)
+        if isinstance(want, tuple):
+            seen["error"] = want[0]
+            break
+        seen["zeroed"] += len(want["zeroed"])
+    return seen
+
+
+class TestGatherOrderLockstep:
+    """`hspg_step` and `prox_sg_step` over `GroupPartition.order` equal the split-gather steps.
+
+    The references in `helpers` gather the penalized and the free entries
+    separately and scatter both back; the steps under test gather once in
+    the partition's order and put the iterate back with one `take`.
+    """
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_hspg_random_partitions(self, lam, eps):
+        rng = np.random.default_rng(int(50 + 10 * lam + 100 * eps))
+        seen = [
+            run_order_lockstep(rng, random_partition(rng, int(rng.integers(4, 40))), lam, eps,
+                               hspg_step, reference_split_hspg_step)
+            for _ in range(30)
+        ]
+        assert sum(s["frozen"] for s in seen) > 10  # frozen groups stayed frozen
+        assert sum(s["zeroed"] for s in seen) > 10  # projection events did happen
+
+    def test_hspg_model_partitions(self):
+        rng = np.random.default_rng(51)
+        for _ in range(6):
+            p = partition_zig(build_random_model(rng))
+            for lam in (0.0, 0.2):
+                for eps in (0.0, 0.5):
+                    run_order_lockstep(rng, p, lam, eps, hspg_step, reference_split_hspg_step,
+                                       steps=8, switch=2)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_hspg_no_penalized_groups(self, lam):
+        rng = np.random.default_rng(52)
+        for p in (random_partition(rng, 12, pen_frac=0.0), GroupPartition([], 12)):
+            seen = run_order_lockstep(rng, p, lam, 0.5, hspg_step, reference_split_hspg_step)
+            assert seen["error"] is None and seen["zeroed"] == 0
+
+    def test_hspg_frozen_and_killed_group(self):
+        # group 0 is frozen at zero; group 1 is pushed across its half-space
+        p = GroupPartition.from_indices(5, [[0, 1], [2, 3]])
+        x0 = np.array([0.0, -0.0, 1.0, 0.5, -0.0], dtype=np.float32)
+        grad = np.array([5.0, -3.0, 30.0, 15.0, -0.0], dtype=np.float32)
+        for lam, eps in ((0.0, 0.0), (0.1, 0.0), (0.1, 0.5)):
+            new, old = (OptimizerState(x=x0, alpha=0.1, lam=lam, epsilon=eps, k=1) for _ in range(2))
+            got = outcome(hspg_step, new, grad, p)
+            want = outcome(reference_split_hspg_step, old, grad, p)
+            assert_same_step(new, old, got, want)
+            assert list(want["zeroed"]) == [1]
+            assert bits(new.x[:4]) == bits(np.zeros(4, dtype=np.float32))
+
+    def test_hspg_descent_check_error(self):
+        p = GroupPartition.from_indices(3, [[0, 1]], [True])
+        x0 = np.array([0.35151007771492004, 0.9034701585769653, -0.0], dtype=np.float32)
+        grad = np.array([1.4886643886566162, 1.2886542081832886, -0.0], dtype=np.float32)
+        new, old = (
+            OptimizerState(x=x0, alpha=0.3898407787192646, lam=0.0, epsilon=0.3,
+                           switch_iteration=1, k=3)
+            for _ in range(2)
+        )
+        got = outcome(hspg_step, new, grad, p)
+        want = outcome(reference_split_hspg_step, old, grad, p)
+        assert want[0] is InvariantError and "group 0 at iteration 3" in want[1]
+        assert_same_step(new, old, got, want)
+
+    @pytest.mark.parametrize("where", [0, 3], ids=["penalized", "unpenalized"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_non_finite_gradient_error(self, where, bad, lam):
+        p = GroupPartition.from_indices(4, [[0, 1], [2], [3]], [True, True, False])
+        grad = np.ones(4, dtype=np.float32)
+        grad[where] = bad
+        x0 = np.ones(4, dtype=np.float32)
+        for step, reference in ((hspg_step, reference_split_hspg_step),
+                                (prox_sg_step, reference_prox_sg_step)):
+            new, old = (OptimizerState(x=x0, alpha=0.1, lam=lam, k=9) for _ in range(2))
+            got = outcome(step, new, grad, p)
+            want = outcome(reference, old, grad, p)
+            assert want[0] is NumericalFailureError and want[2] == 9
+            assert_same_step(new, old, got, want)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.05, 2.0])
+    def test_prox_sg_random_partitions(self, lam):
+        rng = np.random.default_rng(int(53 + 10 * lam))
+        for _ in range(30):
+            p = random_partition(rng, int(rng.integers(4, 40)), pen_frac=float(rng.choice([0.0, 0.8])))
+            run_order_lockstep(rng, p, lam, 0.0, prox_sg_step, reference_prox_sg_step)
 
 
 class TestProjectionGeometry:

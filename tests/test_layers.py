@@ -204,6 +204,16 @@ class TestErfPort:
         payload = (nans[:1].view(uint) + 1).view(dtype)  # a quiet NaN with a payload
         self.assert_matches_scipy(np.concatenate([_edge_values(dtype), ends, -ends, nans, payload]))
 
+    def test_float32_signaling_nan_is_silent(self):
+        # the float64 cast quiets a signaling NaN and flags it; scipy's erf
+        # raises no flag, and both return the positive quiet NaN
+        from scipy.special import erf
+
+        x = np.array([0x7F800001, 0xFFA00000], dtype=np.uint32).view(np.float32)
+        with np.errstate(all="raise"):
+            got = layers_module._erf(x)
+        assert bits(got) == bits(erf(x)) == bits(np.full(2, np.nan, dtype=np.float32))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_keeps_the_input_layout(self, dtype):
         x = 3 * np.random.default_rng(2).standard_normal((3, 4, 5, 6)).astype(dtype)

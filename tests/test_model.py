@@ -481,6 +481,25 @@ class TestFlatBuffers:
         for key, (start, stop) in m.param_offsets().items():
             assert np.array_equal(flat[start:stop], grads[key].ravel())
 
+    def test_backward_returns_the_gradient_views_by_id(self):
+        # the returned arrays are the layers' own; in a float32 pass they
+        # equal the gradient views bit for bit, in a float64 pass they keep
+        # float64 and the views hold them rounded
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            m = build_random_model(rng)
+            x, y = random_batch(rng, m)
+            for inputs in (x, x.astype(np.float64)):
+                m.forward(inputs, y)
+                grads = m.backward()
+                assert grads.keys() == m.params.keys()
+                for key, g in grads.items():
+                    view = m.params[key].grad
+                    assert g.dtype == inputs.dtype and g.shape == view.shape, key
+                    assert bits(view) == bits(g.astype(np.float32)), key
+                    if inputs.dtype == np.float32:
+                        assert bits(g) == bits(view), key
+
     def test_clone_has_its_own_buffers(self):
         rng = np.random.default_rng(34)
         m = build_random_model(rng)

@@ -127,6 +127,40 @@ class TestPartitionInvariants:
             GroupPartition.from_indices(4, [[0, 1], []])
 
 
+class TestGatherOrder:
+    """`order` lists the penalized entries group by group, then the free ones; `inverse` undoes it."""
+
+    @staticmethod
+    def check(p):
+        n_pen = p.pen_perm.size
+        assert p.order.dtype == p.inverse.dtype == np.int64
+        assert np.array_equal(np.sort(p.order), np.arange(p.n_flat))  # a permutation
+        assert np.array_equal(p.order[p.inverse], np.arange(p.n_flat))
+        assert np.array_equal(p.inverse[p.order], np.arange(p.n_flat))
+        assert np.array_equal(p.order[:n_pen], p.pen_perm)
+        assert np.array_equal(p.order[n_pen:], p.free_perm)
+        x = np.random.default_rng(p.n_flat).standard_normal(p.n_flat).astype(np.float32)
+        x[::3] = -0.0
+        assert x.take(p.order).take(p.inverse).tobytes() == x.tobytes()
+
+    def test_model_partitions(self):
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            m = build_random_model(rng)
+            for penalize_output in (False, True):
+                self.check(partition_zig(m, penalize_output=penalize_output))
+
+    def test_hand_made_partitions(self):
+        rng = np.random.default_rng(2)
+        self.check(GroupPartition([], 5))
+        self.check(GroupPartition.from_indices(6, [[4, 1], [0, 5]], [False, False]))
+        for _ in range(20):
+            n = int(rng.integers(2, 40))
+            picked = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            lists = [c for c in np.array_split(picked, int(rng.integers(1, picked.size + 1))) if c.size]
+            self.check(GroupPartition.from_indices(n, lists, list(rng.random(len(lists)) < 0.7)))
+
+
 class TestZeroInvariance:
     def test_fc_group_zeroing_exact(self):
         rng = np.random.default_rng(1)
