@@ -1,20 +1,16 @@
 """Experiment configuration: flat dotted-key text files, model/dataset builders.
 
 Config files hold one `section.key = value` pair per line, `#` comments
-allowed. A compact layer DSL describes architectures:
+allowed. `model.layers` lists the architecture in the layer DSL, one
+comma-separated string per layer; `layers` defines the DSL, and each kind
+reads its own string (`from_spec`) and writes it back (`spec`). The loss
+layer is appended from `model.loss`. Every numeric range is validated at
+load time, before any compute starts.
 
-    linear:64                 fully connected, 64 rows
-    convbn:8:3x3:s1:p1:relu   8 output channels, 3x3 kernel, stride/pad/act
-    residual:8:3x3:s1:p1:relu two conv+bn branches with that shape, summed
-    mha:2x4                   2 heads x 4 rows (or per-head list: mha:4,3)
-    relu | leaky_relu | prelu | gelu
-
-The loss layer is appended from `model.loss`. Every numeric range is
-validated at load time, before any compute starts.
-
-`build_layers` checks each layer against the shape of the layers before it
-(by the layer's own `out_shape`), so a bad architecture fails naming its
-spec; `model_to_specs` writes layers back through each kind's `spec()`.
+`build_layers` looks each string's head up in `layers.DSL_KINDS` and checks
+the layer against the shape of the layers before it (by the layer's own
+`out_shape`), so a bad architecture fails naming its spec; `model_to_specs`
+writes layers back through each kind's `spec()`.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from . import layers as L
 from .errors import ConfigError, InvalidModelError, ParameterError
 from .hspg import TrainConfig
 from .model import ModelGraph, infer_shapes
-from .tensor import Tensor
 
 DATASET_KINDS = ("synthetic-classify", "synthetic-glasso", "idx", "csv")
 
@@ -150,7 +145,7 @@ def load_config(path) -> ExperimentConfig:
     if "loss" in given and given["loss"] not in L.LOSS_KINDS:
         raise ConfigError(f"model.loss must be one of {L.LOSS_KINDS}, got {given['loss']!r}")
     if "init" in given:
-        _validate_init(given["init"])
+        L.weight_init(given["init"])
 
     kind = need("dataset.kind")
     if kind not in DATASET_KINDS:
@@ -177,20 +172,6 @@ def check_seed(what: str, seed: int):
     """Seeds feed numpy's generators, which take only non-negative integers."""
     if seed < 0:
         raise ConfigError(f"{what} must be >= 0, got {seed}")
-
-
-def _validate_init(init: str):
-    if init in ("he", "zeros"):
-        return
-    if init.startswith("normal:"):
-        try:
-            sigma = float(init.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"model.init: {exc}") from exc
-        if sigma < 0:
-            raise ConfigError(f"model.init: normal scale must be >= 0, got {sigma}")
-        return
-    raise ConfigError(f"model.init must be he, zeros or normal:SIGMA, got {init!r}")
 
 
 def _validate_dataset(ds: dict):
@@ -238,107 +219,17 @@ def _validate_dataset(ds: dict):
 # model building
 
 
-def _init_weight(rng, shape, fan_in: int, init: str) -> np.ndarray:
-    if init == "zeros":
-        return np.zeros(shape, dtype=np.float32)
-    if init == "he":
-        std = np.sqrt(2.0 / max(fan_in, 1))
-        return (std * rng.standard_normal(shape)).astype(np.float32)
-    sigma = float(init.split(":", 1)[1])
-    return (sigma * rng.standard_normal(shape)).astype(np.float32)
-
-
-def _spec_int(spec: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise ConfigError(f"layer {spec!r}: {exc}") from exc
-
-
-def _parse_conv_spec(spec: str, parts: list[str]):
-    if len(parts) < 2 or "x" not in parts[1]:
-        raise ConfigError(f"layer {spec!r}: expected OUT and KHxKW")
-    out_channels = _spec_int(spec, parts[0])
-    kh, kw = (_spec_int(spec, v) for v in parts[1].split("x"))
-    stride, padding, act = 1, 0, "relu"
-    for extra in parts[2:]:
-        if extra in L.ACTIVATIONS:
-            act = extra
-        elif extra.startswith("s") and extra[1:].isdigit():
-            stride = int(extra[1:])
-        elif extra.startswith("p") and extra[1:].isdigit():
-            padding = int(extra[1:])
-        else:
-            raise ConfigError(f"layer {spec!r}: unknown option {extra!r}")
-    if out_channels < 1 or kh < 1 or kw < 1 or stride < 1 or padding < 0:
-        raise ConfigError(f"layer {spec!r}: extents must be positive")
-    return out_channels, kh, kw, stride, padding, act
-
-
-def _make_linear(rng, out_features: int, shape, init):
-    in_features = int(np.prod(shape))
-    return L.Linear(
-        weight=Tensor(_init_weight(rng, (out_features, in_features), in_features, init)),
-        bias=Tensor(np.zeros(out_features, dtype=np.float32)),
-    )
-
-
-def _make_convbn(rng, in_channels, out_channels, kh, kw, stride, padding, act, init):
-    fan_in = in_channels * kh * kw
-    return L.ConvBN(
-        kernel=Tensor(_init_weight(rng, (out_channels, fan_in), fan_in, init)),
-        bias=Tensor(np.zeros(out_channels, dtype=np.float32)),
-        mean=Tensor(np.zeros(out_channels, dtype=np.float32)),
-        std=Tensor(np.ones(out_channels, dtype=np.float32)),
-        gamma=Tensor(np.ones(out_channels, dtype=np.float32)),
-        beta=Tensor(np.zeros(out_channels, dtype=np.float32)),
-        in_channels=in_channels,
-        kh=kh,
-        kw=kw,
-        stride=stride,
-        padding=padding,
-        activation=act,
-    )
-
-
 def build_layers(layer_specs, input_shape, loss: str | None, init: str, seed: int):
     """Materialize a DSL layer list into layer objects with initialized tensors."""
     rng = np.random.default_rng(seed)
+    draw = L.weight_init(init)
     layers: list = []
     shape = tuple(input_shape)
     for spec in layer_specs:
-        parts = spec.split(":")
-        head = parts[0]
-        if head in L.ACTIVATIONS:
-            layer = L.Activation(head)
-        elif head == "linear":
-            if len(parts) != 2:
-                raise ConfigError(f"layer {spec!r}: expected linear:OUT")
-            out_features = _spec_int(spec, parts[1])
-            if out_features < 1:
-                raise ConfigError(f"layer {spec!r}: width must be positive")
-            layer = _make_linear(rng, out_features, shape, init)
-        elif head in ("convbn", "residual"):
-            if len(shape) != 3:
-                raise ConfigError(f"layer {spec!r}: needs a CxHxW input, have {shape}")
-            out_channels, kh, kw, stride, padding, act = _parse_conv_spec(spec, parts[1:])
-            make = lambda: _make_convbn(
-                rng, shape[0], out_channels, kh, kw, stride, padding, act, init
-            )
-            layer = make() if head == "convbn" else L.ResidualBlock(make(), make())
-        elif head == "mha":
-            if len(parts) != 2:
-                raise ConfigError(f"layer {spec!r}: expected mha:HxM or mha:m0,m1,...")
-            if "x" in parts[1]:
-                n_heads, rows = (_spec_int(spec, v) for v in parts[1].split("x"))
-                dims = [rows] * n_heads
-            else:
-                dims = [_spec_int(spec, v) for v in parts[1].split(",")]
-            if not dims or any(d < 1 for d in dims):
-                raise ConfigError(f"layer {spec!r}: head widths must be positive")
-            layer = L.MultiHeadAttention([_make_linear(rng, d, shape, init) for d in dims])
-        else:
+        head, *args = spec.split(":")
+        if head not in L.DSL_KINDS:
             raise ConfigError(f"unknown layer spec {spec!r}")
+        layer = L.DSL_KINDS[head].from_spec(spec, args, shape, rng, draw)
         try:
             (shape,) = infer_shapes([layer], shape)
         except InvalidModelError as exc:  # name the spec, not its index in a one-layer list

@@ -3,7 +3,7 @@ activations and losses.
 
 Each kind is one class implementing the `Layer` protocol, so a kind's rules
 live in one place and the model, the grouping, the pruning and the DSL
-writer never branch on type:
+reader and writer never branch on type:
 
   * `layer_kind` labels the kind in group tags and prune layer maps, and
     `flattens` asks the model to reshape a (C, H, W) value to (C*H*W,) first;
@@ -13,7 +13,18 @@ writer never branch on type:
     which attention only renumbers by head;
   * `slim`, `macs` (an int) and `kinks` serve pruning, FLOP counting and
     the finite-difference check;
-  * `spec` writes the layer back as its `config` DSL string.
+  * `spec` writes the layer as its DSL string, and the classmethod
+    ``from_spec(spec, args, shape, rng, init)`` reads one (`args`: the
+    ``:`` fields after the head; `init`: a `weight_init` draw), raising
+    ConfigError on a malformed one. `DSL_KINDS` maps each head to its kind.
+
+The DSL, one string per layer (s1, p0 and relu are the conv defaults):
+
+    linear:64                 fully connected, 64 rows
+    convbn:8:3x3:s1:p1:relu   8 output channels, 3x3 kernel, stride/pad/act
+    residual:8:3x3:s1:p1:relu two conv+bn branches with that shape, summed
+    mha:2x4                   2 heads x 4 rows (or per-head list: mha:4,3)
+    relu | leaky_relu | prelu | gelu
 
 Composite kinds are made of simpler ones: a residual block of two `ConvBN`
 branches, attention of one `Linear` per head. They prefix their parts'
@@ -45,14 +56,15 @@ again; `_im2col` upcasts the input as it copies it into its zero-padded
 buffer, in one pass. An upcast is exact, so this changes no bit.
 
 A forward that records nothing (every evaluation) runs each conv layer,
-residual blocks included, over blocks of samples: each block holds about
-`_PATCH_BYTES` (1 MiB) of float64 patches but at least `_MIN_ROWS` (1,024)
-GEMM rows, and writes into one preallocated output. So evaluation memory is
-bounded by the block, not by the batch. The row floor is there because
-BLAS picks its kernel by problem size: with it, every block product measured
-gave each row the bits of the unsplit product. A recording forward stays
-one call: its patches are the record the backward reads. Blocks only re-slice the samples; the conv math is the
-same module function either way.
+residual blocks included, over blocks of float32 samples: each block holds
+about `_PATCH_BYTES` (1 MiB) of float64 patches but at least `_MIN_ROWS`
+(1,024) GEMM rows, and writes into one preallocated output. So evaluation
+memory is bounded by the block, not by the batch. BLAS picks its kernel by
+problem size, so a block's product may differ from the unsplit one in its
+last float64 bits; rounding to float32 has hidden that in every run, but a
+float64 batch would keep it, so it runs as one call, as a recording forward
+does (its patches are the record the backward reads). Blocks only re-slice
+the samples; the conv math is the same module function either way.
 
 A backward reads the operands and intermediates its forward made; it never
 recomputes them. Each kind's cache holds:
@@ -274,6 +286,35 @@ def _param(t: Tensor, dtype) -> np.ndarray:
     return t.data.astype(dtype, copy=False)
 
 
+def weight_init(init: str):
+    """``draw(rng, shape, fan_in)`` -> float32 weights for `model.init` = he | zeros | normal:SIGMA.
+
+    zeros draws nothing from `rng`; he scales standard normals by sqrt(2 / fan_in).
+    """
+    if init == "zeros":
+        return lambda rng, shape, fan_in: np.zeros(shape, dtype=np.float32)
+    if init == "he":
+        scale = lambda fan_in: np.sqrt(2.0 / max(fan_in, 1))
+    elif init.startswith("normal:"):
+        try:
+            sigma = float(init.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"model.init: {exc}") from exc
+        if sigma < 0:
+            raise ConfigError(f"model.init: normal scale must be >= 0, got {sigma}")
+        scale = lambda fan_in: sigma
+    else:
+        raise ConfigError(f"model.init must be he, zeros or normal:SIGMA, got {init!r}")
+    return lambda rng, shape, n: (scale(n) * rng.standard_normal(shape)).astype(np.float32)
+
+
+def _spec_int(spec: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise ConfigError(f"layer {spec!r}: {exc}") from exc
+
+
 # ---------------------------------------------------------------------------
 # layer kinds
 
@@ -343,13 +384,8 @@ class Layer:
         return []
 
     def spec(self) -> str:
-        """The layer's DSL string (see `config`); "" for a kind written elsewhere."""
+        """The layer's DSL string (see the module docstring); "" for a kind written elsewhere."""
         raise ConfigError(f"layer kind {type(self).__name__} has no DSL form")
-
-
-def _check_in_extent(extent: int, expected: int):
-    if extent != expected:
-        raise InvalidModelError(f"input extent {extent} does not match expected {expected}")
 
 
 @dataclass
@@ -369,6 +405,13 @@ class Linear(Layer):
                 f"{self.weight.data.shape[0]} output rows"
             )
 
+    @classmethod
+    def drawn(cls, out_features: int, shape: tuple, rng, init) -> "Linear":
+        """`out_features` rows over the flattened `shape`: an `init` weight, a zero bias."""
+        n = int(np.prod(shape))
+        bias = Tensor(np.zeros(out_features, dtype=np.float32))
+        return cls(Tensor(init(rng, (out_features, n), n)), bias)
+
     @property
     def out_features(self):
         return self.weight.data.shape[0]
@@ -378,7 +421,10 @@ class Linear(Layer):
         return self.weight.data.shape[1]
 
     def out_shape(self, shape):
-        _check_in_extent(shape[0], self.in_features)
+        if shape[0] != self.in_features:
+            raise InvalidModelError(
+                f"input extent {shape[0]} does not match expected {self.in_features}"
+            )
         return (self.out_features,)
 
     def forward(self, x, record=True):
@@ -400,6 +446,15 @@ class Linear(Layer):
 
     def spec(self):
         return f"linear:{self.out_features}"
+
+    @classmethod
+    def from_spec(cls, spec, args, shape, rng, init):
+        if len(args) != 1:
+            raise ConfigError(f"layer {spec!r}: expected linear:OUT")
+        out_features = _spec_int(spec, args[0])
+        if out_features < 1:
+            raise ConfigError(f"layer {spec!r}: width must be positive")
+        return cls.drawn(out_features, shape, rng, init)
 
 
 _BN_VECTORS = ("bias", "mean", "std", "gamma", "beta")
@@ -494,6 +549,33 @@ class ConvBN(Layer):
             f"p{self.padding}:{self.activation}"
         )
 
+    @classmethod
+    def from_spec(cls, spec, args, shape, rng, init):
+        if len(shape) != 3:
+            raise ConfigError(f"layer {spec!r}: needs a CxHxW input, have {shape}")
+        if len(args) < 2 or "x" not in args[1]:
+            raise ConfigError(f"layer {spec!r}: expected OUT and KHxKW")
+        out_channels = _spec_int(spec, args[0])
+        window = [_spec_int(spec, v) for v in args[1].split("x")]
+        if len(window) != 2:
+            raise ConfigError(f"layer {spec!r}: expected OUT and KHxKW")
+        (kh, kw), opts, act = window, {"s": 1, "p": 0}, "relu"  # stride and padding
+        for extra in args[2:]:
+            if extra in ACTIVATIONS:
+                act = extra
+            elif extra[:1] in opts and extra[1:].isdecimal():
+                opts[extra[0]] = int(extra[1:])
+            else:
+                raise ConfigError(f"layer {spec!r}: unknown option {extra!r}")
+        stride, padding = opts["s"], opts["p"]
+        if out_channels < 1 or kh < 1 or kw < 1 or stride < 1 or padding < 0:
+            raise ConfigError(f"layer {spec!r}: extents must be positive")
+        fan_in = shape[0] * kh * kw
+        kernel = Tensor(init(rng, (out_channels, fan_in), fan_in))
+        # bias, mean and beta start at 0, std and gamma at 1
+        bn = [Tensor(np.full(out_channels, n in ("std", "gamma"), np.float32)) for n in _BN_VECTORS]
+        return cls(kernel, *bn, shape[0], kh, kw, stride, padding, act)
+
 
 @dataclass
 class ResidualBlock(Layer):
@@ -544,6 +626,11 @@ class ResidualBlock(Layer):
             raise ConfigError(f"cannot format a residual block with differing branches: {s1}, {s2}")
         return s1
 
+    @classmethod
+    def from_spec(cls, spec, args, shape, rng, init):
+        """A `convbn` spec's fields after the head; branch 1 draws first."""
+        return cls(*(ConvBN.from_spec(spec, args, shape, rng, init) for _ in range(2)))
+
 
 @dataclass
 class MultiHeadAttention(Layer):
@@ -576,9 +663,9 @@ class MultiHeadAttention(Layer):
     def out_features(self):
         return sum(self.head_dims)
 
-    def out_shape(self, shape):
-        _check_in_extent(shape[0], self.in_features)
-        return (self.out_features,)
+    # one linear layer's rules, over the concatenated heads
+    out_shape = Linear.out_shape
+    macs = Linear.macs
 
     def forward(self, x, record=True):
         return attention_forward(x, self)
@@ -607,11 +694,20 @@ class MultiHeadAttention(Layer):
                 heads.append(head.slim(kept_in, rows))
         return MultiHeadAttention(heads)
 
-    def macs(self, out_shape):
-        return self.out_features * self.in_features
-
     def spec(self):
         return "mha:" + ",".join(str(d) for d in self.head_dims)
+
+    @classmethod
+    def from_spec(cls, spec, args, shape, rng, init):
+        """`mha:HxM` (H heads of M rows) or `mha:m0,m1,...`; heads draw in order."""
+        sep = "x" if len(args) == 1 and "x" in args[0] else ","
+        dims = [_spec_int(spec, v) for v in args[0].split(sep)] if len(args) == 1 else []
+        if len(args) != 1 or (sep == "x" and len(dims) != 2):
+            raise ConfigError(f"layer {spec!r}: expected mha:HxM or mha:m0,m1,...")
+        dims = [dims[1]] * dims[0] if sep == "x" else dims
+        if not dims or any(d < 1 for d in dims):
+            raise ConfigError(f"layer {spec!r}: head widths must be positive")
+        return cls([Linear.drawn(d, shape, rng, init) for d in dims])
 
 
 @dataclass
@@ -636,6 +732,12 @@ class Activation(Layer):
     def spec(self):
         return self.kind
 
+    @classmethod
+    def from_spec(cls, spec, args, shape, rng, init):
+        if args:
+            raise ConfigError(f"layer {spec!r}: an activation takes no arguments")
+        return cls(spec)
+
 
 @dataclass
 class Loss(Layer):
@@ -652,6 +754,12 @@ class Loss(Layer):
 
     def spec(self):
         return ""  # the config carries the loss as `model.loss`
+
+
+# DSL head -> the kind that reads it (`from_spec`); the loss is not a DSL
+# layer, the config names it as `model.loss`
+DSL_KINDS = dict(linear=Linear, convbn=ConvBN, residual=ResidualBlock, mha=MultiHeadAttention)
+DSL_KINDS.update(dict.fromkeys(ACTIVATIONS, Activation))
 
 
 def _check_std(std: np.ndarray):
@@ -741,10 +849,11 @@ def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache, need_
 # ---------------------------------------------------------------------------
 # conv + bn
 
-# A forward that records nothing runs a conv layer over blocks of samples of
-# about _PATCH_BYTES of float64 patches, but of at least _MIN_ROWS GEMM rows:
-# OpenBLAS picks its dgemm kernel by problem size, and with OpenBLAS 0.3.31
-# blocks of 512 rows or more gave every row the bits of the unsplit product
+# A forward that records nothing runs a conv layer over blocks of float32
+# samples of about _PATCH_BYTES of float64 patches, but of at least _MIN_ROWS
+# GEMM rows: OpenBLAS picks its dgemm kernel by problem size, and with
+# OpenBLAS 0.3.31's SkylakeX kernels blocks of 512 rows or more gave every row
+# the bits of the unsplit product (its Haswell and Prescott kernels did not)
 _PATCH_BYTES = 1 << 20
 _MIN_ROWS = 1024
 
@@ -823,11 +932,12 @@ def _by_sample_blocks(forward, x: np.ndarray, layer: Layer, convs, record: bool)
 
     `convs` are the `ConvBN` layers whose float64 patches one call holds at
     once. A recording forward stays one call: its patches are the record the
-    backward reads. Otherwise every block's output is written into one
-    channels-last array, whose (B, C, H, W) transpose has the layout one call
-    returns, and the cache is None.
+    backward reads. So does a float64 one, whose last bits would otherwise
+    depend on the kernel BLAS picks for a block. Otherwise every block's
+    output is written into one channels-last array, whose (B, C, H, W)
+    transpose has the layout one call returns, and the cache is None.
     """
-    if record or x.ndim != 4:
+    if record or x.ndim != 4 or x.dtype == np.float64:
         return forward(x, layer)
     oh, ow = conv_output_hw(x.shape[2], x.shape[3], convs[0])
     row_bytes = 8 * sum(conv.kernel.data.shape[1] for conv in convs)  # float64 patch columns

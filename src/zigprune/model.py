@@ -198,16 +198,14 @@ class ModelGraph:
         Runs the layers over `EVAL_CHUNK`-sample chunks and records nothing,
         so its memory is bounded by the chunk, not by the number of inputs,
         and the record of the last forward() stays as it was. Within a chunk
-        each conv layer runs over smaller blocks of samples (see `layers`),
-        which bounds its float64 patches by the block. Each sample's
-        arithmetic is the same as in one pass, but BLAS picks its kernel by
-        problem size, so a float64 product may differ in its last bits. A
-        conv block therefore keeps at least `layers._MIN_ROWS` GEMM rows,
-        twice the size from which OpenBLAS 0.3.31 gave every row the unsplit
-        product's bits; a chunk smaller than `EVAL_CHUNK` can still change a
-        linear layer's kernel. A float32 layer output hides such a
-        difference unless it straddles a float32 rounding boundary, which no
-        seeded comparison has met.
+        each conv layer runs over smaller blocks of float32 samples (see
+        `layers`), which bounds its float64 patches by the block; float64
+        samples run each conv layer in one call. Each sample's arithmetic is
+        the same as in one pass, but BLAS picks its kernel by problem size,
+        so a chunk smaller than `EVAL_CHUNK`, or a conv block, may change a
+        product's last float64 bits. A float32 layer output hides that
+        unless it straddles a float32 rounding boundary, which no seeded
+        comparison has met.
         """
         x = self._input(inputs)
         starts = range(0, max(len(x), 1), EVAL_CHUNK)  # an empty batch runs once

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import json
 import os
 import subprocess
@@ -149,6 +150,11 @@ class TestConfigParsing:
             ({"optimizer.decay": "0", "prune.verify_inputs": "0"},
              "optimizer: decay factor must be > 0, got 0.0"),
             ({"prune.verify_inputs": "0"}, "prune.verify_inputs must be >= 1, got 0"),
+            ({"model.init": "uniform"},
+             "model.init must be he, zeros or normal:SIGMA, got 'uniform'"),
+            ({"model.init": "normal:x"},
+             "model.init: could not convert string to float: 'x'"),
+            ({"model.init": "normal:-1"}, "model.init: normal scale must be >= 0, got -1.0"),
         ],
     )
     def test_messages_and_their_order(self, tmp_path, overrides, message):
@@ -165,6 +171,57 @@ class TestConfigParsing:
         model = build_model(cfg)
         partition = partition_zig(model, penalize_output=cfg.penalize_output)
         assert all(g.penalized for g in partition.groups)
+
+INVALID_INT = "invalid literal for int() with base 10:"
+FLAT, IMAGE = (4,), (2, 6, 6)
+# (spec, input sample shape, the exact ConfigError message), one or more per DSL error
+BAD_SPECS = [
+    ("linear", FLAT, "layer 'linear': expected linear:OUT"),
+    ("linear:4:5", FLAT, "layer 'linear:4:5': expected linear:OUT"),
+    ("linear:", FLAT, f"layer 'linear:': {INVALID_INT} ''"),
+    ("linear:x", FLAT, f"layer 'linear:x': {INVALID_INT} 'x'"),
+    ("linear:0", FLAT, "layer 'linear:0': width must be positive"),
+    ("linear:-1", FLAT, "layer 'linear:-1': width must be positive"),
+    ("convbn:3:3x3", FLAT, "layer 'convbn:3:3x3': needs a CxHxW input, have (4,)"),
+    ("residual:3:3x3", FLAT, "layer 'residual:3:3x3': needs a CxHxW input, have (4,)"),
+    ("convbn", IMAGE, "layer 'convbn': expected OUT and KHxKW"),
+    ("convbn:3", IMAGE, "layer 'convbn:3': expected OUT and KHxKW"),
+    ("convbn:3:33", IMAGE, "layer 'convbn:3:33': expected OUT and KHxKW"),
+    ("convbn:x:3x3", IMAGE, f"layer 'convbn:x:3x3': {INVALID_INT} 'x'"),
+    ("convbn:3:3xq", IMAGE, f"layer 'convbn:3:3xq': {INVALID_INT} 'q'"),
+    ("convbn:3:3x3xq", IMAGE, f"layer 'convbn:3:3x3xq': {INVALID_INT} 'q'"),
+    ("convbn:0:3x3", IMAGE, "layer 'convbn:0:3x3': extents must be positive"),
+    ("convbn:3:3x0", IMAGE, "layer 'convbn:3:3x0': extents must be positive"),
+    ("convbn:3:3x3:s0", IMAGE, "layer 'convbn:3:3x3:s0': extents must be positive"),
+    ("convbn:3:3x3:q1", IMAGE, "layer 'convbn:3:3x3:q1': unknown option 'q1'"),
+    ("residual:3:3x3:p", IMAGE, "layer 'residual:3:3x3:p': unknown option 'p'"),
+    ("residual:2:9x9", IMAGE, "layer 'residual:2:9x9': empty conv output for input (2, 6, 6)"),
+    ("mha", FLAT, "layer 'mha': expected mha:HxM or mha:m0,m1,..."),
+    ("mha:2x3:4", FLAT, "layer 'mha:2x3:4': expected mha:HxM or mha:m0,m1,..."),
+    ("mha:", FLAT, f"layer 'mha:': {INVALID_INT} ''"),
+    ("mha:2x", FLAT, f"layer 'mha:2x': {INVALID_INT} ''"),
+    ("mha:2,", FLAT, f"layer 'mha:2,': {INVALID_INT} ''"),
+    ("mha:2x3xq", FLAT, f"layer 'mha:2x3xq': {INVALID_INT} 'q'"),
+    ("mha:0x2", FLAT, "layer 'mha:0x2': head widths must be positive"),
+    ("mha:2x0", FLAT, "layer 'mha:2x0': head widths must be positive"),
+    ("mha:2,0", FLAT, "layer 'mha:2,0': head widths must be positive"),
+    ("dense:4", FLAT, "unknown layer spec 'dense:4'"),
+]
+
+EVERY_KIND = [
+    "convbn:3:3x3:s1:p1:relu",
+    "residual:3:3x3:s1:p1:gelu",
+    "leaky_relu",
+    "mha:2x3",
+    "prelu",
+    "mha:4,2",
+    "relu",
+    "linear:4",
+]
+DRAW_DIGESTS = {
+    "he": "1c4716ba5c063bbc86871220356741f3779ee8cf6bc99c9f88d9d84b9189f236",
+    "normal:0.5": "6fd1c77aaf7b9f6235c3e481ccba76913e1dabb66d0363989c11c56864f03480",
+}
 
 
 class TestLayerDsl:
@@ -191,10 +248,34 @@ class TestLayerDsl:
         assert layers[0].head_dims == [4, 2]
         assert layers[0].spec() == "mha:4,2"
 
-    def test_bad_specs(self):
-        for spec in ("linear:", "convbn:3", "mha:", "dense:4", "linear:0"):
-            with pytest.raises(ConfigError):
-                build_layers([spec], (4,), None, "zeros", 0)
+    @pytest.mark.parametrize("spec,shape,message", BAD_SPECS, ids=[s for s, _, _ in BAD_SPECS])
+    def test_bad_specs(self, spec, shape, message):
+        with pytest.raises(ConfigError) as err:
+            build_layers([spec], shape, None, "zeros", 0)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("spec", ["mha:2x3x4", "convbn:3:3x3x3", "relu:5", "gelu:x:y"])
+    def test_malformed_spec_is_a_config_error(self, tmp_path, capsys, spec):
+        with pytest.raises(ConfigError, match=f"^layer '{spec}': "):
+            build_layers([spec], (2, 6, 6), None, "zeros", 0)
+        layers = f"{spec}, linear:3"
+        cfgp = write_config(tmp_path, **{"model.input_shape": "2x6x6", "model.layers": layers})
+        assert main(["partition", "--config", str(cfgp)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"[config] layer '{spec}': ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("init", ["he", "normal:0.5"])
+    def test_draw_order(self, init):
+        # every kind draws its weights from the one seeded generator in a fixed
+        # order, so a config and seed keep giving the same weights, byte for byte
+        layers = build_layers(EVERY_KIND, (2, 5, 5), "softmax_ce", init, 7)
+        digest = hashlib.sha256()
+        for layer in layers:
+            for name, tensor, _ in layer.params():
+                digest.update(name.encode())
+                digest.update(tensor.data.tobytes())
+        assert digest.hexdigest() == DRAW_DIGESTS[init]
 
     def test_conv_needs_spatial_input(self):
         with pytest.raises(ConfigError, match="CxHxW"):

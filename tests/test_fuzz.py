@@ -1,10 +1,16 @@
-"""Seeded config fuzz: every config given to `zigprune run` either runs or fails typed.
+"""Seeded fuzz: every config given to `zigprune run` either runs or fails typed.
 
 Each case writes a small random config (and, for file datasets, its data
 files) covering every dataset kind, optimizer and layer kind, then runs the
 whole pipeline through `cli.main`. The property: `main` returns 0, or it
 returns 1 (2 for a config error) after printing the error tagged with the
 stage that raised it. Any other exception escapes `main` and fails the test.
+
+A second fuzz builds single layers from random DSL strings: a well-formed
+spec of each head (or of an unknown one) after up to two typo-like edits,
+such as an integer 0, -1 or empty, an extra field or `x` part, a dropped
+field or a doubled separator. Each either builds, and writes itself back
+as a spec that builds the same, or raises ConfigError.
 """
 
 import re
@@ -13,9 +19,11 @@ import numpy as np
 import pytest
 
 from zigprune.cli import main
-from zigprune.config import DATASET_KINDS
+from zigprune.config import DATASET_KINDS, build_layers
 from zigprune.data import write_idx_images, write_idx_labels
+from zigprune.errors import ConfigError
 from zigprune.hspg import OPTIMIZER_KINDS
+from zigprune.model import infer_shapes
 
 ACTS = ("relu", "leaky_relu", "prelu", "gelu")
 CASES_PER_KIND = 15
@@ -135,3 +143,70 @@ def test_every_config_runs_or_fails_typed(tmp_path, capsys):
     assert {o for _, o, _ in ran} == set(OPTIMIZER_KINDS)
     for layer in ("linear:", "convbn:", "residual:", "mha:", *ACTS):
         assert any(layer in text for _, _, text in ran), layer
+
+
+DSL_HEADS = ("linear", "convbn", "residual", "mha", *ACTS, "dense", "")
+DSL_BAD_ATOMS = ("", "0", "-1", "q", "s", "p-1", "relu")
+DSL_CASES = 2000
+
+
+def _dsl_fields(rng, head) -> list:
+    """The well-formed fields of a `head` spec, each a (separator, atoms) pair."""
+    ints = lambda n: [str(int(v)) for v in rng.integers(1, 4, size=n)]
+    if head == "linear":
+        return [("x", ints(1))]
+    if head in ("convbn", "residual"):
+        options = [o for o in ("s1", "s2", "p0", "p1", _pick(rng, ACTS)) if rng.random() < 0.4]
+        return [("x", ints(1)), ("x", ints(2))] + [("x", [o]) for o in options]
+    if head == "mha":
+        return [("x", ints(2)) if rng.random() < 0.5 else (",", ints(int(rng.integers(1, 4))))]
+    return []
+
+
+def _mutate(rng, fields):
+    """One edit of the kinds a typo makes: a bad atom, an extra atom or field,
+    a dropped field, or a doubled separator."""
+    what = int(rng.integers(5))
+    if fields and what == 0:
+        _, atoms = fields[int(rng.integers(len(fields)))]
+        atoms[int(rng.integers(len(atoms)))] = _pick(rng, DSL_BAD_ATOMS)
+    elif fields and what == 1:
+        fields[int(rng.integers(len(fields)))][1].append(_pick(rng, ("1", "2", *DSL_BAD_ATOMS)))
+    elif what == 2:
+        field = ("x", [_pick(rng, ("3", *DSL_BAD_ATOMS))])
+        fields.insert(int(rng.integers(len(fields) + 1)), field)
+    elif fields and what == 3:
+        del fields[int(rng.integers(len(fields)))]
+    elif fields:
+        k = int(rng.integers(len(fields)))
+        fields[k] = (fields[k][0] * 2, fields[k][1])
+
+
+def random_spec(rng) -> str:
+    """A well-formed spec of a random head (or an unknown head), after 0-2 random edits."""
+    head = _pick(rng, DSL_HEADS)
+    fields = _dsl_fields(rng, head)
+    for _ in range(int(rng.integers(3))):
+        _mutate(rng, fields)
+    return ":".join([head] + [sep.join(atoms) for sep, atoms in fields])
+
+
+def test_every_layer_spec_builds_and_round_trips_or_fails_typed():
+    rng = np.random.default_rng(4021)
+    built, failed = set(), set()  # the heads of the specs that built and that failed
+    for _ in range(DSL_CASES):
+        spec = random_spec(rng)
+        shape = _pick(rng, ((5,), (2, 5, 5)))
+        try:
+            (layer,) = build_layers([spec], shape, None, "normal:0.5", 0)
+        except ConfigError:
+            failed.add(spec.split(":")[0])
+            continue
+        written = layer.spec()
+        (again,) = build_layers([written], shape, None, "normal:0.5", 0)
+        assert again.spec() == written, spec
+        assert infer_shapes([again], shape) == infer_shapes([layer], shape), spec
+        built.add(spec.split(":")[0])
+    kinds = {"linear", "convbn", "residual", "mha", *ACTS}
+    assert built == kinds
+    assert failed == kinds | {"dense", ""}
