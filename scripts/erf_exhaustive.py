@@ -11,7 +11,17 @@ takes its sign from `copysign`; the tier-1 tests cover negatives by sample.
 Float32 is the dtype every pipeline run computes in, and the one whose erfc
 branch uses NumPy's exp rather than the C library's.
 
-The walk takes about three minutes on one core of an x86_64 host, so it
+NumPy picks its float64 exp loop by the host's CPU features, and the loops
+differ in the last bit of some results: with numpy 2.4 on an x86_64 host, a
+2M-entry exp gives other bits when the AVX-512 loops are switched off. The
+claim holds only for the exp it was walked on, so walk it on both:
+
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" python scripts/erf_exhaustive.py
+
+NumPy ignores the names of features the host lacks, so the command runs
+anywhere and, on a host without AVX-512, walks the same exp twice.
+
+Each walk takes about three minutes on one core of an x86_64 host, so it
 runs as its own CI step, not in the tier-1 tests. It checks the `zigprune`
 of this checkout.
 """

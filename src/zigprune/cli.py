@@ -16,7 +16,8 @@ verify and the accuracy line check what a user would load. A single-stage
 command reads what it needs from the files the earlier stages wrote.
 
 Exit status is 0 on success; failures print a message tagged with the stage
-that failed and return nonzero.
+that failed and return nonzero. verify is such a failure when the slim
+model's outputs deviate from the full model's by more than `MAX_DEVIATION`.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .config import (
     model_to_specs,
 )
 from .data import classification_accuracy
-from .errors import StateError, ZigPruneError
+from .errors import EquivalenceError, StateError, ZigPruneError
 from .hspg import train
 from .model import ModelGraph
 from .prune import PruneReport, count_flops_params, equivalence_check, prune
@@ -171,11 +172,17 @@ def stage_prune(cfg: ExperimentConfig, model=None, partition=None):
     return model, slim, report
 
 
+# the one-shot equivalence bound: verify fails above it, and on a NaN deviation
+MAX_DEVIATION = 1e-5
+
+
 def stage_verify(cfg: ExperimentConfig, model=None):
     """Record the full-vs-slim output deviation in report.jsonl; returns (deviation, slim).
 
     The slim model is always rebuilt from report.jsonl and slim.ckpt, as a
-    user would load it, never taken from the prune stage's memory.
+    user would load it, never taken from the prune stage's memory. Raises
+    EquivalenceError, after writing the report, unless the deviation is at
+    most `MAX_DEVIATION`.
     """
     if model is None:
         model = _load_full(cfg)
@@ -186,6 +193,11 @@ def stage_verify(cfg: ExperimentConfig, model=None):
     with open(_path(cfg, "report.jsonl"), "w") as fh:
         fh.write(report.to_jsonl())
     print(f"verify: max output deviation {deviation:.3e} over {cfg.verify_inputs} inputs")
+    if not deviation <= MAX_DEVIATION:
+        raise EquivalenceError(
+            f"slim model deviates from the full model by {deviation:.3e}; "
+            f"the bound is {MAX_DEVIATION:.0e}"
+        )
     return deviation, slim
 
 

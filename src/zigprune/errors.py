@@ -51,6 +51,10 @@ class StructuralError(ZigPruneError, RuntimeError):
     """Two models that should be comparable are not (e.g. output shapes differ)."""
 
 
+class EquivalenceError(ZigPruneError, RuntimeError):
+    """The slim model's outputs deviate from the full model's beyond the one-shot bound."""
+
+
 class FormatError(ZigPruneError, ValueError):
     """A binary or text file does not match its expected format; carries a byte offset."""
 

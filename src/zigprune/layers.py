@@ -87,15 +87,19 @@ changes no arithmetic: the backward reads the very arrays it used to rebuild.
 GELU's erf is `_erf`, a NumPy port of cephes `erf` (``ndtr.c``), the
 algorithm behind `scipy.special.erf`, so the package needs NumPy alone and
 GELU gives the bits SciPy's erf gave. Like SciPy's float32 loop, it
-computes in float64 and rounds once. Its erfc branch calls exp, and which
-exp depends on the dtype. NumPy's vectorized float64 exp differs from the C
-library's exp, which cephes calls, in the last bit of some arguments: on an
-AVX-512 x86_64 host with numpy 2.4, 46,420 of 1M uniform x in [1, 6] gave
-another exp(-x^2), and 672 of them another float64 erf. Float64 inputs, the
-finite-difference shadow, therefore take the C library's exp, one
-`math.exp` call per entry. Float32 inputs, every pipeline run, take
-NumPy's exp: rounding to float32 hides each of those differences, which
-`scripts/erf_exhaustive.py` checks on every non-negative float32.
+computes in float64 and rounds once. The erf rational runs over every
+entry; the erfc branch, which costs about twice as much, runs only over
+the entries with |x| > 1, gathered and put back in memory order. The erfc
+branch calls exp, and which exp depends on the dtype. NumPy's vectorized
+float64 exp differs from the C library's exp, which cephes calls, in the
+last bit of some arguments: on an AVX-512 x86_64 host with numpy 2.4,
+46,420 of 1M uniform x in [1, 6] gave another exp(-x^2), and 672 of them
+another float64 erf. Float64 inputs, the finite-difference shadow,
+therefore take the C library's exp, one `math.exp` call per erfc-branch
+entry. Float32 inputs, every pipeline run, take NumPy's exp: rounding to
+float32 hides each of those differences, which `scripts/erf_exhaustive.py`
+checks on every non-negative float32, with and without NumPy's AVX-512 exp
+loops, whose bits differ.
 
 The conv layer fuses batch normalization with the activation applied to the
 convolution output *before* normalization:
@@ -175,9 +179,9 @@ _ERFC_Q = (
 _libm_exp = np.frompyfunc(math.exp, 1, 1)  # the C library's exp, the one cephes calls
 
 
-def _polevl(x, coefs):
-    """cephes `polevl`: Horner's rule from coefs[0], ``ans = ans * x + c``."""
-    ans = x * coefs[0]
+def _polevl(x, coefs, out=None):
+    """cephes `polevl`: Horner's rule from coefs[0], ``ans = ans * x + c``, into `out` if given."""
+    ans = np.multiply(x, coefs[0], out=out)
     ans += coefs[1]
     for c in coefs[2:]:
         ans *= x
@@ -185,9 +189,9 @@ def _polevl(x, coefs):
     return ans
 
 
-def _p1evl(x, coefs):
+def _p1evl(x, coefs, out=None):
     """cephes `p1evl`: `_polevl` with a leading coefficient 1, so it starts at ``x + coefs[0]``."""
-    ans = x + coefs[0]
+    ans = np.add(x, coefs[0], out=out)
     for c in coefs[1:]:
         ans *= x
         ans += c
@@ -197,10 +201,13 @@ def _p1evl(x, coefs):
 def _erf(x):
     """erf of a float32 or float64 array, to the bit what `scipy.special.erf` returns.
 
-    Both branches run over every entry and `np.where` picks one, so the
-    result keeps x's memory layout. The erfc branch reads |x| clipped to [1, 8]:
-    from |x| = 6 on, 1 - erfc is exactly 1.0, so the clip changes no output
-    and no entry overflows.
+    The erf rational runs over every entry. The erfc branch runs only over the
+    entries with |x| > 1: they are gathered in memory order into prefixes of
+    temporaries the erf branch is done with, and put back over its results,
+    so each entry gets the arithmetic of its own branch and the output keeps
+    x's memory layout. The erfc branch clips |x| to 8: from |x| = 6 on,
+    1 - erfc is exactly 1.0, so the clip changes no output and no entry
+    overflows.
     """
     if x.dtype == np.float64:
         x64 = x
@@ -210,20 +217,35 @@ def _erf(x):
     a = np.abs(x64)
     s = np.minimum(a, 1.0)
     z = s * s
-    s *= _polevl(z, _ERF_T)
-    s /= _p1evl(z, _ERF_U)
-    b = np.maximum(a, 1.0)
-    np.minimum(b, 8.0, out=b)
-    e = b * b
-    np.negative(e, out=e)
-    e = _libm_exp(e).astype(np.float64) if x.dtype == np.float64 else np.exp(e, out=e)
-    e *= _polevl(b, _ERFC_P)
-    e /= _p1evl(b, _ERFC_Q)
-    np.subtract(1.0, e, out=e)
-    out = np.where(a <= 1.0, s, e)
-    np.copysign(out, x64, out=out)
-    out[np.isnan(x64)] = np.nan  # scipy's positive quiet NaN, whatever the input's sign or payload
-    return out.astype(x.dtype, copy=False)
+    t = _polevl(z, _ERF_T)
+    s *= t
+    s /= _p1evl(z, _ERF_U, out=t)
+    # every array from `a` on is fresh and compact, so ravel("K") is a view
+    # and the same flat index names the same entry in each
+    flat_a = a.ravel(order="K")
+    idx = (flat_a > 1.0).nonzero()[0]
+    n = idx.size
+    if n:
+        b = flat_a.take(idx, out=z.ravel(order="K")[:n], mode="clip")
+        np.minimum(b, 8.0, out=b)
+        e = np.multiply(b, b, out=flat_a[:n])
+        np.negative(e, out=e)
+        if x.dtype == np.float64:
+            e[...] = _libm_exp(e)
+        else:
+            np.exp(e, out=e)
+        pq = t.ravel(order="K")[:n]
+        e *= _polevl(b, _ERFC_P, out=pq)
+        e /= _p1evl(b, _ERFC_Q, out=pq)
+        np.subtract(1.0, e, out=e)
+        s.ravel(order="K")[idx] = e
+        # freed before the output is allocated: held across that allocation,
+        # this varying-size array fragmented the heap and raised attn_prox's
+        # peak RSS by about 0.9 MB
+        del idx
+    np.copysign(s, x64, out=s)
+    s[np.isnan(x64)] = np.nan  # scipy's positive quiet NaN, whatever the input's sign or payload
+    return s.astype(x.dtype, copy=False)
 
 
 def _at_infinities(formula, x, at_neg, at_pos):
@@ -302,6 +324,8 @@ def weight_init(init: str):
             raise ConfigError(f"model.init: {exc}") from exc
         if sigma < 0:
             raise ConfigError(f"model.init: normal scale must be >= 0, got {sigma}")
+        if not math.isfinite(sigma):
+            raise ConfigError(f"model.init: normal scale must be finite, got {sigma}")
         scale = lambda fan_in: sigma
     else:
         raise ConfigError(f"model.init must be he, zeros or normal:SIGMA, got {init!r}")

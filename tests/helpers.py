@@ -195,6 +195,55 @@ REFERENCE_ACTIVATIONS = {
 }
 
 
+# -- GELU's erf as it stood before each cephes branch ran only on its own entries --
+# Both branches run over every entry and `np.where` picks one. `zigprune.layers._erf`
+# must return the same bits, dtype and strides.
+
+
+def _reference_polevl(x, coefs):
+    ans = x * coefs[0]
+    ans += coefs[1]
+    for c in coefs[2:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def _reference_p1evl(x, coefs):
+    ans = x + coefs[0]
+    for c in coefs[1:]:
+        ans *= x
+        ans += c
+    return ans
+
+
+def reference_erf(x):
+    from zigprune.layers import _ERF_T, _ERF_U, _ERFC_P, _ERFC_Q, _libm_exp
+
+    if x.dtype == np.float64:
+        x64 = x
+    else:
+        with np.errstate(invalid="ignore"):  # the cast flags a signaling NaN; scipy's erf does not
+            x64 = x.astype(np.float64)
+    a = np.abs(x64)
+    s = np.minimum(a, 1.0)
+    z = s * s
+    s *= _reference_polevl(z, _ERF_T)
+    s /= _reference_p1evl(z, _ERF_U)
+    b = np.maximum(a, 1.0)
+    np.minimum(b, 8.0, out=b)
+    e = b * b
+    np.negative(e, out=e)
+    e = _libm_exp(e).astype(np.float64) if x.dtype == np.float64 else np.exp(e, out=e)
+    e *= _reference_polevl(b, _ERFC_P)
+    e /= _reference_p1evl(b, _ERFC_Q)
+    np.subtract(1.0, e, out=e)
+    out = np.where(a <= 1.0, s, e)
+    np.copysign(out, x64, out=out)
+    out[np.isnan(x64)] = np.nan  # scipy's positive quiet NaN, whatever the input's sign or payload
+    return out.astype(x.dtype, copy=False)
+
+
 def reference_linear_forward(x, layer):
     from zigprune.layers import _matmul64, _param
 

@@ -24,7 +24,7 @@ from zigprune.errors import ConfigError
 from zigprune.layers import Layer
 from zigprune.model import ModelGraph
 from zigprune.prune import PruneReport
-from zigprune.tensor import load_arrays
+from zigprune.tensor import load_arrays, save_arrays
 
 
 BASE_CONFIG = """
@@ -155,6 +155,8 @@ class TestConfigParsing:
             ({"model.init": "normal:x"},
              "model.init: could not convert string to float: 'x'"),
             ({"model.init": "normal:-1"}, "model.init: normal scale must be >= 0, got -1.0"),
+            ({"model.init": "normal:nan"}, "model.init: normal scale must be finite, got nan"),
+            ({"model.init": "normal:inf"}, "model.init: normal scale must be finite, got inf"),
         ],
     )
     def test_messages_and_their_order(self, tmp_path, overrides, message):
@@ -385,6 +387,43 @@ class TestCli:
         assert err.startswith("[config] --seed must be >= 0")
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "partition.txt").exists()
+
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_init_scale_is_config_error(self, tmp_path, capsys, sigma):
+        cfgp = write_config(tmp_path, **{"model.init": f"normal:{sigma}"})
+        assert self.run("run", "--config", str(cfgp)) == 2
+        assert capsys.readouterr().err.startswith("[config] model.init: normal scale must be finite")
+        assert not (tmp_path / "out" / "partition.txt").exists()
+
+    @pytest.mark.parametrize("poison", ["scaled L4.weight", "NaN in L0.weight"])
+    def test_verify_fails_on_a_poisoned_slim_checkpoint(self, tmp_path, capsys, poison):
+        cfgp = write_config(tmp_path)
+        assert self.run("run", "--config", str(cfgp)) == 0
+        ckpt = tmp_path / "out" / "slim.ckpt"
+        arrays = load_arrays(ckpt)
+        if poison.startswith("scaled"):
+            arrays["L4.weight"] *= 1.5
+        else:
+            arrays["L0.weight"][0, 0] = np.nan
+        save_arrays(ckpt, arrays)
+        capsys.readouterr()
+        assert self.run("verify", "--config", str(cfgp)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[verify] slim model deviates from the full model by ")
+        assert err.rstrip().endswith("; the bound is 1e-05")
+        # the report is written before the check, so the failing number is on disk
+        deviation = PruneReport.from_jsonl((tmp_path / "out" / "report.jsonl").read_text()).max_deviation
+        assert np.isnan(deviation) if poison.startswith("NaN") else deviation > 1e-5
+
+    @pytest.mark.parametrize(
+        "deviation,status",
+        [(0.0, 0), (1e-5, 0), (float(np.nextafter(1e-5, 1.0)), 1), (float("nan"), 1)],
+    )
+    def test_run_enforces_the_equivalence_bound(self, tmp_path, capsys, monkeypatch, deviation, status):
+        monkeypatch.setattr(zigprune.cli, "equivalence_check", lambda *args, **kw: deviation)
+        assert self.run("run", "--config", str(write_config(tmp_path))) == status
+        err = capsys.readouterr().err
+        assert err.startswith("[verify] slim model deviates") if status else err == ""
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert self.run("run", "--config", str(tmp_path / "nope.cfg")) == 2

@@ -37,6 +37,7 @@ from helpers import (
     im2col_reference,
     linear_oracle,
     random_batch,
+    reference_erf,
     reference_gelu,
     reference_gelu_deriv,
 )
@@ -219,6 +220,63 @@ class TestErfPort:
         x = 3 * np.random.default_rng(2).standard_normal((3, 4, 5, 6)).astype(dtype)
         self.assert_matches_scipy(x.transpose(0, 3, 1, 2))
         self.assert_matches_scipy(x[:, ::2, :, 1:4])
+
+
+def _erf_lockstep_values(case, dtype):
+    """The flat inputs of one `TestErfLockstep` case."""
+    rng = np.random.default_rng(23)
+    if case == "empty":
+        return np.empty(0, dtype=dtype)
+    if case == "at_most_one":  # only the erf rational's entries, both ends included
+        return np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 117)]).astype(dtype)
+    if case == "above_one":  # only the erfc branch's entries
+        above = rng.uniform(1.0, 30.0, 118) * rng.choice([-1, 1], 118)
+        return np.concatenate([[-np.inf, np.inf], above]).astype(dtype)
+    if case == "mixed":
+        return (3 * rng.standard_normal(120)).astype(dtype)
+    if case == "specials":  # signed zeros, subnormals, infinities, NaNs of either sign with payloads
+        uint = np.uint32 if dtype == np.float32 else np.uint64
+        nans = np.array([np.nan, -np.nan], dtype=dtype)
+        payloads = (nans.view(uint) + uint(1)).view(dtype)
+        return np.concatenate([_edge_values(dtype), nans, payloads, [0.5, 2.0]]).astype(dtype)
+    # the float32 neighbours of the branch and polynomial edges and the erfc underflow
+    ends = np.array([1.0, 6.0, 8.0, 26.6], dtype=np.float32)
+    near = np.concatenate([np.nextafter(ends, np.float32(0)), ends, np.nextafter(ends, np.float32(30))])
+    return np.concatenate([near, -near]).astype(dtype)
+
+
+def _erf_lockstep_layout(values, layout):
+    """`values` repeated into a (B, C, H, W) array of the given memory layout (B = 0 if empty)."""
+    batch = 2 if values.size else 0
+
+    def fill(*shape):
+        return np.resize(values, int(np.prod(shape))).reshape(shape)
+
+    if layout == "flat":
+        return values
+    if layout == "c_contiguous":
+        return fill(batch, 3, 4, 5)
+    if layout == "channels_last_view":  # what a conv+gelu layer hands its activation
+        return fill(batch, 4, 5, 3).transpose(0, 3, 1, 2)
+    return fill(batch, 6, 4, 10)[:, ::2, :, 1::2]  # a strided slice
+
+
+class TestErfLockstep:
+    """`layers._erf` against the both-branches form in `helpers.reference_erf`:
+    the same bytes, dtype and strides, whichever branch each entry takes."""
+
+    @pytest.mark.parametrize("layout", ["flat", "c_contiguous", "channels_last_view", "strided_slice"])
+    @pytest.mark.parametrize("case", ["empty", "at_most_one", "above_one", "mixed", "specials", "neighbours"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_reference_bitwise(self, dtype, case, layout):
+        x = _erf_lockstep_layout(_erf_lockstep_values(case, dtype), layout)
+        with np.errstate(invalid="raise", divide="raise", over="raise"):
+            got = layers_module._erf(x)
+            ref = reference_erf(x)
+        assert got.dtype == ref.dtype == dtype
+        assert got.shape == ref.shape == x.shape
+        assert got.strides == ref.strides
+        assert bits(got) == bits(ref)
 
 
 # every finite and infinite edge of both float types: signed zeros, the
