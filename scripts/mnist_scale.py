@@ -15,9 +15,10 @@ Prints each run's wall time and its child's peak resident set size, and
 exits 1 if a run fails or its peak RSS is above the ceiling. The dataset
 alone is 188 MB as float32, so the ceiling also bounds what the pipeline
 holds besides it: the forward record of a training step, the chunked
-evaluation, the equivalence check. At 28x28 one 256-sample chunk would hold
-231 MB of float64 patches in the residual block if a conv layer ran the
-chunk in one call; it runs it in blocks of samples instead.
+evaluation, the equivalence check. At 28x28 a 256-sample chunk would hold
+231 MB of float64 patches in the residual block; `predict` sizes its chunk
+so that its patches stay under `zigprune.model.PATCH_BYTES` (1 MiB), which
+here is one sample.
 
 The check takes a few seconds and writes about 50 MB, so it runs as its own
 CI step, not in the tier-1 tests. It runs the `zigprune` of this checkout.

@@ -61,17 +61,11 @@ def make_partition(cfg: ExperimentConfig, model: ModelGraph) -> GroupPartition:
     """The ZIG partition, or hand-laid groups for the planted regression bed."""
     if cfg.dataset.get("kind") == "synthetic-glasso":
         n_groups = cfg.dataset["groups"]
-        size = cfg.dataset["group_size"]
-        expected = n_groups * size
-        if cfg.input_shape != (expected,):
-            raise ZigPruneError(
-                f"synthetic-glasso expects model.input_shape = {expected} "
-                f"(groups x group_size), got {cfg.input_shape}"
-            )
+        size = cfg.dataset["group_size"]  # load_config checked the input is n_groups * size wide
         index_lists = [np.arange(g * size, (g + 1) * size) for g in range(n_groups)]
         penalized = [True] * n_groups
         # remaining trainable scalars (the bias) form one unpenalized group
-        rest = np.arange(expected, model.n_flat)
+        rest = np.arange(n_groups * size, model.n_flat)
         if rest.size:
             index_lists.append(rest)
             penalized.append(False)

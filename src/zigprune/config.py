@@ -151,7 +151,7 @@ def load_config(path) -> ExperimentConfig:
     if kind not in DATASET_KINDS:
         raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
     dataset = {k.split(".", 1)[1]: v for k, v in typed.items() if k.startswith("dataset.")}
-    _validate_dataset(dataset)
+    _validate_dataset(dataset, input_shape)
 
     train_fields = {f[len("train.") :]: given.pop(f) for f in list(given) if f.startswith("train.")}
     try:
@@ -174,7 +174,7 @@ def check_seed(what: str, seed: int):
         raise ConfigError(f"{what} must be >= 0, got {seed}")
 
 
-def _validate_dataset(ds: dict):
+def _validate_dataset(ds: dict, input_shape: tuple):
     kind = ds["kind"]
     positive = {
         "samples": 1,
@@ -196,6 +196,12 @@ def _validate_dataset(ds: dict):
                 raise ConfigError(f"dataset.{key} is required for synthetic-glasso")
         if ds.get("support", 0) > ds["groups"]:
             raise ConfigError("dataset.support cannot exceed dataset.groups")
+        expected = ds["groups"] * ds["group_size"]
+        if input_shape != (expected,):
+            raise ConfigError(
+                f"synthetic-glasso expects model.input_shape = {expected} "
+                f"(groups x group_size), got {input_shape}"
+            )
     if kind == "synthetic-classify":
         for key in ("samples", "classes", "features"):
             if key not in ds:

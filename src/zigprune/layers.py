@@ -11,8 +11,8 @@ reader and writer never branch on type:
   * `units` gives each output unit's zero-invariant group as parameter spans:
     row r of every trainable parameter (the one rule, written on `Layer`),
     which attention only renumbers by head;
-  * `slim`, `macs` (an int) and `kinks` serve pruning, FLOP counting and
-    the finite-difference check;
+  * `slim`, `macs` (an int), `patch_bytes` and `kinks` serve pruning,
+    FLOP counting, the evaluation chunk and the finite-difference check;
   * `spec` writes the layer as its DSL string, and the classmethod
     ``from_spec(spec, args, shape, rng, init)`` reads one (`args`: the
     ``:`` fields after the head; `init`: a `weight_init` draw), raising
@@ -55,16 +55,9 @@ the precision both conv products read them in, so no pass upcasts them
 again; `_im2col` upcasts the input as it copies it into its zero-padded
 buffer, in one pass. An upcast is exact, so this changes no bit.
 
-A forward that records nothing (every evaluation) runs each conv layer,
-residual blocks included, over blocks of float32 samples: each block holds
-about `_PATCH_BYTES` (1 MiB) of float64 patches but at least `_MIN_ROWS`
-(1,024) GEMM rows, and writes into one preallocated output. So evaluation
-memory is bounded by the block, not by the batch. BLAS picks its kernel by
-problem size, so a block's product may differ from the unsplit one in its
-last float64 bits; rounding to float32 has hidden that in every run, but a
-float64 batch would keep it, so it runs as one call, as a recording forward
-does (its patches are the record the backward reads). Blocks only re-slice
-the samples; the conv math is the same module function either way.
+`patch_bytes` counts the float64 conv patches a kind's forward holds at
+once per sample. The model sizes its evaluation chunk from the largest (see
+`model.ModelGraph.predict`), so every layer runs on a whole chunk in one call.
 
 A backward reads the operands and intermediates its forward made; it never
 recomputes them. Each kind's cache holds:
@@ -357,12 +350,8 @@ class Layer:
         """Output sample shape for an input sample shape; raises InvalidModelError."""
         return shape
 
-    def forward(self, x: np.ndarray, record: bool = True):
-        """(out, cache) for a batch.
-
-        `record` is False when no tape keeps the cache: a conv kind then runs
-        over blocks of samples (`_by_sample_blocks`) and may return None.
-        """
+    def forward(self, x: np.ndarray):
+        """(out, cache) for a batch."""
         return x, None
 
     def backward(self, dout: np.ndarray, cache):
@@ -401,6 +390,10 @@ class Layer:
 
     def macs(self, out_shape: tuple) -> int:
         """Per-sample multiply-accumulates, given the layer's output sample shape."""
+        return 0
+
+    def patch_bytes(self, out_shape: tuple) -> int:
+        """Bytes of float64 conv patches one sample's forward holds at once."""
         return 0
 
     def kinks(self, cache) -> list[np.ndarray]:
@@ -451,7 +444,7 @@ class Linear(Layer):
             )
         return (self.out_features,)
 
-    def forward(self, x, record=True):
+    def forward(self, x):
         return linear_forward(x, self)
 
     def backward(self, dout, cache, need_dx=True):
@@ -538,8 +531,8 @@ class ConvBN(Layer):
             raise InvalidModelError(f"empty conv output for input {shape}")
         return (self.out_channels, oh, ow)
 
-    def forward(self, x, record=True):
-        return _by_sample_blocks(conv_bn_forward, x, self, (self,), record)
+    def forward(self, x):
+        return conv_bn_forward(x, self)
 
     def backward(self, dout, cache, need_dx=True):
         return conv_bn_backward(dout, self, cache, need_dx)
@@ -562,6 +555,10 @@ class ConvBN(Layer):
     def macs(self, out_shape):
         _, oh, ow = out_shape
         return self.out_channels * (self.kernel.data.shape[1] + 1) * oh * ow  # conv + bn scale
+
+    def patch_bytes(self, out_shape):
+        _, oh, ow = out_shape
+        return 8 * oh * ow * self.kernel.data.shape[1]
 
     def kinks(self, cache):
         return [cache[2] > 0] if self.activation != "gelu" else []
@@ -623,9 +620,8 @@ class ResidualBlock(Layer):
         """Both branches read x: one im2col serves both when their windows agree."""
         return self.branch1.geometry == self.branch2.geometry
 
-    def forward(self, x, record=True):
-        convs = (self.branch1,) if self.shares_patches else (self.branch1, self.branch2)
-        return _by_sample_blocks(residual_forward, x, self, convs, record)
+    def forward(self, x):
+        return residual_forward(x, self)
 
     def backward(self, dout, cache, need_dx=True):
         return residual_backward(dout, self, cache, need_dx)
@@ -640,6 +636,11 @@ class ResidualBlock(Layer):
 
     def macs(self, out_shape):
         return sum(b.macs(out_shape) for _, b in self.branches)
+
+    def patch_bytes(self, out_shape):
+        if self.shares_patches:
+            return self.branch1.patch_bytes(out_shape)
+        return sum(b.patch_bytes(out_shape) for _, b in self.branches)
 
     def kinks(self, cache):
         return self.branch1.kinks(cache[0]) + self.branch2.kinks(cache[1])
@@ -691,7 +692,7 @@ class MultiHeadAttention(Layer):
     out_shape = Linear.out_shape
     macs = Linear.macs
 
-    def forward(self, x, record=True):
+    def forward(self, x):
         return attention_forward(x, self)
 
     def backward(self, dout, cache, need_dx=True):
@@ -744,7 +745,7 @@ class Activation(Layer):
         if self.kind not in ACTIVATIONS:
             raise ParameterError(f"unknown activation kind {self.kind!r}")
 
-    def forward(self, x, record=True):
+    def forward(self, x):
         return activation_forward(x, self)
 
     def backward(self, dout, cache):
@@ -873,15 +874,6 @@ def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache, need_
 # ---------------------------------------------------------------------------
 # conv + bn
 
-# A forward that records nothing runs a conv layer over blocks of float32
-# samples of about _PATCH_BYTES of float64 patches, but of at least _MIN_ROWS
-# GEMM rows: OpenBLAS picks its dgemm kernel by problem size, and with
-# OpenBLAS 0.3.31's SkylakeX kernels blocks of 512 rows or more gave every row
-# the bits of the unsplit product (its Haswell and Prescott kernels did not)
-_PATCH_BYTES = 1 << 20
-_MIN_ROWS = 1024
-
-
 @functools.lru_cache(maxsize=256)
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     """Flat gather index of every patch entry, and the output (oh, ow).
@@ -936,45 +928,6 @@ def conv_output_hw(h: int, w: int, layer: ConvBN) -> tuple[int, int]:
     oh = (h + 2 * layer.padding - layer.kh) // layer.stride + 1
     ow = (w + 2 * layer.padding - layer.kw) // layer.stride + 1
     return oh, ow
-
-
-def _sample_blocks(batch: int, rows: int, row_bytes: int) -> list[int]:
-    """Bounds of the sample blocks `_by_sample_blocks` runs, from 0 to `batch`.
-
-    Each sample makes `rows` patch rows of `row_bytes` bytes. The blocks split
-    the batch evenly, aim at `_PATCH_BYTES` of patches each, and hold at least
-    `_MIN_ROWS` rows, so a batch below that floor stays one block.
-    """
-    floor = -(-_MIN_ROWS // max(rows, 1))  # the fewest samples with _MIN_ROWS rows
-    per = max(floor, _PATCH_BYTES // max(rows * row_bytes, 1))
-    n = max(1, min(-(-batch // per), batch // floor))
-    return [batch * i // n for i in range(n + 1)]
-
-
-def _by_sample_blocks(forward, x: np.ndarray, layer: Layer, convs, record: bool):
-    """``forward(x, layer)``, run over blocks of samples when nothing records.
-
-    `convs` are the `ConvBN` layers whose float64 patches one call holds at
-    once. A recording forward stays one call: its patches are the record the
-    backward reads. So does a float64 one, whose last bits would otherwise
-    depend on the kernel BLAS picks for a block. Otherwise every block's
-    output is written into one channels-last array, whose (B, C, H, W)
-    transpose has the layout one call returns, and the cache is None.
-    """
-    if record or x.ndim != 4 or x.dtype == np.float64:
-        return forward(x, layer)
-    oh, ow = conv_output_hw(x.shape[2], x.shape[3], convs[0])
-    row_bytes = 8 * sum(conv.kernel.data.shape[1] for conv in convs)  # float64 patch columns
-    bounds = _sample_blocks(len(x), oh * ow, row_bytes)
-    if len(bounds) == 2:
-        return forward(x, layer)
-    out = None
-    for start, stop in zip(bounds, bounds[1:]):
-        y = forward(x[start:stop], layer)[0].transpose(0, 2, 3, 1)
-        if out is None:
-            out = np.empty((len(x), *y.shape[1:]), dtype=y.dtype)
-        out[start:stop] = y
-    return out.transpose(0, 3, 1, 2), None
 
 
 def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None):

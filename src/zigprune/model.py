@@ -10,11 +10,11 @@ is a method of the layer class (see `layers`).
 `forward` records what `backward` and the finite-difference check read: the
 tape and the loss gradient. `layer_outputs` returns every layer's output
 and records nothing; the zero-invariance checker reads it. `predict` runs
-the same layer loop over `EVAL_CHUNK`-sample chunks and records nothing;
-every evaluation (the per-epoch full-data loss, accuracy, the equivalence
-check) uses it, so its memory is bounded by the chunk, not by the dataset.
-The loop tells each layer whether a tape records; when none does, a conv
-layer runs over blocks of samples, which bounds its patches by the block.
+the same layer loop over chunks of samples and records nothing; every
+evaluation (the per-epoch full-data loss, accuracy, the equivalence check)
+uses it, so its memory is bounded by the chunk, not by the dataset. The
+chunk is `EVAL_CHUNK` samples, fewer where a conv layer's float64 patches
+would pass `PATCH_BYTES` (see `eval_chunk`).
 
 Parameter arrays live in a registry keyed by stable ids (``L3.kernel``,
 ``L5.b1.gamma``, ``L7.h0.weight``); the flattened view used by the
@@ -41,7 +41,8 @@ from . import layers as L
 from .errors import InvalidModelError, ParameterError, ShapeError, StateError
 from .tensor import Tensor, as_array, load_arrays, save_arrays
 
-EVAL_CHUNK = 256  # samples per predict() chunk
+EVAL_CHUNK = 256  # the most samples per predict() chunk
+PATCH_BYTES = 1 << 20  # float64 conv patches one float32 predict() chunk may hold
 
 
 def _flat_size(shape) -> int:
@@ -72,6 +73,12 @@ class ModelGraph:
         self.layers = list(layer_list)
         self.input_shape = tuple(int(s) for s in input_shape)
         self.shapes = infer_shapes(self.layers, self.input_shape)
+        per_sample = max(
+            (layer.patch_bytes(shape) for layer, shape in zip(self.layers, self.shapes)), default=0
+        )
+        # samples per float32 predict() chunk; a sample whose patches alone pass
+        # PATCH_BYTES still runs, one at a time
+        self.eval_chunk = max(1, min(EVAL_CHUNK, PATCH_BYTES // max(per_sample, 1)))
         self.params: dict[str, Tensor] = {}
         self.constants: dict[str, Tensor] = {}
         self._first_param = len(self.layers)  # backward stops at this layer
@@ -167,7 +174,7 @@ class ModelGraph:
                 pre_flatten = x.shape
                 x = x.reshape(x.shape[0], _flat_size(x.shape[1:]))
             try:
-                x, cache = layer.forward(x, tape is not None)
+                x, cache = layer.forward(x)
                 if isinstance(layer, L.Loss) and targets is not None:
                     loss, dloss = L.loss_forward(x, targets, layer.kind)
             except (ShapeError, ParameterError) as exc:
@@ -195,21 +202,21 @@ class ModelGraph:
     def predict(self, inputs) -> np.ndarray:
         """Final outputs for `inputs`, as ``forward(inputs)[0]`` computes them.
 
-        Runs the layers over `EVAL_CHUNK`-sample chunks and records nothing,
-        so its memory is bounded by the chunk, not by the number of inputs,
-        and the record of the last forward() stays as it was. Within a chunk
-        each conv layer runs over smaller blocks of float32 samples (see
-        `layers`), which bounds its float64 patches by the block; float64
-        samples run each conv layer in one call. Each sample's arithmetic is
-        the same as in one pass, but BLAS picks its kernel by problem size,
-        so a chunk smaller than `EVAL_CHUNK`, or a conv block, may change a
-        product's last float64 bits. A float32 layer output hides that
-        unless it straddles a float32 rounding boundary, which no seeded
-        comparison has met.
+        Runs the layers over chunks of samples and records nothing, so its
+        memory is bounded by the chunk, not by the number of inputs, and the
+        record of the last forward() stays as it was. Float32 samples run in
+        chunks of `eval_chunk`, whose float64 conv patches stay within
+        `PATCH_BYTES` (or are one sample's). Float64 samples keep
+        `EVAL_CHUNK`-sample chunks: BLAS picks its kernel by problem size, so
+        a smaller chunk can change a float64 product's last bits, as
+        OpenBLAS's Haswell and Prescott kernels do at conv row counts. A
+        float32 layer output hides that unless it straddles a float32
+        rounding boundary, which no seeded comparison has met.
         """
         x = self._input(inputs)
-        starts = range(0, max(len(x), 1), EVAL_CHUNK)  # an empty batch runs once
-        return np.concatenate([self._run(x[s : s + EVAL_CHUNK])[0] for s in starts])
+        chunk = EVAL_CHUNK if x.dtype == np.float64 else self.eval_chunk
+        starts = range(0, max(len(x), 1), chunk)  # an empty batch runs once
+        return np.concatenate([self._run(x[s : s + chunk])[0] for s in starts])
 
     def layer_outputs(self, inputs) -> list[np.ndarray]:
         """Every layer's output for `inputs`, in one pass that records nothing."""

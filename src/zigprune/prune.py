@@ -18,6 +18,7 @@ BN scale; a residual block both branches; attention sum of m_h*n per head.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -43,7 +44,10 @@ class PruneReport:
     input_shape: list[int] | None = None
 
     def to_jsonl(self) -> str:
+        """Strict JSON lines: a non-finite deviation is written "nan", "inf" or "-inf"."""
         summary = {f.name: getattr(self, f.name) for f in _SUMMARY_FIELDS}
+        if self.max_deviation is not None and not math.isfinite(self.max_deviation):
+            summary["max_deviation"] = str(self.max_deviation)
         lines = [json.dumps({"type": "summary", **summary}, sort_keys=True)]
         for entry in self.layer_maps:
             lines.append(json.dumps({"type": "layer", **entry}, sort_keys=True))
@@ -53,6 +57,8 @@ class PruneReport:
     def from_jsonl(cls, text: str) -> "PruneReport":
         lines = [json.loads(line) for line in text.strip().splitlines() if line.strip()]
         summary = next(obj for obj in lines if obj.get("type") == "summary")
+        if isinstance(summary.get("max_deviation"), str):
+            summary["max_deviation"] = float(summary["max_deviation"])
         layer_maps = [
             {k: v for k, v in obj.items() if k != "type"}
             for obj in lines

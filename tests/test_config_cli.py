@@ -412,8 +412,15 @@ class TestCli:
         assert err.startswith("[verify] slim model deviates from the full model by ")
         assert err.rstrip().endswith("; the bound is 1e-05")
         # the report is written before the check, so the failing number is on disk
-        deviation = PruneReport.from_jsonl((tmp_path / "out" / "report.jsonl").read_text()).max_deviation
+        text = (tmp_path / "out" / "report.jsonl").read_text()
+        deviation = PruneReport.from_jsonl(text).max_deviation
         assert np.isnan(deviation) if poison.startswith("NaN") else deviation > 1e-5
+
+        def no_constant(name):  # strict JSON has no NaN or Infinity
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        for line in text.splitlines():
+            json.loads(line, parse_constant=no_constant)
 
     @pytest.mark.parametrize(
         "deviation,status",
@@ -505,6 +512,29 @@ output.dir = {out}
         assert self.run("run", "--config", str(cfgp)) == 0
         report = PruneReport.from_jsonl((tmp_path / "csvout" / "report.jsonl").read_text())
         assert report.max_deviation <= 1e-5
+
+    def test_glasso_input_shape_is_checked_at_load(self, tmp_path, capsys):
+        text = """
+model.input_shape = 7
+model.layers = linear:1
+model.loss = mse
+dataset.kind = synthetic-glasso
+dataset.groups = 4
+dataset.group_size = 2
+dataset.samples = 20
+output.dir = {out}
+""".format(out=tmp_path / "gl")
+        cfgp = tmp_path / "gl.cfg"
+        cfgp.write_text(text)
+        message = (
+            "synthetic-glasso expects model.input_shape = 8 (groups x group_size), got (7,)"
+        )
+        with pytest.raises(ConfigError) as err:
+            load_config(cfgp)
+        assert str(err.value) == message
+        assert self.run("run", "--config", str(cfgp)) == 2
+        assert capsys.readouterr().err == f"[config] {message}\n"
+        assert not (tmp_path / "gl").exists()
 
     def test_glasso_pipeline_reports_without_surgery(self, tmp_path):
         text = """

@@ -1,4 +1,3 @@
-import itertools
 import tracemalloc
 
 import numpy as np
@@ -6,8 +5,8 @@ import pytest
 
 from zigprune.config import build_layers
 from zigprune.errors import FormatError, InvalidModelError, ShapeError, StateError
-from zigprune.layers import _MIN_ROWS, _PATCH_BYTES, Activation, Linear, Loss, _sample_blocks
-from zigprune.model import EVAL_CHUNK, ModelGraph, finite_difference_check, infer_shapes
+from zigprune.layers import Activation, ConvBN, Linear, Loss, ResidualBlock, weight_init
+from zigprune.model import EVAL_CHUNK, PATCH_BYTES, ModelGraph, finite_difference_check, infer_shapes
 from zigprune.tensor import Tensor, load_arrays, save_arrays
 
 from helpers import bits, build_random_model, linear_oracle, random_batch
@@ -277,8 +276,47 @@ def mnist_conv_model():
     return ModelGraph(build_layers(specs, MNIST_SHAPE, "softmax_ce", "normal:0.5", 0), MNIST_SHAPE)
 
 
+# (input shape, channels, whether the residual branches share one window)
+CHUNK_MODELS = [
+    pytest.param(shape, channels, shared, id=f"{shape[1]}x{shape[2]}-{'shared' if shared else 'own'}")
+    for shape, channels in (((1, 8, 8), 4), ((1, 12, 12), 4), (MNIST_SHAPE, 8))
+    for shared in (True, False)
+]
+
+
+def chunk_model(shape, channels, shared, seed=0):
+    """A conv layer, a residual block (3x3 and, unless `shared`, 5x5 branches) and a linear layer."""
+    rng, draw = np.random.default_rng(seed), weight_init("normal:0.5")
+    first = ConvBN.from_spec("convbn", [str(channels), "3x3", "p1"], shape, rng, draw)
+    inner = first.out_shape(shape)
+    window = ["3x3", "p1"] if shared else ["5x5", "p2"]
+    block = ResidualBlock(
+        ConvBN.from_spec("residual", [str(channels), "3x3", "p1"], inner, rng, draw),
+        ConvBN.from_spec("residual", [str(channels), *window], inner, rng, draw),
+    )
+    assert block.shares_patches == shared
+    head = Linear.drawn(3, inner, rng, draw)
+    return ModelGraph([first, block, head, Loss("softmax_ce")], shape)
+
+
+def spy_conv_calls(monkeypatch):
+    """Record (layer, input, bytes of float64 patches built) for every conv+bn call."""
+    import zigprune.layers as layers_module
+
+    calls = []
+    original = layers_module.conv_bn_forward
+
+    def spy(x, layer, cols=None):
+        out, cache = original(x, layer, cols)
+        calls.append((layer, x, 0 if cols is not None else cache[1].nbytes))
+        return out, cache
+
+    monkeypatch.setattr(layers_module, "conv_bn_forward", spy)
+    return calls
+
+
 class TestSampleBlocks:
-    """A forward that records nothing runs conv layers over blocks of samples."""
+    """A predict() chunk bounds the float64 patches of every conv layer."""
 
     @pytest.mark.parametrize(
         "dtype, n", [(np.float32, n) for n in (0, 1, 256, 300)] + [(np.float64, n) for n in (0, 1, 256)]
@@ -313,46 +351,51 @@ class TestSampleBlocks:
             assert np.array_equal(out, ref)
 
     def test_recording_forward_is_one_call_per_conv(self, monkeypatch):
-        import zigprune.layers as layers_module
-
-        batches = []
-        original = layers_module.conv_bn_forward
-
-        def counted(x, layer, cols=None):
-            batches.append(len(x))
-            return original(x, layer, cols)
-
-        monkeypatch.setattr(layers_module, "conv_bn_forward", counted)
+        calls = spy_conv_calls(monkeypatch)
         m = mnist_conv_model()
         x = np.random.default_rng(5).standard_normal((EVAL_CHUNK, *MNIST_SHAPE)).astype(np.float32)
         m.forward(x)
+        batches = [len(cx) for _, cx, _ in calls]
         assert batches == [EVAL_CHUNK] * 3  # the conv layer and both residual branches
-        batches.clear()
+        calls.clear()
         m.predict(x)
+        batches = [len(cx) for _, cx, _ in calls]
         assert len(batches) > 3 and sum(batches) == 3 * EVAL_CHUNK
 
-    @pytest.mark.parametrize("batch", [0, 1, 2, 3, 7, 64, 255, 256, 300, 1024])
-    def test_split_keeps_the_row_floor_and_covers_every_sample(self, batch):
-        for rows, row_bytes in itertools.product([1, 4, 16, 64, 100, 784, 1500, 5000],
-                                                 [8, 72, 576, 1152, 4608]):
-            bounds = _sample_blocks(batch, rows, row_bytes)
-            assert bounds[0] == 0 and bounds[-1] == batch
-            sizes = np.diff(bounds)
-            if batch == 0:
-                assert list(sizes) == [0]
-                continue
-            assert sizes.min() >= 1 and sizes.max() - sizes.min() <= 1  # an even split
-            if batch * rows < _MIN_ROWS:
-                assert len(sizes) == 1  # a product below the floor stays one call
-            else:
-                assert sizes.min() * rows >= _MIN_ROWS
-            floor = -(-_MIN_ROWS // rows)  # the fewest samples with _MIN_ROWS rows
-            for size in sizes:
-                # a block above the patch budget could not be split into two above the floor
-                assert size * rows * row_bytes <= _PATCH_BYTES or size < 2 * floor
+    @pytest.mark.parametrize("n", [0, 1, 255, 300])
+    @pytest.mark.parametrize("shape, channels, shared", CHUNK_MODELS)
+    def test_chunks_cover_every_sample_within_the_patch_budget(
+        self, monkeypatch, shape, channels, shared, n
+    ):
+        m = chunk_model(shape, channels, shared)
+        calls = spy_conv_calls(monkeypatch)
+        x = np.random.default_rng(n).standard_normal((n, *shape)).astype(np.float32)
+        m.predict(x)
+        chunks = [cx for layer, cx, _ in calls if layer is m.layers[0]]
+        assert np.array_equal(np.concatenate(chunks), x)  # every sample, in order
+        sizes = [len(cx) for cx in chunks]
+        assert len(set(sizes[:-1])) <= 1 and sizes[-1] <= sizes[0]
+        second = m.layers[1].branch2
+        widest = 0.0  # the most patch bytes one sample held
+        for i, (layer, cx, built) in enumerate(calls):
+            # branch 2 runs while branch 1's patches are still held
+            held = built + (calls[i - 1][2] if layer is second else 0)
+            assert held <= PATCH_BYTES or len(cx) == 1
+            widest = max(widest, held / max(len(cx), 1))
+        if len(sizes) > 1:  # the chunk is as large as the budget allows
+            assert sizes[0] == EVAL_CHUNK or (sizes[0] + 1) * widest > PATCH_BYTES
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 300])
+    @pytest.mark.parametrize("shape, channels, shared", CHUNK_MODELS[:4])
+    def test_float64_inputs_run_eval_chunk_chunks(self, monkeypatch, shape, channels, shared, n):
+        m = chunk_model(shape, channels, shared)
+        calls = spy_conv_calls(monkeypatch)
+        m.predict(np.random.default_rng(n).standard_normal((n, *shape)))
+        sizes = [len(cx) for layer, cx, _ in calls if layer is m.layers[0]]
+        assert sizes == [min(EVAL_CHUNK, n - s) for s in range(0, max(n, 1), EVAL_CHUNK)]
 
     def test_mnist_shape_evaluation_memory(self):
-        # one chunk's 16-channel float64 patches alone were 231 MB before blocks
+        # one 256-sample chunk's 16-channel float64 patches alone are 231 MB
         specs = ["convbn:16:3x3:s1:p1:relu", "residual:16:3x3:s1:p1:relu", "linear:10"]
         m = ModelGraph(build_layers(specs, MNIST_SHAPE, "softmax_ce", "normal:0.1", 0), MNIST_SHAPE)
         x = np.random.default_rng(6).standard_normal((EVAL_CHUNK, *MNIST_SHAPE)).astype(np.float32)
@@ -362,7 +405,7 @@ class TestSampleBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 64 * 2**20
+        assert peak <= 8 * 2**20
 
 
 class TestFiniteDifferences:

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 
 import numpy as np
@@ -309,6 +310,10 @@ class TestEquivalence:
             equivalence_check(a, b, 5, seed=0)
 
 
+def strict_json_constant(name):
+    raise ValueError(f"strict JSON has no {name}")
+
+
 class TestReport:
     def test_jsonl_roundtrip(self):
         m = model_from(["linear:4", "linear:2"], (3,), seed=15)
@@ -324,6 +329,17 @@ class TestReport:
         assert back.layer_maps == report.layer_maps
         assert back.slim_layers == report.slim_layers
         assert back.max_deviation == report.max_deviation
+
+    @pytest.mark.parametrize("deviation", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_deviation_is_a_json_string(self, deviation):
+        m = model_from(["linear:2"], (3,), seed=15)
+        _, report = prune(m, partition_zig(m))
+        report.max_deviation = deviation
+        text = report.to_jsonl()
+        summary = json.loads(text.splitlines()[0], parse_constant=strict_json_constant)
+        assert summary["max_deviation"] == str(deviation)
+        back = PruneReport.from_jsonl(text).max_deviation
+        assert np.isnan(back) if np.isnan(deviation) else back == deviation
 
     def test_retained_plus_zeroed_covers_penalized(self):
         m = model_from(["linear:5", "relu", "linear:3"], (4,), seed=16)
