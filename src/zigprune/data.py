@@ -1,7 +1,13 @@
-"""Datasets: synthetic generators, IDX binary files, CSV, and split handling."""
+"""Datasets: synthetic generators, IDX binary files, CSV, and split handling.
+
+IDX files (big-endian) hold a u32 magic, one u32 per extent and the uint8
+payload; one reader, `_read_idx`, parses both kinds: images (count, rows,
+cols) and labels (count).
+"""
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -104,42 +110,32 @@ def _read_u32be(blob: bytes, offset: int, what: str) -> tuple[int, int]:
     return struct.unpack(">I", blob[offset : offset + 4])[0], offset + 4
 
 
-def _load_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int, what: str, extents: tuple[str, ...]) -> np.ndarray:
+    """The uint8 payload of an IDX file, shaped by the u32 `extents` after its magic.
+
+    `what` names the content ("image" or "label") in every FormatError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    magic, pos = _read_u32be(blob, 0, "magic")
-    if magic != IDX_IMAGES_MAGIC:
-        raise FormatError(f"bad IDX image magic 0x{magic:08x}", offset=0)
-    count, pos = _read_u32be(blob, pos, "count")
-    rows, pos = _read_u32be(blob, pos, "rows")
-    cols, pos = _read_u32be(blob, pos, "cols")
-    need = count * rows * cols
+    found, pos = _read_u32be(blob, 0, "magic")
+    if found != magic:
+        raise FormatError(f"bad IDX {what} magic 0x{found:08x}", offset=0)
+    shape = []
+    for name in extents:
+        extent, pos = _read_u32be(blob, pos, name)
+        shape.append(extent)
+    need = math.prod(shape)  # Python ints: three u32 extents can overflow int64
     if len(blob) - pos != need:
         raise FormatError(
-            f"IDX image payload has {len(blob) - pos} bytes, expected {need}", offset=pos
+            f"IDX {what} payload has {len(blob) - pos} bytes, expected {need}", offset=pos
         )
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(count, rows, cols)
-    return pixels
-
-
-def _load_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    magic, pos = _read_u32be(blob, 0, "magic")
-    if magic != IDX_LABELS_MAGIC:
-        raise FormatError(f"bad IDX label magic 0x{magic:08x}", offset=0)
-    count, pos = _read_u32be(blob, pos, "count")
-    if len(blob) - pos != count:
-        raise FormatError(
-            f"IDX label payload has {len(blob) - pos} bytes, expected {count}", offset=pos
-        )
-    return np.frombuffer(blob, dtype=np.uint8, offset=pos).astype(np.int64)
+    return np.frombuffer(blob, dtype=np.uint8, offset=pos).reshape(shape)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load image/label IDX files; pixels scale to [0, 1] floats, shape (n, 1, h, w)."""
-    images = _load_idx_images(images_path)
-    labels = _load_idx_labels(labels_path)
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image", ("count", "rows", "cols"))
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label", ("count",)).astype(np.int64)
     if len(images) != len(labels):
         raise FormatError(
             f"image count {len(images)} does not match label count {len(labels)}"

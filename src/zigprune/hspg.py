@@ -109,9 +109,8 @@ def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition
     sq = partition.pen_sum(xp * xp)
     nu = grad.take(partition.order)
     if state.lam:
-        shift = np.zeros(nu.size, dtype=np.float32)  # +0.0 on the free entries
-        shift[:n_pen] = subgradient(xp, sq, partition, state.lam)  # rounds to float32
-        nu += shift
+        nu[:n_pen] += subgradient(xp, sq, partition, state.lam).astype(np.float32)
+        nu[n_pen:] += 0.0
     else:
         nu += 0.0
     _check_finite(nu, k, "subgradient")

@@ -45,6 +45,11 @@ Computations follow the input dtype (float32 in normal use; float64 when a
 gradient check runs a higher-precision shadow), and large reductions always
 accumulate in float64.
 
+Every weighted kind runs its product through one kernel, `_affine`
+(``x @ weight.T + bias`` accumulated in float64), and its gradients through
+`_affine_backward`: linear on its input rows, attention once per head, and
+conv+bn on the rows of its im2col patches, with the kernel as the weight.
+
 Bit-exact fast path: a speedup on the numeric path may move, gather or reuse
 data, but it must not change any accumulation order or precision, so every
 artifact of a run stays byte-identical across such changes. That covers the
@@ -131,22 +136,18 @@ def _relu_deriv(x, saved):
     return (x > 0).astype(x.dtype)
 
 
-# max(x, s*x) with 0 < s < 1 is where(x > 0, x, s*x) to the bit, signed zeros,
-# infinities and subnormals included, and runs several times faster
-def _leaky(x):
-    return np.maximum(x, x.dtype.type(LEAKY_SLOPE) * x), None
+def _sloped(slope):
+    """(forward, derivative) of the relu with slope `slope` below 0 (leaky relu, prelu)."""
 
+    # max(x, s*x) with 0 < s < 1 is where(x > 0, x, s*x) to the bit, signed zeros,
+    # infinities and subnormals included, and runs several times faster
+    def forward(x):
+        return np.maximum(x, x.dtype.type(slope) * x), None
 
-def _leaky_deriv(x, saved):
-    return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(LEAKY_SLOPE))
+    def derivative(x, saved):
+        return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(slope))
 
-
-def _prelu(x):
-    return np.maximum(x, x.dtype.type(PRELU_SLOPE) * x), None
-
-
-def _prelu_deriv(x, saved):
-    return np.where(x > 0, x.dtype.type(1.0), x.dtype.type(PRELU_SLOPE))
+    return forward, derivative
 
 
 # cephes `ndtr.c`: erf(x) = x T(x^2) / U(x^2) for |x| <= 1 and
@@ -274,8 +275,8 @@ def _gelu_deriv(x, e):
 # derivative(x, saved) returns a'(x)
 ACTIVATIONS = {
     "relu": (_relu, _relu_deriv),
-    "leaky_relu": (_leaky, _leaky_deriv),
-    "prelu": (_prelu, _prelu_deriv),
+    "leaky_relu": _sloped(LEAKY_SLOPE),
+    "prelu": _sloped(PRELU_SLOPE),
     "gelu": (_gelu, _gelu_deriv),
 }
 
@@ -797,16 +798,18 @@ def _check_std(std: np.ndarray):
 # linear / attention
 
 
-def _affine(x64: np.ndarray, layer: Linear, dtype):
+def _affine(x64: np.ndarray, weight: Tensor, bias: Tensor, dtype):
     """``x64 @ weight.T + bias`` accumulated in float64, and the float64 weight it read.
 
-    The weight comes back transposed, (n, m) and F-contiguous, so its ``.T``
-    is the C-contiguous (m, n) array that `_up64` of the weight gives: BLAS
+    `x64` is (batch, n) and the weight (m, n): a linear layer's or a head's
+    weight, or a conv kernel with im2col patches as the rows of `x64`. The
+    weight comes back transposed, (n, m) and F-contiguous, so its ``.T`` is
+    the C-contiguous (m, n) array that `_up64` of the weight gives: BLAS
     picks its kernel by layout, so the backward's dx product reads the same.
     """
-    w64t = _up64(_param(layer.weight, dtype).T)
+    w64t = _up64(_param(weight, dtype).T)
     out = _matmul64(x64, w64t, dtype)  # a fresh array
-    out += _param(layer.bias, dtype)
+    out += _param(bias, dtype)
     return out, w64t
 
 
@@ -827,7 +830,7 @@ def linear_forward(x: np.ndarray, layer: Linear):
         )
     lead = x.shape[:-1]
     x64 = _up64(x.reshape(-1, x.shape[-1]))
-    out, w64t = _affine(x64, layer, x.dtype)
+    out, w64t = _affine(x64, layer.weight, layer.bias, x.dtype)
     return out.reshape(*lead, layer.out_features), (x64, w64t, lead)
 
 
@@ -849,7 +852,7 @@ def attention_forward(x: np.ndarray, layer: MultiHeadAttention):
     x64 = _up64(x.reshape(-1, x.shape[-1]))  # one upcast serves every head
     outs, w64ts = [], []
     for head in layer.heads:
-        out, w64t = _affine(x64, head, x.dtype)
+        out, w64t = _affine(x64, head.weight, head.bias, x.dtype)
         outs.append(out)
         w64ts.append(w64t)
     out = np.concatenate(outs, axis=1)
@@ -953,11 +956,9 @@ def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None
         )
     _check_std(layer.std.data)
     dtype = x.dtype
-    k64t = _up64(_param(layer.kernel, dtype).T)  # F-contiguous, as in `_affine`
     if cols is None:
         cols = _im2col(x, layer.kh, layer.kw, layer.stride, layer.padding)
-    pre = _matmul64(cols.reshape(-1, k64t.shape[0]), k64t, dtype)  # a fresh array
-    pre += _param(layer.bias, dtype)
+    pre, k64t = _affine(cols.reshape(-1, cols.shape[-1]), layer.kernel, layer.bias, dtype)
     pre = pre.reshape(x.shape[0], oh, ow, layer.out_channels).transpose(0, 3, 1, 2)
     act, saved = ACTIVATIONS[layer.activation][0](pre)
     mean = _param(layer.mean, dtype)[None, :, None, None]
@@ -982,16 +983,12 @@ def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache, need_dx=True):
     dact = dout * gamma / std
     dpre = dact * ACTIVATIONS[layer.activation][1](pre, saved)
 
-    b, m = dpre.shape[0], layer.out_channels
-    dpre2 = dpre.transpose(0, 2, 3, 1).reshape(-1, m)
-    d64 = _up64(dpre2)  # shared by both products and the bias sum
-    db = d64.sum(axis=0).astype(dtype)
-    cols2 = cols.reshape(-1, cols.shape[-1])
-    dk = _matmul64(d64.T, cols2, dtype)
+    dpre2 = dpre.transpose(0, 2, 3, 1).reshape(-1, layer.out_channels)
+    dcols, dk, db = _affine_backward(dpre2, cols.reshape(-1, cols.shape[-1]), k64t, need_dx)
     grads = {"kernel": dk, "bias": db, "gamma": dgamma, "beta": dbeta}
     if not need_dx:
         return None, grads
-    dcols = _matmul64(d64, k64t.T, dtype).reshape(cols.shape)
+    dcols = dcols.reshape(cols.shape)
     return _col2im(dcols, x_shape, layer.kh, layer.kw, layer.stride, layer.padding), grads
 
 

@@ -224,7 +224,7 @@ class ModelGraph:
         self._run(self._input(inputs), outputs=outputs)
         return outputs
 
-    def backward(self, adjoint: float = 1.0) -> dict[str, np.ndarray]:
+    def backward(self) -> dict[str, np.ndarray]:
         """Backpropagate from the recorded loss; writes the gradient views, returns the gradients by id.
 
         The returned arrays are the layers' own, in the forward pass's
@@ -237,7 +237,7 @@ class ModelGraph:
         if self._dloss is None:
             raise StateError("backward needs a forward pass that computed a loss")
         grads: dict[str, np.ndarray] = {}
-        d = self._dloss if adjoint == 1.0 else self._dloss * adjoint
+        d = self._dloss
         for i, layer, cache, pre_flatten in reversed(self._tape[self._first_param :]):
             if i == self._first_param:
                 d, g = layer.backward(d, cache, need_dx=False)

@@ -107,19 +107,19 @@ def prune(
     retains the largest-norm group instead.
     """
     x = model.get_flat()
-
     counts = partition.pen_nonzero_counts(x)
     zero_set = set(int(g) for g in partition.pen_gids[counts == 0])
-    retained = [g.gid for g in partition.groups if g.gid not in zero_set]
 
-    # per-layer kept units, in group order
-    kept_by_layer: dict[int, list] = {}
+    slim_layers = []
+    layer_maps = []
+    # kept indices along the unit axis of the value entering each layer: channels
+    # of a (C, H, W) value, features of a flat one
+    kept_in = list(range(model.input_shape[0]))
+    in_shape = model.input_shape
     for i, layer in enumerate(model.layers):
         layer_groups = partition.groups_of_layer(i)
-        if not layer_groups:
-            continue
         kept = [g for g in layer_groups if g.gid not in zero_set]
-        if not kept:
+        if layer_groups and not kept:
             if not keep_one:
                 raise DegenerateLayerError(
                     f"layer {i}: every group is zero, slim width would be 0 "
@@ -129,25 +129,12 @@ def prune(
             best = layer_groups[int(np.argmax(norms))]
             kept = [best]
             zero_set.discard(best.gid)
-            if best.gid not in retained:
-                retained.append(best.gid)
-                retained.sort()
-        kept_by_layer[i] = kept
-
-    slim_layers = []
-    layer_maps = []
-    # kept indices along the unit axis of the value entering each layer: channels
-    # of a (C, H, W) value, features of a flat one
-    kept_in = list(range(model.input_shape[0]))
-    in_shape = model.input_shape
-    for i, layer in enumerate(model.layers):
         if layer.flattens and len(in_shape) == 3:
             block = in_shape[1] * in_shape[2]
             kept_in = [c * block + j for c in kept_in for j in range(block)]
         width = len(layer.units())
         if width:
-            kept = kept_by_layer.get(i)
-            kept_out = [g.out_index for g in kept] if kept is not None else list(range(width))
+            kept_out = [g.out_index for g in kept] if layer_groups else list(range(width))
             entry = {"kept": kept_out, "width_before": width, "width_after": len(kept_out)}
         else:  # parameter-free kinds keep the unit axis as it is
             kept_out = kept_in
@@ -158,14 +145,13 @@ def prune(
         in_shape = model.shapes[i]
 
     slim = ModelGraph(slim_layers, model.input_shape)
-    zero_sorted = sorted(zero_set)
     params_before, stats_before = count_params(model)
     params_after, stats_after = count_params(slim)
     flops_before, _ = count_flops_params(model)
     flops_after, _ = count_flops_params(slim)
     report = PruneReport(
-        zero_groups=zero_sorted,
-        retained_groups=sorted(retained),
+        zero_groups=sorted(zero_set),
+        retained_groups=sorted(g.gid for g in partition.groups if g.gid not in zero_set),
         layer_maps=layer_maps,
         params_before=params_before,
         params_after=params_after,

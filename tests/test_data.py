@@ -61,6 +61,24 @@ class TestBlobs:
             Dataset(np.zeros((3, 2), dtype=np.float32), np.zeros(4), task="regress")
 
 
+# case -> (file, edit of its bytes, FormatError text, offset), for 2 3x3 images and 2 labels
+IDX_ERRORS = {
+    "image-magic": ("img", lambda b: b"\0\0\x08\x99" + b[4:], "bad IDX image magic 0x00000899", 0),
+    "label-magic": ("lbl", lambda b: b"\0\0\x08\x03" + b[4:], "bad IDX label magic 0x00000803", 0),
+    "image-magic-cut": ("img", lambda b: b[:2], "truncated IDX file: wanted magic at offset 0", 0),
+    "image-rows-cut": ("img", lambda b: b[:10], "truncated IDX file: wanted rows at offset 8", 8),
+    "image-cols-cut": ("img", lambda b: b[:14], "truncated IDX file: wanted cols at offset 12", 12),
+    "label-count-cut": ("lbl", lambda b: b[:6], "truncated IDX file: wanted count at offset 4", 4),
+    "image-payload": ("img", lambda b: b[:-1], "IDX image payload has 17 bytes, expected 18", 16),
+    "label-payload": ("lbl", lambda b: b + b"\0", "IDX label payload has 3 bytes, expected 2", 8),
+    # three u32 extents whose product overflows int64
+    "image-extents-overflow": (
+        "img", lambda b: b[:4] + b"\xff" * 12,
+        f"IDX image payload has 0 bytes, expected {(2**32 - 1) ** 3}", 16,
+    ),
+}
+
+
 class TestIdx:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -116,6 +134,17 @@ class TestIdx:
         with pytest.raises(FormatError, match="payload") as err:
             load_idx(ip, lp)
         assert err.value.offset == 16
+
+    @pytest.mark.parametrize("case", sorted(IDX_ERRORS))
+    def test_format_error_text_and_offset(self, tmp_path, case):
+        target, edit, message, offset = IDX_ERRORS[case]
+        paths = {"img": tmp_path / "img.idx", "lbl": tmp_path / "lbl.idx"}
+        write_idx_images(paths["img"], np.zeros((2, 3, 3), dtype=np.uint8))
+        write_idx_labels(paths["lbl"], np.zeros(2, dtype=np.uint8))
+        paths[target].write_bytes(edit(paths[target].read_bytes()))
+        with pytest.raises(FormatError) as err:
+            load_idx(paths["img"], paths["lbl"])
+        assert (str(err.value), err.value.offset) == (message, offset)
 
     def test_count_mismatch(self, tmp_path):
         ip, lp = tmp_path / "img.idx", tmp_path / "lbl.idx"

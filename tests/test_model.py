@@ -147,18 +147,6 @@ class TestBackward:
         assert np.all(grads["L0.weight"] == 0.0)
         assert np.all(grads["L0.bias"] == 0.0)
 
-    def test_adjoint_scales_gradients(self):
-        rng = np.random.default_rng(10)
-        m = mlp([3], 4, seed=11)
-        x, y = rng.standard_normal((2, 4)).astype(np.float32), np.zeros(
-            (2, 3), dtype=np.float32
-        )
-        m.forward(x, y)
-        g1 = m.backward()["L0.weight"].copy()
-        m.forward(x, y)
-        g2 = m.backward(adjoint=2.0)["L0.weight"]
-        assert np.allclose(2 * g1, g2)
-
 
 PREDICT_MODELS = {
     "mlp": (["linear:16", "relu", "linear:8", "leaky_relu", "linear:3"], (6,)),
@@ -170,21 +158,27 @@ PREDICT_MODELS = {
     "attention": (["linear:8", "gelu", "mha:2x3", "prelu", "linear:3"], (5,)),
 }
 
+MNIST_SHAPE = (1, 28, 28)
+# an MNIST-shaped conv model: its float32 evaluation chunk is a few samples, not EVAL_CHUNK
+MNIST_MODEL = (["convbn:8:3x3:s1:p1:relu", "residual:8:3x3:s1:p1:gelu", "linear:3"], MNIST_SHAPE)
+
 
 def predict_model(kind, seed=0):
-    specs, shape = PREDICT_MODELS[kind]
+    specs, shape = MNIST_MODEL if kind == "mnist" else PREDICT_MODELS[kind]
     return ModelGraph(build_layers(specs, shape, "softmax_ce", "normal:0.5", seed), shape)
 
 
 class TestPredict:
     @pytest.mark.parametrize(
-        "dtype, n",
-        [(np.float32, n) for n in (0, 1, 255, 256, 257, 700)]
-        + [(np.float64, n) for n in (0, 1, 255, 256)],
+        "kind, dtype, n",
+        [(kind, np.float32, n) for kind in sorted(PREDICT_MODELS) for n in (0, 1, 255, 256, 257, 700)]
+        + [(kind, np.float64, n) for kind in sorted(PREDICT_MODELS) for n in (0, 1, 255, 256)]
+        + [("mnist", np.float32, n) for n in (0, 1, 256, 300)]
+        + [("mnist", np.float64, n) for n in (0, 1, 256)],
     )
-    @pytest.mark.parametrize("kind", sorted(PREDICT_MODELS))
     def test_equals_forward_bitwise(self, kind, dtype, n):
-        # chunk boundaries fall inside the batch for n > EVAL_CHUNK
+        # chunk boundaries fall inside the batch for n > the model's chunk:
+        # EVAL_CHUNK, or a few samples for the MNIST-shaped model in float32
         m = predict_model(kind)
         x = np.random.default_rng(n).standard_normal((n, *m.input_shape)).astype(dtype)
         out = m.predict(x)
@@ -193,8 +187,9 @@ class TestPredict:
         assert out.shape == ref.shape == (n, 3)
         assert np.array_equal(out, ref)
 
-    @pytest.mark.parametrize("n", [257, 700])
-    @pytest.mark.parametrize("kind", sorted(PREDICT_MODELS))
+    @pytest.mark.parametrize(
+        "kind, n", [(kind, n) for kind in sorted(PREDICT_MODELS) for n in (257, 700)] + [("mnist", 300)]
+    )
     def test_float64_chunks_agree_to_rounding(self, kind, n):
         # OpenBLAS picks its dgemm kernel by problem size (a small-matrix
         # kernel below a size threshold, gemv for one row), so a float64
@@ -268,14 +263,6 @@ class TestPredict:
         assert peaks[1] <= 1.25 * peaks[0]
 
 
-MNIST_SHAPE = (1, 28, 28)
-
-
-def mnist_conv_model():
-    specs = ["convbn:8:3x3:s1:p1:relu", "residual:8:3x3:s1:p1:gelu", "linear:3"]
-    return ModelGraph(build_layers(specs, MNIST_SHAPE, "softmax_ce", "normal:0.5", 0), MNIST_SHAPE)
-
-
 # (input shape, channels, whether the residual branches share one window)
 CHUNK_MODELS = [
     pytest.param(shape, channels, shared, id=f"{shape[1]}x{shape[2]}-{'shared' if shared else 'own'}")
@@ -315,31 +302,11 @@ def spy_conv_calls(monkeypatch):
     return calls
 
 
-class TestSampleBlocks:
+class TestEvalChunk:
     """A predict() chunk bounds the float64 patches of every conv layer."""
 
-    @pytest.mark.parametrize(
-        "dtype, n", [(np.float32, n) for n in (0, 1, 256, 300)] + [(np.float64, n) for n in (0, 1, 256)]
-    )
-    def test_predict_equals_forward_bitwise(self, dtype, n):
-        m = mnist_conv_model()
-        x = np.random.default_rng(n).standard_normal((n, *MNIST_SHAPE)).astype(dtype)
-        out = m.predict(x)
-        ref, _ = m.forward(x)
-        assert out.dtype == ref.dtype == dtype
-        assert out.shape == ref.shape == (n, 3)
-        assert np.array_equal(out, ref)
-
-    def test_float64_remainder_chunk_agrees_to_rounding(self):
-        # the 44-sample remainder chunk changes the linear layer's dgemm kernel
-        m = mnist_conv_model()
-        x = np.random.default_rng(300).standard_normal((300, *MNIST_SHAPE))
-        out = m.predict(x)
-        ref, _ = m.forward(x)
-        assert np.abs(out - ref).max() <= 1e-12 * np.abs(ref).max()
-
     def test_layer_outputs_equal_the_recording_pass(self):
-        m = mnist_conv_model()
+        m = predict_model("mnist")
         x = np.random.default_rng(4).standard_normal((EVAL_CHUNK, *MNIST_SHAPE)).astype(np.float32)
         outputs = m.layer_outputs(x)
         recorded = []
@@ -352,7 +319,7 @@ class TestSampleBlocks:
 
     def test_recording_forward_is_one_call_per_conv(self, monkeypatch):
         calls = spy_conv_calls(monkeypatch)
-        m = mnist_conv_model()
+        m = predict_model("mnist")
         x = np.random.default_rng(5).standard_normal((EVAL_CHUNK, *MNIST_SHAPE)).astype(np.float32)
         m.forward(x)
         batches = [len(cx) for _, cx, _ in calls]

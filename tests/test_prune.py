@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -75,6 +76,24 @@ class TestCounters:
         assert report.flops_after == 3 * 5 + 2 * 3
         hand_ratio = (3 * 5 + 2 * 3) / (4 * 5 + 2 * 4)
         assert report.flops_after / report.flops_before == pytest.approx(hand_ratio)
+
+
+# (layer specs, input shape, layers zeroed whole, further zeroed group ids, digest)
+KEEP_ONE_CASES = {
+    "linear": (
+        ["linear:3", "relu", "linear:4", "leaky_relu", "linear:2"], (5,), [0], [4],
+        "429b64a08a99b375cecd02d3b5c4e0945dcfaa00ef981dbeb783e54077ebdcab",
+    ),
+    "conv": (
+        ["convbn:3:3x3:p1", "residual:3:3x3:p1:gelu", "convbn:4:3x3:s2", "linear:2"],
+        (2, 5, 5), [0, 1], [7],
+        "237755d39a894b8fdfba85a7da1f47c50ce435921b0cb2eca0cdd94500d36283",
+    ),
+    "attention": (
+        ["linear:4", "prelu", "mha:2x2", "linear:2"], (3,), [2], [1],
+        "9ba7bbb20e304e4b8be298e13de3cdb49e777a987459f79baa72c69806309078",
+    ),
+}
 
 
 class TestPruneShapes:
@@ -189,6 +208,27 @@ class TestPruneShapes:
         slim, report = prune(m, p, keep_one=True)
         assert slim.layers[0].weight.shape == (1, 4)
         assert len(report.retained_groups) >= 1
+
+    @pytest.mark.parametrize("case", sorted(KEEP_ONE_CASES))
+    def test_keep_one_output_is_pinned(self, case):
+        # SHA-256 of the report and of the slim model's arrays, recorded before
+        # prune chose kept groups and slimmed layers in one pass
+        specs, shape, whole, partial, digest = KEEP_ONE_CASES[case]
+        m = model_from(specs, shape, seed=21)
+        p = partition_zig(m)
+        zero_groups(m, p, [g.gid for i in whole for g in p.groups_of_layer(i)] + partial)
+        with pytest.raises(DegenerateLayerError) as err:
+            prune(m, p)
+        assert str(err.value) == (
+            f"layer {whole[0]}: every group is zero, slim width would be 0 "
+            "(pass keep_one=True to retain the largest group)"
+        )
+        slim, report = prune(m, p, keep_one=True)
+        h = hashlib.sha256(report.to_jsonl().encode())
+        for key, arr in slim.all_arrays().items():
+            h.update(key.encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestEquivalence:
