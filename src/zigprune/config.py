@@ -11,6 +11,9 @@ load time, before any compute starts.
 the layer against the shape of the layers before it (by the layer's own
 `out_shape`), so a bad architecture fails naming its spec; `model_to_specs`
 writes layers back through each kind's `spec()`.
+
+Datasets follow one table, `data.KINDS`, of each kind's reader and keys: the
+dataset keys, their checks and `build_dataset`'s one reader call come from it.
 """
 
 from __future__ import annotations
@@ -20,12 +23,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data as D
 from . import layers as L
 from .errors import ConfigError, InvalidModelError, ParameterError
 from .hspg import TrainConfig
 from .model import ModelGraph, infer_shapes
 
-DATASET_KINDS = ("synthetic-classify", "synthetic-glasso", "idx", "csv")
+DATASET_KINDS = tuple(D.KINDS)
 
 
 @dataclass
@@ -73,6 +77,18 @@ def parse_config_text(text: str) -> dict[str, str]:
     return pairs
 
 
+def _default(entry):
+    """A `data.KINDS` entry's default: the first of a tuple's values, else the entry."""
+    return entry[0] if isinstance(entry, tuple) else entry
+
+
+def _key_type(entry) -> type:
+    """The type a dataset key parses to: a required key's entry, else its default's."""
+    if entry is D.FILE:
+        return str
+    return entry if isinstance(entry, type) else type(_default(entry))
+
+
 # key -> (type, the field it fills): an `ExperimentConfig` field, a `TrainConfig`
 # field as "train.<name>", or None for a `dataset` entry named after the key
 _KNOWN_KEYS = {
@@ -83,21 +99,8 @@ _KNOWN_KEYS = {
     "model.seed": (int, "model_seed"),
     "model.penalize_output": (bool, "penalize_output"),
     "dataset.kind": (str, None),
-    "dataset.samples": (int, None),
-    "dataset.test_samples": (int, None),
-    "dataset.classes": (int, None),
-    "dataset.features": (int, None),
-    "dataset.separation": (float, None),
-    "dataset.groups": (int, None),
-    "dataset.group_size": (int, None),
-    "dataset.support": (int, None),
-    "dataset.noise": (float, None),
-    "dataset.coef_scale": (float, None),
-    "dataset.seed": (int, None),
-    "dataset.images": (str, None),
-    "dataset.labels": (str, None),
-    "dataset.path": (str, None),
-    "dataset.target": (str, None),
+    **{f"dataset.{key}": (_key_type(entry), None)
+       for _, keys in D.KINDS.values() for key, entry in keys.items()},
     "optimizer.kind": (str, "train.optimizer"),
     "optimizer.alpha0": (float, "train.alpha0"),
     "optimizer.decay": (float, "train.decay"),
@@ -176,25 +179,21 @@ def check_seed(what: str, seed: int):
 
 def _validate_dataset(ds: dict, input_shape: tuple):
     kind = ds["kind"]
-    positive = {
-        "samples": 1,
-        "test_samples": 0,
-        "classes": 2,
-        "features": 1,
-        "groups": 1,
-        "group_size": 1,
-    }
-    for key, minimum in positive.items():
+    minimums = {"samples": 1, "test_samples": 0, "classes": 2, "features": 1, "groups": 1,
+                "group_size": 1, "separation": 0, "noise": 0, "coef_scale": 0}
+    for key, minimum in minimums.items():
         if key in ds and ds[key] < minimum:
             raise ConfigError(f"dataset.{key} must be >= {minimum}, got {ds[key]}")
-    for key in ("separation", "noise", "coef_scale"):
-        if key in ds and ds[key] < 0:
-            raise ConfigError(f"dataset.{key} must be >= 0, got {ds[key]}")
+    keys = D.KINDS[kind][1]
+    for key, entry in keys.items():
+        if (entry is D.FILE or isinstance(entry, type)) and key not in ds:
+            raise ConfigError(f"dataset.{key} is required for {kind} datasets")
+        if entry is D.FILE and not os.path.exists(ds[key]):
+            raise ConfigError(f"dataset.{key}: no such file {ds[key]!r}")
+        if isinstance(entry, tuple) and key in ds and ds[key] not in entry:
+            raise ConfigError(f"dataset.{key} must be {' or '.join(map(repr, entry))}")
     if kind == "synthetic-glasso":
-        for key in ("groups", "group_size", "samples"):
-            if key not in ds:
-                raise ConfigError(f"dataset.{key} is required for synthetic-glasso")
-        if ds.get("support", 0) > ds["groups"]:
+        if ds.get("support", keys["support"]) > ds["groups"]:
             raise ConfigError("dataset.support cannot exceed dataset.groups")
         expected = ds["groups"] * ds["group_size"]
         if input_shape != (expected,):
@@ -202,23 +201,6 @@ def _validate_dataset(ds: dict, input_shape: tuple):
                 f"synthetic-glasso expects model.input_shape = {expected} "
                 f"(groups x group_size), got {input_shape}"
             )
-    if kind == "synthetic-classify":
-        for key in ("samples", "classes", "features"):
-            if key not in ds:
-                raise ConfigError(f"dataset.{key} is required for synthetic-classify")
-    if kind == "idx":
-        for key in ("images", "labels"):
-            if key not in ds:
-                raise ConfigError(f"dataset.{key} is required for idx datasets")
-            if not os.path.exists(ds[key]):
-                raise ConfigError(f"dataset.{key}: no such file {ds[key]!r}")
-    if kind == "csv":
-        if "path" not in ds:
-            raise ConfigError("dataset.path is required for csv datasets")
-        if not os.path.exists(ds["path"]):
-            raise ConfigError(f"dataset.path: no such file {ds['path']!r}")
-        if ds.get("target", "class") not in ("class", "value"):
-            raise ConfigError("dataset.target must be 'class' or 'value'")
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +238,5 @@ def model_to_specs(model: ModelGraph) -> list[str]:
 
 
 def build_dataset(cfg: ExperimentConfig):
-    from . import data
-
-    ds = cfg.dataset
-    kind = ds["kind"]
-    if kind == "synthetic-classify":
-        return data.generate_blobs(
-            classes=ds["classes"],
-            features=ds["features"],
-            train_samples=ds["samples"],
-            test_samples=ds.get("test_samples", 0),
-            separation=ds.get("separation", 3.0),
-            seed=ds.get("seed", 0),
-        )
-    if kind == "synthetic-glasso":
-        dataset, _ = data.generate_group_lasso(
-            n_groups=ds["groups"],
-            group_size=ds["group_size"],
-            support=ds.get("support", 0),
-            samples=ds["samples"],
-            noise=ds.get("noise", 0.0),
-            seed=ds.get("seed", 0),
-            coef_scale=ds.get("coef_scale", 1.0),
-        )
-        return dataset
-    if kind == "idx":
-        return data.load_idx(ds["images"], ds["labels"])
-    return data.load_csv(ds["path"], ds.get("target", "class"))
+    reader, keys = D.KINDS[cfg.dataset["kind"]]
+    return reader(*(cfg.dataset.get(key, _default(entry)) for key, entry in keys.items()))

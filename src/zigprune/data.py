@@ -1,4 +1,4 @@
-"""Datasets: synthetic generators, IDX binary files, CSV, and split handling.
+"""Datasets: synthetic generators, IDX binary files, CSV, split handling, and `KINDS`.
 
 IDX files (big-endian) hold a u32 magic, one u32 per extent and the uint8
 payload; one reader, `_read_idx`, parses both kinds: images (count, rows,
@@ -197,6 +197,27 @@ def load_csv(path, target: str = "class") -> Dataset:
     if target == "class":
         return Dataset(inputs=inputs, targets=np.asarray(targets, dtype=np.int64), task="classify")
     return Dataset(inputs=inputs, targets=np.asarray(targets, dtype=np.float32), task="regress")
+
+
+# ---------------------------------------------------------------------------
+# dataset kinds
+
+# kind -> (reader, {config key: entry}), the keys in the reader's argument order.
+# An entry is the key's default, or the type of a key the config must give; FILE
+# marks a required path that must name a file, and a tuple the values a key may
+# take, its default first. Each lambda looks its reader up at call time, so a
+# patched reader sees every call.
+FILE = object()
+KINDS = {
+    "synthetic-classify": (lambda *a: generate_blobs(*a), {
+        "classes": int, "features": int, "samples": int,
+        "test_samples": 0, "separation": 3.0, "seed": 0}),
+    "synthetic-glasso": (lambda *a: generate_group_lasso(*a)[0], {
+        "groups": int, "group_size": int, "support": 0, "samples": int,
+        "noise": 0.0, "seed": 0, "coef_scale": 1.0}),
+    "idx": (lambda *a: load_idx(*a), {"images": FILE, "labels": FILE}),
+    "csv": (lambda *a: load_csv(*a), {"path": FILE, "target": ("class", "value")}),
+}
 
 
 def classification_accuracy(model, dataset: Dataset) -> float:

@@ -877,6 +877,11 @@ def attention_backward(dout: np.ndarray, layer: MultiHeadAttention, cache, need_
 # ---------------------------------------------------------------------------
 # conv + bn
 
+def _conv_extent(n: int, k: int, stride: int, padding: int) -> int:
+    """Positions of a k-wide window stepped by `stride` over n entries padded on both sides."""
+    return (n + 2 * padding - k) // stride + 1
+
+
 @functools.lru_cache(maxsize=256)
 def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding: int):
     """Flat gather index of every patch entry, and the output (oh, ow).
@@ -885,8 +890,7 @@ def _im2col_index(c: int, h: int, w: int, kh: int, kw: int, stride: int, padding
     oj*stride + j - padding]`` in a flattened (C*H*W,) sample; a position in
     the padding points at the sentinel ``C*H*W``, a zero appended to it.
     """
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
+    oh, ow = _conv_extent(h, kh, stride, padding), _conv_extent(w, kw, stride, padding)
     rows = (np.arange(oh) * stride)[:, None, None, None, None] + np.arange(kh)[:, None] - padding
     cols = (np.arange(ow) * stride)[None, :, None, None, None] + np.arange(kw) - padding
     chans = np.arange(c)[:, None, None]
@@ -928,9 +932,8 @@ def _col2im(dcols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: 
 
 
 def conv_output_hw(h: int, w: int, layer: ConvBN) -> tuple[int, int]:
-    oh = (h + 2 * layer.padding - layer.kh) // layer.stride + 1
-    ow = (w + 2 * layer.padding - layer.kw) // layer.stride + 1
-    return oh, ow
+    return (_conv_extent(h, layer.kh, layer.stride, layer.padding),
+            _conv_extent(w, layer.kw, layer.stride, layer.padding))
 
 
 def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None):

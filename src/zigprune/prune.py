@@ -104,10 +104,9 @@ def prune(
     """Build the slim model implied by the model's exactly-zero penalized groups.
 
     When every group of a layer is zero the default is to fail; `keep_one`
-    retains the largest-norm group instead.
+    retains the layer's first group instead, all zeros like the rest.
     """
-    x = model.get_flat()
-    counts = partition.pen_nonzero_counts(x)
+    counts = partition.pen_nonzero_counts(model.get_flat())
     zero_set = set(int(g) for g in partition.pen_gids[counts == 0])
 
     slim_layers = []
@@ -125,10 +124,8 @@ def prune(
                     f"layer {i}: every group is zero, slim width would be 0 "
                     f"(pass keep_one=True to retain the largest group)"
                 )
-            norms = [float(np.linalg.norm(x[g.indices].astype(np.float64))) for g in layer_groups]
-            best = layer_groups[int(np.argmax(norms))]
-            kept = [best]
-            zero_set.discard(best.gid)
+            kept = layer_groups[:1]
+            zero_set.discard(kept[0].gid)
         if layer.flattens and len(in_shape) == 3:
             block = in_shape[1] * in_shape[2]
             kept_in = [c * block + j for c in kept_in for j in range(block)]

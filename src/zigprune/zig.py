@@ -153,7 +153,9 @@ class GroupPartition:
         groups = []
         for gid, (idx, pen) in enumerate(zip(index_lists, penalized)):
             idx = np.asarray(idx, dtype=np.int64)
-            spans = [("flat", int(idx.min()), int(idx.max()) + 1)] if idx.size else []
+            ordered = np.unique(idx)  # one span per run of consecutive indices
+            runs = np.split(ordered, np.flatnonzero(np.diff(ordered) != 1) + 1)
+            spans = [("flat", int(r[0]), int(r[-1]) + 1) for r in runs if r.size]
             groups.append(
                 Group(
                     gid=gid,

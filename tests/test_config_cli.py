@@ -11,15 +11,19 @@ import pytest
 
 import zigprune
 import zigprune.cli
+import zigprune.data
 import zigprune.model
 from zigprune.cli import main
 from zigprune.config import (
+    DATASET_KINDS,
     ExperimentConfig,
+    build_dataset,
     build_layers,
     load_config,
     model_to_specs,
     parse_config_text,
 )
+from zigprune.data import write_idx_images, write_idx_labels
 from zigprune.errors import ConfigError
 from zigprune.layers import Layer
 from zigprune.model import ModelGraph
@@ -224,6 +228,78 @@ DRAW_DIGESTS = {
     "he": "1c4716ba5c063bbc86871220356741f3779ee8cf6bc99c9f88d9d84b9189f236",
     "normal:0.5": "6fd1c77aaf7b9f6235c3e481ccba76913e1dabb66d0363989c11c56864f03480",
 }
+
+
+def required_dataset_keys(kind, tmp_path):
+    """Values for only the dataset keys a `kind` config must give, and an input shape they fit."""
+    if kind == "synthetic-classify":
+        return {"samples": 10, "classes": 2, "features": 4}, "4"
+    if kind == "synthetic-glasso":
+        return {"groups": 3, "group_size": 2, "samples": 12}, "6"
+    if kind == "idx":
+        write_idx_images(tmp_path / "img.idx", np.arange(36).reshape(4, 3, 3))
+        write_idx_labels(tmp_path / "lbl.idx", [0, 1, 0, 1])
+        return {"images": str(tmp_path / "img.idx"), "labels": str(tmp_path / "lbl.idx")}, "1x3x3"
+    (tmp_path / "d.csv").write_text("0.5,1.5,0\n2.0,-1.0,1\n")
+    return {"path": str(tmp_path / "d.csv")}, "2"
+
+
+def dataset_config(tmp_path, kind, dataset, shape):
+    lines = [f"model.input_shape = {shape}", "model.layers = linear:2", f"dataset.kind = {kind}"]
+    lines += [f"dataset.{key} = {value}" for key, value in dataset.items()]
+    return write_config(tmp_path, text="\n".join(lines))
+
+
+# each kind's reader, and its arguments when the config gives only the required keys
+READER_CALLS = {
+    "synthetic-classify": ("generate_blobs",
+                           lambda ds: (ds["classes"], ds["features"], ds["samples"], 0, 3.0, 0)),
+    "synthetic-glasso": ("generate_group_lasso",
+                         lambda ds: (ds["groups"], ds["group_size"], 0, ds["samples"], 0.0, 0, 1.0)),
+    "idx": ("load_idx", lambda ds: (ds["images"], ds["labels"])),
+    "csv": ("load_csv", lambda ds: (ds["path"], "class")),
+}
+
+
+@pytest.mark.parametrize("kind", DATASET_KINDS)
+class TestDatasetKinds:
+    def test_each_required_key_is_checked(self, tmp_path, kind):
+        dataset, shape = required_dataset_keys(kind, tmp_path)
+        load_config(dataset_config(tmp_path, kind, dataset, shape))
+        for key in dataset:
+            rest = {k: v for k, v in dataset.items() if k != key}
+            with pytest.raises(ConfigError, match=rf"^dataset\.{key} is required"):
+                load_config(dataset_config(tmp_path, kind, rest, shape))
+
+    def test_left_out_keys_take_the_kind_defaults(self, tmp_path, monkeypatch, kind):
+        dataset, shape = required_dataset_keys(kind, tmp_path)
+        name, args = READER_CALLS[kind]
+        reader = getattr(zigprune.data, name)
+        direct = reader(*args(dataset))
+        direct = direct[0] if kind == "synthetic-glasso" else direct
+        calls = []
+        monkeypatch.setattr(zigprune.data, name, lambda *a: calls.append(a) or reader(*a))
+        built = build_dataset(load_config(dataset_config(tmp_path, kind, dataset, shape)))
+        assert calls == [args(dataset)]  # the reader is looked up at call time
+        assert built.task == direct.task
+        for field in ("inputs", "targets", "splits"):
+            got, want = getattr(built, field), getattr(direct, field)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
+def test_dataset_keys_and_their_types():
+    from zigprune.config import _KNOWN_KEYS
+
+    types = {"kind": str, "samples": int, "test_samples": int, "classes": int, "features": int,
+             "separation": float, "groups": int, "group_size": int, "support": int,
+             "noise": float, "coef_scale": float, "seed": int, "images": str, "labels": str,
+             "path": str, "target": str}
+    found = {k[len("dataset."):]: t for k, (t, _) in _KNOWN_KEYS.items() if k.startswith("dataset.")}
+    assert found == types
 
 
 class TestLayerDsl:

@@ -223,6 +223,11 @@ class TestExport:
         assert "L0.bias:0-1" in lines[0]
         assert lines[-1].split("\t")[2] == "free"
 
+    def test_hand_made_groups_export_one_span_per_run(self):
+        p = GroupPartition.from_indices(10, [[0, 5], [1, 2, 3], [9, 7, 8], [4, 6]])
+        spans = [line.split("\t")[3] for line in p.export_text().splitlines()]
+        assert spans == ["flat:0-1,flat:5-6", "flat:1-4", "flat:7-10", "flat:4-5,flat:6-7"]
+
     def test_custom_partition_roundtrip_queries(self):
         p = GroupPartition.from_indices(6, [[0, 1], [2, 3, 4]], [True, False])
         x = np.array([3.0, 4.0, 1.0, 0.0, 0.0, 9.0], dtype=np.float32)
