@@ -243,11 +243,8 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
         full_loss, _ = L.loss_forward(model.predict(dataset.inputs), dataset.targets, model.loss_kind)
         metrics = sparsity_metrics(state.x, partition)
         objective = full_loss + config.lam * group_norm_value(state.x, partition)
-        if config.optimizer == "hspg":
-            # the switch lands on an epoch boundary; label the stage this epoch ran in
-            stage = "subgradient" if state.k <= state.switch_iteration else "half_space"
-        else:
-            stage = config.optimizer
+        # an hspg epoch is labelled with the stage its last step ran in
+        stage = info["stage"] if config.optimizer == "hspg" else config.optimizer
         trace.append(
             {
                 "epoch": epoch,

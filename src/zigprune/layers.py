@@ -36,8 +36,8 @@ beta = 0 they cannot shift the channel.
 
 The numeric work sits in module-level functions: every forward returns
 ``(out, cache)`` and its backward takes ``(dout, cache)`` and returns
-``(dx, param_grads)``; the backward of a kind with parameters takes a fourth
-argument `need_dx`, and skips dx (returns None) when it is False. Methods
+``(dx, param_grads)``. Every `backward` method takes `need_dx`; the kinds with
+parameters pass it on and skip dx (return None) when it is False. Methods
 call these functions through the module namespace at call time (never
 through a table built at import), so replacing `layers.linear_forward` and
 its siblings on the module, as a tracer does, intercepts every call.
@@ -355,11 +355,11 @@ class Layer:
         """(out, cache) for a batch."""
         return x, None
 
-    def backward(self, dout: np.ndarray, cache):
+    def backward(self, dout: np.ndarray, cache, need_dx=True):
         """(dx, {parameter name: gradient}).
 
-        A kind with parameters also takes ``need_dx=False``, which the model
-        passes to the first parameterized layer: its dx is None then.
+        The model passes ``need_dx=False`` to the first parameterized layer,
+        whose dx nothing reads: a kind with parameters returns None for it.
         """
         return dout, {}
 
@@ -749,7 +749,7 @@ class Activation(Layer):
     def forward(self, x):
         return activation_forward(x, self)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx=True):
         return activation_backward(dout, self, cache)
 
     def kinks(self, cache):

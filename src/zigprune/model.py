@@ -7,10 +7,10 @@ A value with spatial structure is flattened (batch, -1) before it enters a
 layer whose kind `flattens` (linear, attention, loss). Every per-kind rule
 is a method of the layer class (see `layers`).
 
-`forward` records what `backward` and the finite-difference check read: the
-tape and the loss gradient. `layer_outputs` returns every layer's output
-and records nothing; the zero-invariance checker reads it. `predict` runs
-the same layer loop over chunks of samples and records nothing; every
+`forward` records what `backward` and the finite-difference check read: one
+cache per layer and the loss gradient. `layer_outputs` returns every layer's
+output and records nothing; the zero-invariance checker reads it. `predict`
+runs the same layer loop over chunks of samples and records nothing; every
 evaluation (the per-epoch full-data loss, accuracy, the equivalence check)
 uses it, so its memory is bounded by the chunk, not by the dataset. The
 chunk is `EVAL_CHUNK` samples, fewer where a conv layer's float64 patches
@@ -81,15 +81,18 @@ class ModelGraph:
         self.eval_chunk = max(1, min(EVAL_CHUNK, PATCH_BYTES // max(per_sample, 1)))
         self.params: dict[str, Tensor] = {}
         self.constants: dict[str, Tensor] = {}
-        self._first_param = len(self.layers)  # backward stops at this layer
+        # per layer, parameter name -> (id, tensor): backward writes through the grad views
+        self._grad_slots = [{} for _ in self.layers]
         for i, layer in enumerate(self.layers):
             for name, tensor, trainable in layer.params():
                 key = f"L{i}.{name}"
                 if trainable:
                     self.params[key] = tensor
-                    self._first_param = min(self._first_param, i)
+                    self._grad_slots[i][name] = (key, tensor)
                 else:
                     self.constants[key] = tensor
+        # backward stops at the first layer with parameters
+        self._first_param = next((i for i, s in enumerate(self._grad_slots) if s), len(self.layers))
         held = set()
         for key, tensor in self.params.items():
             if tensor.grad is not None or id(tensor) in held:
@@ -110,11 +113,6 @@ class ModelGraph:
             self._flat[start:pos] = tensor.data.ravel()
             tensor.data = self._flat[start:pos].reshape(shape)
             tensor.grad = self._flat_grad[start:pos].reshape(shape)
-        # per layer, parameter name -> (id, gradient view): what backward writes through
-        self._grad_slots = [
-            {name: (f"L{i}.{name}", t.grad) for name, t, trainable in layer.params() if trainable}
-            for i, layer in enumerate(self.layers)
-        ]
         self._tape = None
         self._dloss = None
 
@@ -163,15 +161,13 @@ class ModelGraph:
     def _run(self, x, targets=None, tape=None, outputs=None):
         """The layer loop; returns (output, loss, dloss).
 
-        Appends each layer's backward record to `tape` and its output to
-        `outputs` when given; without a tape every cache is dropped as soon
-        as its layer has run.
+        Appends each layer's cache to `tape` and its output to `outputs` when
+        given; without a tape every cache is dropped as soon as its layer has
+        run.
         """
         loss = dloss = None
         for i, layer in enumerate(self.layers):
-            pre_flatten = None
             if layer.flattens and x.ndim > 2:
-                pre_flatten = x.shape
                 x = x.reshape(x.shape[0], _flat_size(x.shape[1:]))
             try:
                 x, cache = layer.forward(x)
@@ -180,7 +176,7 @@ class ModelGraph:
             except (ShapeError, ParameterError) as exc:
                 raise type(exc)(f"layer {i}: {exc}") from exc
             if tape is not None:
-                tape.append((i, layer, cache, pre_flatten))
+                tape.append(cache)
             if outputs is not None:
                 outputs.append(x)
             cache = None  # without a tape, free the record before the next layer runs
@@ -189,9 +185,9 @@ class ModelGraph:
     def forward(self, inputs, targets=None):
         """Run the layers in order; returns (output, loss-or-None).
 
-        Records the tape and the loss gradient that backward() reads. The
-        previous pass's record is dropped first, so a pass that raises leaves
-        none behind.
+        Records one cache per layer and the loss gradient, which backward()
+        reads. The previous pass's record is dropped first, so a pass that
+        raises leaves none behind.
         """
         self._tape = self._dloss = None
         tape = []
@@ -238,18 +234,15 @@ class ModelGraph:
             raise StateError("backward needs a forward pass that computed a loss")
         grads: dict[str, np.ndarray] = {}
         d = self._dloss
-        for i, layer, cache, pre_flatten in reversed(self._tape[self._first_param :]):
-            if i == self._first_param:
-                d, g = layer.backward(d, cache, need_dx=False)
-            else:
-                d, g = layer.backward(d, cache)
-            slots = self._grad_slots[i]
+        in_shapes = (self.input_shape, *self.shapes)
+        for i in reversed(range(self._first_param, len(self.layers))):
+            d, g = self.layers[i].backward(d, self._tape[i], need_dx=i > self._first_param)
             for name, grad in g.items():
-                key, view = slots[name]
-                np.copyto(view, grad)
+                key, tensor = self._grad_slots[i][name]
+                np.copyto(tensor.grad, grad)
                 grads[key] = grad
-            if pre_flatten is not None and d is not None:
-                d = d.reshape(pre_flatten)
+            if d is not None:  # undo the flatten of a (C, H, W) input
+                d = d.reshape(len(d), *in_shapes[i])
         return grads
 
     # -- persistence ---------------------------------------------------------
@@ -281,7 +274,7 @@ class ModelGraph:
 
 def _kink_pattern(model: ModelGraph) -> list[np.ndarray]:
     """Sign pattern of every kinked (relu-family) pre-activation of the last forward."""
-    return [p for _, layer, cache, _ in model._tape for p in layer.kinks(cache)]
+    return [p for layer, cache in zip(model.layers, model._tape) for p in layer.kinks(cache)]
 
 
 def finite_difference_check(model: ModelGraph, inputs, targets, h: float = 1e-3) -> float:

@@ -122,7 +122,7 @@ def prune(
             if not keep_one:
                 raise DegenerateLayerError(
                     f"layer {i}: every group is zero, slim width would be 0 "
-                    f"(pass keep_one=True to retain the largest group)"
+                    "(set prune.keep_one = true, or pass keep_one=True, to keep its first group)"
                 )
             kept = layer_groups[:1]
             zero_set.discard(kept[0].gid)

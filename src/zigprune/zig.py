@@ -226,8 +226,12 @@ def verify_zero_invariance(
     Each trial randomizes parameters, BN statistics and inputs, zeroes a
     random subset of groups and measures the designated output slice of each
     zeroed group right after its layer (the summed channel for residual
-    groups). The result should be exactly 0.0.
+    groups). The result should be exactly 0.0. A hand-laid group (see
+    `GroupPartition.from_indices`) names no layer output, so it raises.
     """
+    for g in partition.groups:
+        if g.out_index is None:
+            raise UnsupportedStructureError(f"group {g.gid} ({g.tag()}) names no layer output")
     work = model.clone()
     rng = np.random.default_rng(seed)
     worst = 0.0

@@ -634,6 +634,22 @@ class TestTrain:
         assert trace[0]["stage"] == "subgradient"
         assert trace[-1]["stage"] == "half_space"
 
+    @pytest.mark.parametrize("np_epochs", [0, 1, 3])
+    @pytest.mark.parametrize("batch_size", [120, 16], ids=["one-step", "eight-steps"])
+    def test_epoch_stage_is_its_last_steps(self, np_epochs, batch_size):
+        ds, model, part, _ = self.make_problem()
+        cfg = TrainConfig(optimizer="hspg", alpha0=0.05, lam=0.2, np_epochs=np_epochs,
+                          batch_size=batch_size, epochs=5, seed=3)
+        stages = [[] for _ in range(cfg.epochs)]
+
+        def record(state, info):
+            stages[(state.k - 1) // state.steps_per_epoch].append(info["stage"])
+
+        _, trace = train(model, part, ds, cfg, callback=record)
+        assert [entry["stage"] for entry in trace] == [epoch[-1] for epoch in stages]
+        if np_epochs == 0 and batch_size < ds.n:  # the switch falls after the first step
+            assert stages[0][0] == "subgradient" and trace[0]["stage"] == "half_space"
+
     def test_epoch_loss_is_the_full_batch_loss(self):
         # the per-epoch loss is evaluated in chunks; it must still be the
         # one-shot full-data loss at the epoch's parameters, bit for bit

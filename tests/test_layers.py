@@ -6,6 +6,7 @@ from zigprune.config import build_layers
 from zigprune.errors import ConfigError, ParameterError, ShapeError, TargetError
 from zigprune.layers import (
     ACTIVATIONS,
+    DSL_KINDS,
     Activation,
     ConvBN,
     Linear,
@@ -631,6 +632,38 @@ class TestSkippedInputGradient:
         assert grads.keys() == grads_skipped.keys()
         for key in grads:
             assert grads[key].tobytes() == grads_skipped[key].tobytes(), key
+
+
+# one spec and input sample shape per DSL head; a head missing here fails below
+BACKWARD_SPECS = {
+    "linear": ("linear:4", (5,)),
+    "convbn": ("convbn:3:3x3:s1:p1:relu", (2, 5, 5)),
+    "residual": ("residual:3:3x3:s1:p1:gelu", (2, 5, 5)),
+    "mha": ("mha:2x3", (5,)),
+    "relu": ("relu", (2, 5, 5)),
+    "leaky_relu": ("leaky_relu", (5,)),
+    "prelu": ("prelu", (5,)),
+    "gelu": ("gelu", (2, 5, 5)),
+}
+
+
+@pytest.mark.parametrize("head", sorted(DSL_KINDS))
+def test_every_backward_takes_need_dx(head):
+    """The model passes need_dx by keyword to every layer; True changes nothing."""
+    spec, shape = BACKWARD_SPECS[head]
+    rng = np.random.default_rng(7)
+    layer = build_layers([spec], shape, None, "normal:0.5", 8)[0]
+    x = rng.standard_normal((3, *shape)).astype(np.float32)
+    if layer.flattens:
+        x = x.reshape(3, -1)
+    out, cache = layer.forward(x)
+    dout = rng.standard_normal(out.shape).astype(np.float32)
+    dx, grads = layer.backward(dout, cache)
+    dx_kw, grads_kw = layer.backward(dout, cache, need_dx=True)
+    assert dx.shape == x.shape and dx.tobytes() == dx_kw.tobytes()
+    assert grads.keys() == grads_kw.keys()
+    for key in grads:
+        assert grads[key].tobytes() == grads_kw[key].tobytes(), key
 
 
 class TestBitExactConvPath:

@@ -398,6 +398,18 @@ class TestFiniteDifferences:
         y = rng.integers(0, 3, size=2)
         assert finite_difference_check(m, x, y, h=1e-3) <= 1e-3
 
+    @pytest.mark.parametrize("head", [[], ["relu"]], ids=["linear", "relu-linear"])
+    def test_first_parameterized_layer_flattens_its_input(self, head):
+        # that layer computes no dx, so no (C, H, W) input gradient is reshaped
+        rng = np.random.default_rng(18)
+        specs = [*head, "linear:4", "leaky_relu", "linear:3"]
+        m = ModelGraph(build_layers(specs, (2, 3, 3), "mse", "normal:0.5", 19), (2, 3, 3))
+        x = rng.standard_normal((4, 2, 3, 3)).astype(np.float32)
+        y = rng.standard_normal((4, 3)).astype(np.float32)
+        assert finite_difference_check(m, x, y, h=1e-3) <= 1e-3
+        m.forward(x, y)
+        assert sorted(m.backward()) == sorted(m.params)
+
     def test_zero_parameter_model(self):
         m = ModelGraph([Activation("relu"), Loss("mse")], (3,))
         x = np.ones((2, 3), dtype=np.float32)

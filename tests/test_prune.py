@@ -221,7 +221,7 @@ class TestPruneShapes:
             prune(m, p)
         assert str(err.value) == (
             f"layer {whole[0]}: every group is zero, slim width would be 0 "
-            "(pass keep_one=True to retain the largest group)"
+            "(set prune.keep_one = true, or pass keep_one=True, to keep its first group)"
         )
         slim, report = prune(m, p, keep_one=True)
         h = hashlib.sha256(report.to_jsonl().encode())

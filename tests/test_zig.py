@@ -203,6 +203,14 @@ class TestZeroInvariance:
         m = model_from(["linear:4", "relu", "linear:3"], (5,), seed=12)
         assert np.isnan(verify_zero_invariance(m, partition_zig(m), trials=20, seed=5))
 
+    def test_hand_laid_groups_raise_before_any_trial(self):
+        # a hand-laid group names no layer output: measuring `outs[-1]` would
+        # read the whole final output (3.90 here before this raised)
+        m = model_from(["linear:1"], (8,), seed=0)
+        p = GroupPartition.from_indices(m.n_flat, [range(4), range(4, 8), [8]], [True, True, False])
+        with pytest.raises(UnsupportedStructureError, match=r"group 0 \(L-1:custom:0\)"):
+            verify_zero_invariance(m, p, trials=20, seed=0)
+
     def test_does_not_mutate_the_model(self):
         m = model_from(["linear:3"], (4,), seed=11)
         before = m.get_flat()
