@@ -5,7 +5,7 @@ allowed. `model.layers` lists the architecture in the layer DSL, one
 comma-separated string per layer; `layers` defines the DSL, and each kind
 reads its own string (`from_spec`) and writes it back (`spec`). The loss
 layer is appended from `model.loss`. Every numeric range is validated at
-load time, before any compute starts.
+load time, before any compute starts; a float key must also be finite.
 
 `build_layers` looks each string's head up in `layers.DSL_KINDS` and checks
 the layer against the shape of the layers before it (by the layer's own
@@ -56,7 +56,10 @@ def _parse_value(raw: str, key: str, kind):
             if low in ("false", "0", "no"):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        return kind(raw)
+        value = kind(raw)
+        if kind is float and not np.isfinite(value):
+            raise ValueError(f"not finite: {raw!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
 

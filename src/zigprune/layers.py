@@ -8,6 +8,9 @@ reader and writer never branch on type:
   * `layer_kind` labels the kind in group tags and prune layer maps, and
     `flattens` asks the model to reshape a (C, H, W) value to (C*H*W,) first;
   * `out_shape`, `forward`, `backward` and `params` define the computation;
+    `out_shape` is the kind's one input rule: the model build checks each
+    layer with it, and every forward kernel checks its batch's sample shape
+    with it, raising the same text as a ShapeError;
   * `units` gives each output unit's zero-invariant group as parameter spans:
     row r of every trainable parameter (the one rule, written on `Layer`),
     which attention only renumbers by head;
@@ -441,7 +444,7 @@ class Linear(Layer):
     def out_shape(self, shape):
         if shape[0] != self.in_features:
             raise InvalidModelError(
-                f"input extent {shape[0]} does not match expected {self.in_features}"
+                f"input last extent {shape[0]} does not match expected {self.in_features}"
             )
         return (self.out_features,)
 
@@ -822,12 +825,16 @@ def _affine_backward(d: np.ndarray, x64: np.ndarray, w64t: np.ndarray, need_dx: 
     return (_matmul64(d64, w64t.T, dtype) if need_dx else None), dw, db
 
 
+def _checked_out_shape(layer: Layer, shape: tuple) -> tuple:
+    """`layer.out_shape(shape)`, the rule a model build applies, its fault raised as ShapeError."""
+    try:
+        return layer.out_shape(shape)
+    except InvalidModelError as exc:
+        raise ShapeError(str(exc)) from exc
+
+
 def linear_forward(x: np.ndarray, layer: Linear):
-    if x.shape[-1] != layer.in_features:
-        raise ShapeError(
-            f"linear input last extent {x.shape[-1]} does not match weight columns "
-            f"{layer.in_features}"
-        )
+    _checked_out_shape(layer, x.shape[-1:])
     lead = x.shape[:-1]
     x64 = _up64(x.reshape(-1, x.shape[-1]))
     out, w64t = _affine(x64, layer.weight, layer.bias, x.dtype)
@@ -843,11 +850,7 @@ def linear_backward(dout: np.ndarray, layer: Linear, cache, need_dx=True):
 
 
 def attention_forward(x: np.ndarray, layer: MultiHeadAttention):
-    if x.shape[-1] != layer.in_features:
-        raise ShapeError(
-            f"attention input last extent {x.shape[-1]} does not match shared head "
-            f"input extent {layer.in_features}"
-        )
+    _checked_out_shape(layer, x.shape[-1:])
     lead = x.shape[:-1]
     x64 = _up64(x.reshape(-1, x.shape[-1]))  # one upcast serves every head
     outs, w64ts = [], []
@@ -944,19 +947,7 @@ def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None
     The patches are built in float64 once, so neither the forward product nor
     the backward kernel-gradient product upcasts them again.
     """
-    if x.ndim != 4:
-        raise ShapeError(f"conv input must be (batch, c, h, w); got rank {x.ndim}")
-    if x.shape[1] != layer.in_channels:
-        raise ShapeError(
-            f"conv input channel extent {x.shape[1]} does not match kernel "
-            f"in_channels {layer.in_channels}"
-        )
-    oh, ow = conv_output_hw(x.shape[2], x.shape[3], layer)
-    if oh < 1 or ow < 1:
-        raise ShapeError(
-            f"conv output spatial extent ({oh}, {ow}) is empty for input "
-            f"{x.shape[2]}x{x.shape[3]}"
-        )
+    _, oh, ow = _checked_out_shape(layer, x.shape[1:])
     _check_std(layer.std.data)
     dtype = x.dtype
     if cols is None:
@@ -996,13 +987,10 @@ def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache, need_dx=True):
 
 
 def residual_forward(x: np.ndarray, layer: ResidualBlock):
+    _checked_out_shape(layer, x.shape[1:])
     out1, cache1 = conv_bn_forward(x, layer.branch1)
     shared = cache1[1] if layer.shares_patches else None
     out2, cache2 = conv_bn_forward(x, layer.branch2, shared)
-    if out1.shape != out2.shape:
-        raise ShapeError(
-            f"residual branch outputs disagree: {out1.shape} vs {out2.shape}"
-        )
     return out1 + out2, (cache1, cache2)
 
 

@@ -15,6 +15,7 @@ import zigprune.data
 import zigprune.model
 from zigprune.cli import main
 from zigprune.config import (
+    _KNOWN_KEYS,
     DATASET_KINDS,
     ExperimentConfig,
     build_dataset,
@@ -62,17 +63,19 @@ output.dir = {out}
 
 
 def write_config(tmp_path, text=None, **overrides):
+    """BASE_CONFIG (or `text`) with each override's line set; a None value drops the key."""
     text = text if text is not None else BASE_CONFIG.format(out=tmp_path / "out")
     for key, value in overrides.items():
         lines = []
         replaced = False
         for line in text.splitlines():
             if line.strip().startswith(key + " "):
-                lines.append(f"{key} = {value}")
                 replaced = True
+                if value is not None:
+                    lines.append(f"{key} = {value}")
             else:
                 lines.append(line)
-        if not replaced:
+        if not replaced and value is not None:
             lines.append(f"{key} = {value}")
         text = "\n".join(lines)
     path = tmp_path / "exp.cfg"
@@ -161,12 +164,35 @@ class TestConfigParsing:
             ({"model.init": "normal:-1"}, "model.init: normal scale must be >= 0, got -1.0"),
             ({"model.init": "normal:nan"}, "model.init: normal scale must be finite, got nan"),
             ({"model.init": "normal:inf"}, "model.init: normal scale must be finite, got inf"),
+            ({"optimizer.alpha0": "nan"}, "optimizer.alpha0: not finite: 'nan'"),
+            ({"optimizer.alpha0": "inf"}, "optimizer.alpha0: not finite: 'inf'"),
+            ({"optimizer.lambda": "nan"}, "optimizer.lambda: not finite: 'nan'"),
+            ({"optimizer.decay": "nan"}, "optimizer.decay: not finite: 'nan'"),
+            ({"dataset.separation": "nan"}, "dataset.separation: not finite: 'nan'"),
+            ({"dataset.noise": "nan"}, "dataset.noise: not finite: 'nan'"),
+            ({"model.penalize_output": "maybe"}, "model.penalize_output: not a boolean: 'maybe'"),
+            ({"model.layers": None}, "missing required key model.layers"),
+            ({"model.input_shape": "4xa"},
+             "model.input_shape: invalid literal for int() with base 10: 'a'"),
+            ({"dataset.samples": "0"}, "dataset.samples must be >= 1, got 0"),
+            ({"dataset.kind": "csv", "dataset.path": __file__, "dataset.target": "label"},
+             "dataset.target must be 'class' or 'value'"),
+            ({"dataset.kind": "synthetic-glasso", "dataset.groups": "2",
+              "dataset.group_size": "4", "dataset.support": "3"},
+             "dataset.support cannot exceed dataset.groups"),
         ],
     )
     def test_messages_and_their_order(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError) as err:
             load_config(write_config(tmp_path, **overrides))
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("key", [k for k, (kind, _) in _KNOWN_KEYS.items() if kind is float])
+    def test_float_keys_must_be_finite(self, tmp_path, key):
+        for raw in ("nan", "-nan", "inf", "-Infinity", "1e999"):
+            with pytest.raises(ConfigError) as err:
+                load_config(write_config(tmp_path, **{key: raw}))
+            assert str(err.value) == f"{key}: not finite: {raw!r}"
 
     def test_penalize_output_key(self, tmp_path):
         from zigprune.config import build_model
@@ -292,8 +318,6 @@ class TestDatasetKinds:
 
 
 def test_dataset_keys_and_their_types():
-    from zigprune.config import _KNOWN_KEYS
-
     types = {"kind": str, "samples": int, "test_samples": int, "classes": int, "features": int,
              "separation": float, "groups": int, "group_size": int, "support": int,
              "noise": float, "coef_scale": float, "seed": int, "images": str, "labels": str,
@@ -442,10 +466,46 @@ class TestCli:
         assert self.run("prune", "--config", str(cfgp)) == 1
         assert "train stage" in capsys.readouterr().err
 
+    def test_verify_before_prune_fails_cleanly(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path)
+        assert self.run("train", "--config", str(cfgp)) == 0
+        capsys.readouterr()
+        assert self.run("verify", "--config", str(cfgp)) == 1
+        report = tmp_path / "out" / "report.jsonl"
+        assert capsys.readouterr().err == (
+            f"[verify] no prune report at {report}; run the prune stage first\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1\n2\n", "line 1: need at least one feature and a target"),
+            ("# a comment\n\n# another\n", "csv file holds no samples"),
+        ],
+    )
+    def test_malformed_csv_fails_at_train(self, tmp_path, capsys, text, message):
+        (tmp_path / "d.csv").write_text(text)
+        cfgp = write_config(tmp_path, **{
+            "model.input_shape": "2", "model.layers": "linear:2",
+            "dataset.kind": "csv", "dataset.path": str(tmp_path / "d.csv"),
+        })
+        assert self.run("run", "--config", str(cfgp)) == 1
+        assert capsys.readouterr().err == f"[train] {message}\n"
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, **{"optimizer.epsilon": "2.0"})
         assert self.run("run", "--config", str(cfgp)) == 2
         assert "[config]" in capsys.readouterr().err
+
+    def test_non_finite_float_is_config_error(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, **{
+            "model.input_shape": "6", "model.layers": "linear:1", "model.loss": "mse",
+            "dataset.kind": "synthetic-glasso", "dataset.groups": "3",
+            "dataset.group_size": "2", "dataset.noise": "nan",
+        })
+        assert self.run("run", "--config", str(cfgp)) == 2
+        assert capsys.readouterr().err == "[config] dataset.noise: not finite: 'nan'\n"
+        assert not (tmp_path / "out" / "partition.txt").exists()
 
     @pytest.mark.parametrize("key", ["model.seed", "dataset.seed", "optimizer.seed"])
     def test_negative_seed_is_config_error(self, tmp_path, capsys, key):

@@ -601,6 +601,17 @@ class TestTrain:
         )
         return ds, model, part, lists
 
+    def test_rejects_an_empty_dataset_and_a_model_without_loss(self):
+        ds, model, part, _ = self.make_problem()
+        cfg = TrainConfig(optimizer="hspg", alpha0=0.1, lam=0.1, epochs=1)
+        empty = Dataset(ds.inputs[:0], ds.targets[:0], ds.task)
+        with pytest.raises(ParameterError, match="^dataset is empty$"):
+            train(model, part, empty, cfg)
+        lossless = ModelGraph(build_layers(["linear:1"], model.input_shape, None, "zeros", 0),
+                              model.input_shape)
+        with pytest.raises(ParameterError, match="^training needs a model whose last layer is a loss$"):
+            train(lossless, part, ds, cfg)
+
     def test_zero_epochs_returns_initial_state(self):
         ds, model, part, _ = self.make_problem()
         x0 = model.get_flat()

@@ -3,7 +3,7 @@ import pytest
 
 import zigprune.layers as layers_module
 from zigprune.config import build_layers
-from zigprune.errors import ConfigError, ParameterError, ShapeError, TargetError
+from zigprune.errors import ConfigError, InvalidModelError, ParameterError, ShapeError, TargetError
 from zigprune.layers import (
     ACTIVATIONS,
     DSL_KINDS,
@@ -490,7 +490,7 @@ class TestConvBN:
     def test_empty_output_rejected(self):
         rng = np.random.default_rng(0)
         layer = random_convbn(rng, 1, 1, 3)
-        with pytest.raises(ShapeError, match="spatial"):
+        with pytest.raises(ShapeError, match="empty conv output"):
             conv_bn_forward(np.zeros((1, 1, 2, 2), dtype=np.float32), layer)
 
 
@@ -599,6 +599,36 @@ class TestResidual:
         wider = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 4, 3))
         with pytest.raises(ConfigError, match="residual:3:3x3:s1:p0:relu, residual:4:3x3"):
             wider.spec()
+
+
+def _rejected_inputs():
+    """name -> (layer, its forward kernel, a batch the layer's `out_shape` rejects)."""
+    rng = np.random.default_rng(8)
+    linear = Linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
+    mha = MultiHeadAttention([linear, Linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros(1)))])
+    conv = random_convbn(rng, 2, 3, 3)
+    # 3x3 and 1x1 windows give (3, 3, 3) and (3, 5, 5) outputs on a 5x5 input
+    residual = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 3, 1))
+    return {
+        "linear extent": (linear, linear_forward, np.zeros((2, 4), np.float32)),
+        "mha extent": (mha, attention_forward, np.zeros((2, 3, 4), np.float32)),
+        "convbn rank": (conv, conv_bn_forward, np.zeros((2, 5, 5), np.float32)),
+        "convbn channels": (conv, conv_bn_forward, np.zeros((1, 3, 5, 5), np.float32)),
+        "convbn empty output": (conv, conv_bn_forward, np.zeros((1, 2, 2, 2), np.float32)),
+        "residual branches": (residual, residual_forward, np.zeros((1, 2, 5, 5), np.float32)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_rejected_inputs()))
+def test_kernels_check_input_with_out_shape(case):
+    """A kernel rejects a batch with the text its kind's `out_shape` gives a model build."""
+    layer, kernel, x = _rejected_inputs()[case]
+    sample = x.shape[-1:] if layer.flattens else x.shape[1:]
+    with pytest.raises(InvalidModelError) as built:
+        layer.out_shape(sample)
+    with pytest.raises(ShapeError) as called:
+        kernel(x, layer)
+    assert str(called.value) == str(built.value)
 
 
 GEOMETRIES = [

@@ -493,6 +493,14 @@ class TestFlatBuffers:
         m.params[next(iter(m.params))].data[...] = 7.0
         assert m.get_flat()[0] == 7.0
 
+    def test_set_flat_rejects_the_wrong_length(self):
+        m = mlp([2], 3, seed=21)
+        before = m.get_flat()
+        n = m.n_flat
+        with pytest.raises(ShapeError, match=rf"^flat view has {n} entries, got \({n + 1},\)$"):
+            m.set_flat(np.zeros(n + 1, dtype=np.float32))
+        assert np.array_equal(m.get_flat(), before)
+
     def test_backward_fills_the_gradient_buffer(self):
         rng = np.random.default_rng(33)
         m = build_random_model(rng)
@@ -609,6 +617,17 @@ class TestCheckpoint:
         save_arrays(path, {"L0.weight": np.zeros((9, 9), dtype=np.float32)})
         m = mlp([2], 3, seed=21)
         with pytest.raises(ShapeError):
+            m.load_checkpoint(path)
+
+    def test_missing_and_unknown_arrays_rejected(self, tmp_path):
+        m = mlp([2], 3, seed=21)
+        arrays = m.all_arrays()
+        path = tmp_path / "m.ckpt"
+        save_arrays(path, {k: v for k, v in arrays.items() if k != "L0.bias"})
+        with pytest.raises(ShapeError, match=r"^checkpoint is missing array L0\.bias$"):
+            m.load_checkpoint(path)
+        save_arrays(path, {**arrays, "L9.weight": np.zeros(1, dtype=np.float32)})
+        with pytest.raises(ShapeError, match=r"^checkpoint has unknown arrays: \['L9\.weight'\]$"):
             m.load_checkpoint(path)
 
     def test_scalar_free_container(self, tmp_path):

@@ -126,6 +126,11 @@ class TestPartitionInvariants:
         with pytest.raises(InvariantError, match="empty"):
             GroupPartition.from_indices(4, [[0, 1], []])
 
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_out_of_range_index_rejected(self, index):
+        with pytest.raises(InvariantError, match="^group 1 indexes outside the flat view$"):
+            GroupPartition.from_indices(4, [[0, 1], [2, index]])
+
 
 class TestGatherOrder:
     """`order` lists the penalized entries group by group, then the free ones; `inverse` undoes it."""
