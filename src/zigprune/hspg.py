@@ -23,9 +23,10 @@ penalized entries are a leading slice. Over that one vector it adds the
 subgradient (+0.0 on the free entries), checks finiteness and steps once;
 the group squared norms, computed once on the slice, serve the subgradient
 and, from `switch_iteration` on, the frozen test, the half-space test and
-the descent check. One `take(inverse)` puts the new iterate back in flat
-order. The projection exists only there. Every optimizer steps through
-`_descend`: x - alpha * d in float64, rounded to float32.
+the descent check; one assignment then zeroes the frozen and killed groups,
+and one `take(inverse)` puts the iterate back in flat order. Every optimizer
+steps through `_descend`: x - alpha * d in float64, rounded to float32, with
+alpha, lam, epsilon and decay checked by one rule, `_check_step_params`.
 
 Prox-SG replaces the projection with the group soft-threshold of radius
 alpha*lam around the gradient step, which is the mechanism whose zero region
@@ -44,13 +45,16 @@ from .regularizer import group_norm_value, group_prox, sparsity_metrics, subgrad
 from .zig import GroupPartition
 
 
-def _check_step_params(alpha: float, lam: float, epsilon: float):
-    if alpha <= 0:
-        raise ParameterError(f"step size must be > 0, got {alpha}")
-    if lam < 0:
-        raise ParameterError(f"regularization weight must be >= 0, got {lam}")
-    if not (0.0 <= epsilon < 1.0):
-        raise ParameterError(f"epsilon must lie in [0, 1), got {epsilon}")
+def _check_step_params(alpha: float, lam: float, epsilon: float, decay: float):
+    """The one step-parameter rule: every range test fails on NaN, and +inf is not finite."""
+    for what, value, ok, rule in (
+        ("step size", alpha, alpha > 0, "be > 0"),
+        ("regularization weight", lam, lam >= 0, "be >= 0"),
+        ("epsilon", epsilon, 0.0 <= epsilon < 1.0, "lie in [0, 1)"),
+        ("decay factor", decay, decay > 0, "be > 0"),
+    ):
+        if not ok or value == np.inf:
+            raise ParameterError(f"{what} must {'be finite' if ok else rule}, got {value}")
 
 
 @dataclass
@@ -65,7 +69,7 @@ class OptimizerState:
     steps_per_epoch: int = 0  # 0 disables the decay schedule
 
     def __post_init__(self):
-        _check_step_params(self.alpha, self.lam, self.epsilon)
+        _check_step_params(self.alpha, self.lam, self.epsilon, self.decay)
         if self.switch_iteration < 1:
             raise ParameterError(
                 f"switch iteration must be a positive integer, got {self.switch_iteration}"
@@ -121,8 +125,7 @@ def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition
     if half_space:
         trial_p = trial[:n_pen]
         frozen = sq == 0.0  # groups already zero stay zero
-        if frozen.any():
-            trial_p[np.repeat(frozen, sizes)] = 0.0
+        # zeroing frozen groups after this test changes no bit: their xp is all +-0.0
         kill = (partition.pen_sum(trial_p.astype(np.float64) * xp) < state.epsilon * sq) & ~frozen
         zeroed = partition.pen_gids[kill]
         if zeroed.size:
@@ -135,7 +138,8 @@ def hspg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartition
                     f"projection of group {gid} at iteration {k} does not satisfy "
                     f"the descent inequality"
                 )
-            trial_p[np.repeat(kill, sizes)] = 0.0
+        if frozen.any() or zeroed.size:
+            trial_p[np.repeat(frozen | kill, sizes)] = 0.0
     state.x = trial.take(partition.inverse)
     info = {"k": k, "stage": "half_space" if half_space else "subgradient", "zeroed": zeroed}
     _advance(state)
@@ -178,15 +182,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZER_KINDS:
             raise ParameterError(f"unknown optimizer kind {self.optimizer!r}")
-        _check_step_params(self.alpha0, self.lam, self.epsilon)
+        _check_step_params(self.alpha0, self.lam, self.epsilon, self.decay)
         if self.np_epochs < 0:
             raise ParameterError(f"switch epoch must be >= 0, got {self.np_epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ParameterError(f"epoch count must be >= 0, got {self.epochs}")
-        if self.decay <= 0:
-            raise ParameterError(f"decay factor must be > 0, got {self.decay}")
 
 
 # a diverging run overflows before `_check_finite` raises; numpy's warnings would repeat it

@@ -56,7 +56,7 @@ def group_prox(v: np.ndarray, partition: GroupPartition, tau: float) -> np.ndarr
     """
     if tau < 0:
         raise ParameterError(f"prox threshold must be >= 0, got {tau}")
-    if partition.pen_perm.size == 0 or tau == 0.0:
+    if tau == 0.0:  # the general path would write +0.0 over a zero group's -0.0 entries
         return v.copy()
     n_pen, sizes = partition.pen_perm.size, partition.pen_sizes
     out = v.take(partition.order)  # penalized entries first, as in `hspg_step`

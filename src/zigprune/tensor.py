@@ -104,9 +104,7 @@ def load_arrays(path) -> dict[str, np.ndarray]:
 
 
 def as_array(value) -> np.ndarray:
-    """Coerce a Tensor or array-like into a float ndarray without copying float32/64 data."""
-    if isinstance(value, Tensor):
-        return value.data
+    """Coerce an array-like into a float ndarray without copying float32/64 data."""
     arr = np.asarray(value)
     if arr.dtype not in (np.float32, np.float64):
         arr = arr.astype(np.float32)

@@ -126,12 +126,26 @@ class TestHalfSpaceProject:
             ((0.1, 0.0, -0.5), "epsilon must lie in [0, 1), got -0.5"),
             ((0.0, 0.0, 0.0), "step size must be > 0, got 0.0"),
             ((0.1, -1.0, 0.0), "regularization weight must be >= 0, got -1.0"),
+            # every range test fails on NaN; +inf passes the open ones and is refused
+            ((np.nan, 0.0, 0.0), "step size must be > 0, got nan"),
+            ((np.inf, 0.0, 0.0), "step size must be finite, got inf"),
+            ((-np.inf, 0.0, 0.0), "step size must be > 0, got -inf"),
+            ((0.1, np.nan, 0.0), "regularization weight must be >= 0, got nan"),
+            ((0.1, np.inf, 0.0), "regularization weight must be finite, got inf"),
+            ((0.1, -np.inf, 0.0), "regularization weight must be >= 0, got -inf"),
+            ((0.1, 0.0, np.nan), "epsilon must lie in [0, 1), got nan"),
+            ((0.1, 0.0, 0.0, np.nan), "decay factor must be > 0, got nan"),
+            ((0.1, 0.0, 0.0, np.inf), "decay factor must be finite, got inf"),
+            ((0.1, 0.0, 0.0, -np.inf), "decay factor must be > 0, got -inf"),
+            ((0.1, 0.0, 0.0, 0.0), "decay factor must be > 0, got 0.0"),
+            ((0.1, 0.0, 0.0, -1.0), "decay factor must be > 0, got -1.0"),
         ]
-        for (alpha, lam, epsilon), message in cases:
+        for (alpha, lam, epsilon, *decay), message in cases:
+            kw = {"lam": lam, "epsilon": epsilon, "decay": decay[0] if decay else 1.0}
             with pytest.raises(ParameterError) as state_err:
-                OptimizerState(x=np.zeros(4, np.float32), alpha=alpha, lam=lam, epsilon=epsilon)
+                OptimizerState(x=np.zeros(4, np.float32), alpha=alpha, **kw)
             with pytest.raises(ParameterError) as config_err:
-                TrainConfig(alpha0=alpha, lam=lam, epsilon=epsilon)
+                TrainConfig(alpha0=alpha, **kw)
             assert str(state_err.value) == str(config_err.value) == message
 
 
@@ -501,6 +515,46 @@ class TestGatherOrderLockstep:
             assert_same_step(new, old, got, want)
             assert list(want["zeroed"]) == [1]
             assert bits(new.x[:4]) == bits(np.zeros(4, dtype=np.float32))
+
+    def test_hspg_frozen_killed_and_kept_groups(self):
+        # one step meets all three fates: group 0 is frozen at zero, group 1 is
+        # pushed across its half-space, group 2 keeps its trial point
+        p = GroupPartition.from_indices(7, [[0, 1], [2, 3], [4, 5]])
+        x0 = np.array([0.0, -0.0, 1.0, 0.5, 1.0, -2.0, -0.0], dtype=np.float32)
+        grad = np.array([5.0, -3.0, 30.0, 15.0, 0.1, -0.3, -0.0], dtype=np.float32)
+        for lam, eps in ((0.0, 0.0), (0.1, 0.0), (0.1, 0.5)):
+            new, old = (OptimizerState(x=x0, alpha=0.1, lam=lam, epsilon=eps, k=1) for _ in range(2))
+            got = outcome(hspg_step, new, grad, p)
+            want = outcome(reference_split_hspg_step, old, grad, p)
+            assert_same_step(new, old, got, want)
+            assert list(want["zeroed"]) == [1]
+            assert bits(new.x[:4]) == bits(np.zeros(4, dtype=np.float32))
+            assert np.all(new.x[4:6] != 0.0) and np.all(np.sign(new.x[4:6]) == np.sign(x0[4:6]))
+
+    def test_failed_descent_check_leaves_the_state_alone(self):
+        # k = 3 and steps_per_epoch = 4: a step that went through would also decay alpha
+        p = GroupPartition.from_indices(3, [[0, 1]], [True])
+        x0 = np.array([0.35151007771492004, 0.9034701585769653, -0.0], dtype=np.float32)
+        grad = np.array([1.4886643886566162, 1.2886542081832886, -0.0], dtype=np.float32)
+        alpha = 0.3898407787192646
+        st = OptimizerState(x=x0, alpha=alpha, lam=0.0, epsilon=0.3, switch_iteration=1, k=3,
+                            decay=0.5, steps_per_epoch=4)
+        with pytest.raises(InvariantError, match="group 0 at iteration 3"):
+            hspg_step(st, grad, p)
+        assert bits(st.x) == bits(x0)
+        assert st.k == 3 and st.alpha == alpha
+
+    def test_prox_sg_without_penalized_groups_is_sgd(self):
+        # with nothing to shrink, a lam > 0 prox step writes the bytes of the plain step
+        rng = np.random.default_rng(54)
+        for p in (random_partition(rng, 12, pen_frac=0.0), GroupPartition([], 12)):
+            assert p.n_penalized == 0
+            x0 = signed_zero_vector(rng, 12, p)
+            grad = step_gradient(rng, x0, p, 0.1)
+            prox, plain = (OptimizerState(x=x0, alpha=0.1, lam=0.5) for _ in range(2))
+            prox_sg_step(prox, grad, p)
+            sgd_step(plain, grad)
+            assert bits(prox.x) == bits(plain.x) and prox.k == plain.k == 1
 
     def test_hspg_descent_check_error(self):
         p = GroupPartition.from_indices(3, [[0, 1]], [True])

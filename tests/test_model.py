@@ -211,6 +211,14 @@ class TestPredict:
             assert out.shape == (5, *shape)
         assert np.array_equal(outputs[-1], m.forward(x)[0])
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8, np.bool_])
+    def test_non_float_inputs_predict_like_their_float32_cast(self, dtype):
+        m = predict_model("mlp")
+        x = np.random.default_rng(4).integers(-3, 4, size=(5, *m.input_shape)).astype(dtype)
+        out = m.predict(x)
+        assert out.dtype == np.float32
+        assert bits(out) == bits(m.predict(x.astype(np.float32)))
+
     def test_input_shape_validated(self):
         with pytest.raises(ShapeError, match="input sample shape"):
             predict_model("mlp").layer_outputs(np.zeros((2, 5), dtype=np.float32))
@@ -425,6 +433,24 @@ class TestFiniteDifferences:
         y = rng.standard_normal((4, 3)).astype(np.float32)
         with np.errstate(invalid="ignore"):
             assert np.isnan(finite_difference_check(m, x, y, h=1e-3))
+
+    def test_parameter_whose_steps_round_to_itself_is_skipped(self):
+        # float32(1e8 +- 1e-3) == 1e8: no difference quotient exists, so that
+        # weight is skipped; the zero input it multiplies keeps the loss exact
+        m = mlp([1], 2, loss="mse", seed=20)
+        m.params["L0.weight"].data[0, 0] = 1e8
+        x = np.array([[0.0, 1.5], [0.0, -0.5]], dtype=np.float32)
+        y = np.array([[0.2], [0.7]], dtype=np.float32)
+        forward, calls = m.forward, []
+
+        def counted(*args):
+            calls.append(1)
+            return forward(*args)
+
+        m.forward = counted
+        assert finite_difference_check(m, x, y, h=1e-3) <= 1e-3
+        # one recording pass, then two per compared scalar: the other weight and the bias
+        assert len(calls) == 1 + 2 * 2
 
     def test_step_must_be_positive(self):
         m = mlp([2], 3)

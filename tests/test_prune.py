@@ -343,6 +343,12 @@ class TestEquivalence:
         with pytest.raises(StructuralError, match="output shapes"):
             equivalence_check(a, b, 5, seed=0)
 
+    def test_zero_inputs_give_zero_gap_but_still_compare_shapes(self):
+        a = model_from(["linear:3"], (4,), seed=13)
+        assert equivalence_check(a, model_from(["linear:3"], (4,), seed=14), 0) == 0.0
+        with pytest.raises(StructuralError, match="output shapes"):
+            equivalence_check(a, model_from(["linear:2"], (4,), seed=14), 0)
+
     def test_structural_error_on_input_mismatch(self):
         a = model_from(["linear:3"], (4,), seed=13)
         b = model_from(["linear:3"], (5,), seed=14)

@@ -126,6 +126,14 @@ class TestPartitionInvariants:
         with pytest.raises(InvariantError, match="empty"):
             GroupPartition.from_indices(4, [[0, 1], []])
 
+    def test_uncovered_scalars_counted_when_cover_is_required(self):
+        groups = GroupPartition.from_indices(5, [[0, 1], [3]]).groups
+        assert GroupPartition(groups, 5).n_groups == 2
+        with pytest.raises(InvariantError, match="^2 trainable scalars belong to no group$"):
+            GroupPartition(groups, 5, require_cover=True)
+        covering = GroupPartition.from_indices(5, [[0, 1], [2, 3, 4]]).groups
+        assert GroupPartition(covering, 5, require_cover=True).n_groups == 2
+
     @pytest.mark.parametrize("index", [-1, 4])
     def test_out_of_range_index_rejected(self, index):
         with pytest.raises(InvariantError, match="^group 1 indexes outside the flat view$"):
