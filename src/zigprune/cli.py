@@ -15,6 +15,10 @@ reads back only the slim model, from `report.jsonl` and `slim.ckpt`, so that
 verify and the accuracy line check what a user would load. A single-stage
 command reads what it needs from the files the earlier stages wrote.
 
+One writer, `_write`, writes every text artifact; one rule, `_stage_input`,
+checks every file a single-stage command reads. A missing or malformed input
+is a typed failure, tagged with the stage that read it.
+
 Exit status is 0 on success; failures print a message tagged with the stage
 that failed and return nonzero. verify is such a failure when the slim
 model's outputs deviate from the full model's by more than `MAX_DEVIATION`.
@@ -40,7 +44,7 @@ from .config import (
     model_to_specs,
 )
 from .data import classification_accuracy
-from .errors import EquivalenceError, StateError, ZigPruneError
+from .errors import EquivalenceError, FormatError, StateError, ZigPruneError
 from .hspg import train
 from .model import ModelGraph
 from .prune import PruneReport, count_flops_params, equivalence_check, prune
@@ -48,13 +52,23 @@ from .regularizer import sparsity_metrics
 from .zig import GroupPartition, partition_zig
 
 
-def _ensure_outdir(cfg: ExperimentConfig) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg.output_dir
-
-
 def _path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
+
+
+def _write(cfg: ExperimentConfig, name: str, text: str):
+    """Write one text artifact, creating the output directory first."""
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    with open(_path(cfg, name), "w") as fh:
+        fh.write(text)
+
+
+def _stage_input(cfg: ExperimentConfig, name: str, what: str, stage: str) -> str:
+    """The path of a file an earlier stage writes; raises StateError if it is not there."""
+    path = _path(cfg, name)
+    if not os.path.exists(path):
+        raise StateError(f"no {what} at {path}; run the {stage} stage first")
+    return path
 
 
 def make_partition(cfg: ExperimentConfig, model: ModelGraph) -> GroupPartition:
@@ -73,33 +87,24 @@ def make_partition(cfg: ExperimentConfig, model: ModelGraph) -> GroupPartition:
     return partition_zig(model, penalize_output=cfg.penalize_output)
 
 
-def _write_partition(cfg: ExperimentConfig, partition: GroupPartition):
-    _ensure_outdir(cfg)
-    with open(_path(cfg, "partition.txt"), "w") as fh:
-        fh.write(partition.export_text())
-
-
 def _load_full(cfg: ExperimentConfig) -> ModelGraph:
-    ckpt = _path(cfg, "full.ckpt")
-    if not os.path.exists(ckpt):
-        raise StateError(f"no trained checkpoint at {ckpt}; run the train stage first")
+    ckpt = _stage_input(cfg, "full.ckpt", "trained checkpoint", "train")
     model = build_model(cfg)
     model.load_checkpoint(ckpt)
     return model
 
 
 def _read_report(cfg: ExperimentConfig) -> PruneReport:
-    path = _path(cfg, "report.jsonl")
-    if not os.path.exists(path):
-        raise StateError(f"no prune report at {path}; run the prune stage first")
-    with open(path) as fh:
+    with open(_stage_input(cfg, "report.jsonl", "prune report", "prune")) as fh:
         return PruneReport.from_jsonl(fh.read())
 
 
 def _load_slim(cfg: ExperimentConfig, report: PruneReport) -> ModelGraph:
+    if report.slim_layers is None:
+        raise FormatError("prune report lists no slim_layers")
     layers = build_layers(report.slim_layers, cfg.input_shape, cfg.loss, "zeros", 0)
     slim = ModelGraph(layers, cfg.input_shape)
-    slim.load_checkpoint(_path(cfg, "slim.ckpt"))
+    slim.load_checkpoint(_stage_input(cfg, "slim.ckpt", "slim checkpoint", "prune"))
     return slim
 
 
@@ -111,7 +116,7 @@ def stage_partition(cfg: ExperimentConfig):
     """Write partition.txt; returns (fresh model, partition)."""
     model = build_model(cfg)
     partition = make_partition(cfg, model)
-    _write_partition(cfg, partition)
+    _write(cfg, "partition.txt", partition.export_text())
     print(
         f"partition: {partition.n_groups} groups "
         f"({partition.n_penalized} penalized) over {partition.n_flat} parameters"
@@ -128,14 +133,11 @@ def stage_train(cfg: ExperimentConfig, model=None, partition=None, dataset=None)
         model = build_model(cfg)
     if partition is None:
         partition = make_partition(cfg, model)
-        _write_partition(cfg, partition)
+        _write(cfg, "partition.txt", partition.export_text())
     if dataset is None:
         dataset = build_dataset(cfg)
     x_final, trace = train(model, partition, dataset.subset("train"), cfg.train)
-    _ensure_outdir(cfg)
-    with open(_path(cfg, "metrics.jsonl"), "w") as fh:
-        for entry in trace:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    _write(cfg, "metrics.jsonl", "".join(json.dumps(e, sort_keys=True) + "\n" for e in trace))
     model.save_checkpoint(_path(cfg, "full.ckpt"))
     metrics = sparsity_metrics(x_final, partition)
     last_loss = trace[-1]["loss"] if trace else float("nan")
@@ -156,10 +158,10 @@ def stage_prune(cfg: ExperimentConfig, model=None, partition=None):
     slim, report = prune(model, partition, keep_one=cfg.keep_one)
     report.slim_layers = model_to_specs(slim)
     slim.save_checkpoint(_path(cfg, "slim.ckpt"))
-    with open(_path(cfg, "report.jsonl"), "w") as fh:
-        fh.write(report.to_jsonl())
+    _write(cfg, "report.jsonl", report.to_jsonl())
+    removed = sum(m.get("width_before", 0) - m.get("width_after", 0) for m in report.layer_maps)
     print(
-        f"prune: removed {len(report.zero_groups)} zero groups; "
+        f"prune: removed {removed} zero groups; "
         f"params {report.params_before} -> {report.params_after}, "
         f"flops {report.flops_before} -> {report.flops_after}"
     )
@@ -184,8 +186,7 @@ def stage_verify(cfg: ExperimentConfig, model=None):
     slim = _load_slim(cfg, report)
     deviation = equivalence_check(model, slim, cfg.verify_inputs, seed=cfg.train.seed)
     report.max_deviation = deviation
-    with open(_path(cfg, "report.jsonl"), "w") as fh:
-        fh.write(report.to_jsonl())
+    _write(cfg, "report.jsonl", report.to_jsonl())
     print(f"verify: max output deviation {deviation:.3e} over {cfg.verify_inputs} inputs")
     if not deviation <= MAX_DEVIATION:
         raise EquivalenceError(

@@ -170,7 +170,12 @@ def load_config(path) -> ExperimentConfig:
 
     cfg = ExperimentConfig(dataset=dataset, train=train, **given)
     # fail early on an inconsistent architecture; its shapes need no initialized weights
-    build_layers(cfg.layer_specs, cfg.input_shape, cfg.loss, "zeros", 0)
+    layers = build_layers(cfg.layer_specs, cfg.input_shape, cfg.loss, "zeros", 0)
+    # glasso's groups are flat positions 0 .. groups * group_size - 1: one unit's input weights
+    first = next((i for i, layer in enumerate(layers) if layer.units()), None)
+    if kind == "synthetic-glasso" and (first is None or len(layers[first].units()) != 1):
+        where = "model.layers" if first is None else f"layer {cfg.layer_specs[first]!r}"
+        raise ConfigError(f"{where}: synthetic-glasso needs a first weighted layer of one unit")
     return cfg
 
 

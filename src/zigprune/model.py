@@ -8,13 +8,15 @@ layer whose kind `flattens` (linear, attention, loss). Every per-kind rule
 is a method of the layer class (see `layers`).
 
 `forward` records what `backward` and the finite-difference check read: one
-cache per layer and the loss gradient. `layer_outputs` returns every layer's
-output and records nothing; the zero-invariance checker reads it. `predict`
-runs the same layer loop over chunks of samples and records nothing; every
-evaluation (the per-epoch full-data loss, accuracy, the equivalence check)
-uses it, so its memory is bounded by the chunk, not by the dataset. The
-chunk is `EVAL_CHUNK` samples, fewer where a conv layer's float64 patches
-would pass `PATCH_BYTES` (see `eval_chunk`).
+cache per layer and the loss gradient, computed after the layer loop, which
+knows nothing of losses; `in_shapes` holds each layer's input sample shape.
+`layer_outputs` returns every layer's output and records nothing; the
+zero-invariance checker reads it. `predict` runs the same layer loop over
+chunks of samples and records nothing; every evaluation (the per-epoch
+full-data loss, accuracy, the equivalence check) uses it, so its memory is
+bounded by the chunk, not by the dataset. The chunk is `EVAL_CHUNK` samples,
+fewer where a conv layer's float64 patches would pass `PATCH_BYTES` (see
+`eval_chunk`).
 
 Parameter arrays live in a registry keyed by stable ids (``L3.kernel``,
 ``L5.b1.gamma``, ``L7.h0.weight``); the flattened view used by the
@@ -73,6 +75,7 @@ class ModelGraph:
         self.layers = list(layer_list)
         self.input_shape = tuple(int(s) for s in input_shape)
         self.shapes = infer_shapes(self.layers, self.input_shape)
+        self.in_shapes = (self.input_shape, *self.shapes)  # each layer's input sample shape
         per_sample = max(
             (layer.patch_bytes(shape) for layer, shape in zip(self.layers, self.shapes)), default=0
         )
@@ -86,21 +89,18 @@ class ModelGraph:
         for i, layer in enumerate(self.layers):
             for name, tensor, trainable in layer.params():
                 key = f"L{i}.{name}"
-                if trainable:
+                if not trainable:
+                    self.constants[key] = tensor
+                elif tensor.grad is not None or any(t is tensor for t in self.params.values()):
+                    raise InvalidModelError(
+                        f"parameter {key} already belongs to a model; build each model over "
+                        f"its own layers (clone() copies a model)"
+                    )
+                else:
                     self.params[key] = tensor
                     self._grad_slots[i][name] = (key, tensor)
-                else:
-                    self.constants[key] = tensor
         # backward stops at the first layer with parameters
         self._first_param = next((i for i, s in enumerate(self._grad_slots) if s), len(self.layers))
-        held = set()
-        for key, tensor in self.params.items():
-            if tensor.grad is not None or id(tensor) in held:
-                raise InvalidModelError(
-                    f"parameter {key} already belongs to a model; build each model over "
-                    f"its own layers (clone() copies a model)"
-                )
-            held.add(id(tensor))
         self.n_flat = sum(t.size for t in self.params.values())
         self._flat = np.empty(self.n_flat, dtype=np.float32)
         self._flat_grad = np.zeros(self.n_flat, dtype=np.float32)
@@ -113,8 +113,7 @@ class ModelGraph:
             self._flat[start:pos] = tensor.data.ravel()
             tensor.data = self._flat[start:pos].reshape(shape)
             tensor.grad = self._flat_grad[start:pos].reshape(shape)
-        self._tape = None
-        self._dloss = None
+        self._tape = self._dloss = None
 
     # -- structure ---------------------------------------------------------
 
@@ -158,21 +157,18 @@ class ModelGraph:
             )
         return x
 
-    def _run(self, x, targets=None, tape=None, outputs=None):
-        """The layer loop; returns (output, loss, dloss).
+    def _run(self, x, tape=None, outputs=None):
+        """The layer loop; returns the output.
 
         Appends each layer's cache to `tape` and its output to `outputs` when
         given; without a tape every cache is dropped as soon as its layer has
         run.
         """
-        loss = dloss = None
         for i, layer in enumerate(self.layers):
             if layer.flattens and x.ndim > 2:
                 x = x.reshape(x.shape[0], _flat_size(x.shape[1:]))
             try:
                 x, cache = layer.forward(x)
-                if isinstance(layer, L.Loss) and targets is not None:
-                    loss, dloss = L.loss_forward(x, targets, layer.kind)
             except (ShapeError, ParameterError) as exc:
                 raise type(exc)(f"layer {i}: {exc}") from exc
             if tape is not None:
@@ -180,18 +176,21 @@ class ModelGraph:
             if outputs is not None:
                 outputs.append(x)
             cache = None  # without a tape, free the record before the next layer runs
-        return x, loss, dloss
+        return x
 
     def forward(self, inputs, targets=None):
         """Run the layers in order; returns (output, loss-or-None).
 
-        Records one cache per layer and the loss gradient, which backward()
-        reads. The previous pass's record is dropped first, so a pass that
-        raises leaves none behind.
+        Records one cache per layer and, given targets, the loss gradient,
+        which backward() reads. The previous pass's record is dropped first,
+        so a pass that raises leaves none behind.
         """
         self._tape = self._dloss = None
         tape = []
-        x, loss, dloss = self._run(self._input(inputs), targets, tape)
+        x = self._run(self._input(inputs), tape)
+        loss = dloss = None
+        if targets is not None and self.loss_kind is not None:
+            loss, dloss = L.loss_forward(x, targets, self.loss_kind)
         self._tape, self._dloss = tape, dloss
         return x, loss
 
@@ -212,7 +211,7 @@ class ModelGraph:
         x = self._input(inputs)
         chunk = EVAL_CHUNK if x.dtype == np.float64 else self.eval_chunk
         starts = range(0, max(len(x), 1), chunk)  # an empty batch runs once
-        return np.concatenate([self._run(x[s : s + chunk])[0] for s in starts])
+        return np.concatenate([self._run(x[s : s + chunk]) for s in starts])
 
     def layer_outputs(self, inputs) -> list[np.ndarray]:
         """Every layer's output for `inputs`, in one pass that records nothing."""
@@ -234,7 +233,6 @@ class ModelGraph:
             raise StateError("backward needs a forward pass that computed a loss")
         grads: dict[str, np.ndarray] = {}
         d = self._dloss
-        in_shapes = (self.input_shape, *self.shapes)
         for i in reversed(range(self._first_param, len(self.layers))):
             d, g = self.layers[i].backward(d, self._tape[i], need_dx=i > self._first_param)
             for name, grad in g.items():
@@ -242,7 +240,7 @@ class ModelGraph:
                 np.copyto(tensor.grad, grad)
                 grads[key] = grad
             if d is not None:  # undo the flatten of a (C, H, W) input
-                d = d.reshape(len(d), *in_shapes[i])
+                d = d.reshape(len(d), *self.in_shapes[i])
         return grads
 
     # -- persistence ---------------------------------------------------------

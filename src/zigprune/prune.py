@@ -23,7 +23,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateLayerError, StructuralError
+from .errors import DegenerateLayerError, FormatError, StructuralError
 from .model import EVAL_CHUNK, ModelGraph
 from .zig import GroupPartition
 
@@ -55,22 +55,23 @@ class PruneReport:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "PruneReport":
-        lines = [json.loads(line) for line in text.strip().splitlines() if line.strip()]
-        summary = next(obj for obj in lines if obj.get("type") == "summary")
+        """Read `to_jsonl`'s text; raises FormatError saying what is missing or malformed."""
+        try:
+            lines = [json.loads(line) for line in text.splitlines() if line.strip()]
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"prune report is not JSON lines: {exc}") from exc
+        if not all(isinstance(obj, dict) for obj in lines):
+            raise FormatError("prune report has a line that is not a JSON object")
+        summary = next((obj for obj in lines if obj.get("type") == "summary"), {})
+        lacks = [f.name for f in _SUMMARY_FIELDS if f.default is MISSING and f.name not in summary]
+        if lacks:
+            raise FormatError(f"prune report summary lacks {', '.join(lacks)}")
         if isinstance(summary.get("max_deviation"), str):
             summary["max_deviation"] = float(summary["max_deviation"])
-        layer_maps = [
-            {k: v for k, v in obj.items() if k != "type"}
-            for obj in lines
-            if obj.get("type") == "layer"
-        ]
-        return cls(
-            layer_maps=layer_maps,
-            **{
-                f.name: summary[f.name] if f.default is MISSING else summary.get(f.name, f.default)
-                for f in _SUMMARY_FIELDS
-            },
-        )
+        layers = [obj for obj in lines if obj.get("type") == "layer"]
+        layer_maps = [{k: v for k, v in obj.items() if k != "type"} for obj in layers]
+        summary = {f.name: summary.get(f.name, f.default) for f in _SUMMARY_FIELDS}
+        return cls(layer_maps=layer_maps, **summary)
 
 
 # the summary line of report.jsonl holds every field but the per-layer maps
@@ -114,8 +115,7 @@ def prune(
     # kept indices along the unit axis of the value entering each layer: channels
     # of a (C, H, W) value, features of a flat one
     kept_in = list(range(model.input_shape[0]))
-    in_shape = model.input_shape
-    for i, layer in enumerate(model.layers):
+    for i, (layer, in_shape) in enumerate(zip(model.layers, model.in_shapes)):
         layer_groups = partition.groups_of_layer(i)
         kept = [g for g in layer_groups if g.gid not in zero_set]
         if layer_groups and not kept:
@@ -139,7 +139,6 @@ def prune(
         slim_layers.append(layer.slim(kept_in, kept_out))
         layer_maps.append({"layer": i, "kind": layer.layer_kind, **entry})
         kept_in = kept_out
-        in_shape = model.shapes[i]
 
     slim = ModelGraph(slim_layers, model.input_shape)
     params_before, stats_before = count_params(model)

@@ -59,10 +59,11 @@ class GroupPartition:
     single permutation + reduceat pass; that keeps the optimizer loop free
     of per-group Python overhead. `pen_sum` reduces values in the gathered
     layout ``x[pen_perm]`` to one per group; ``np.repeat(v, pen_sizes)``
-    spreads one value per group back over its entries. `free_perm` lists
-    the positions outside every penalized group. `order` is `pen_perm`
-    followed by `free_perm`, a permutation of the flat view, and `inverse`
-    undoes it: ``x.take(order)[:pen_perm.size]`` is ``x[pen_perm]``, and
+    spreads one value per group back over its entries. `order` lists the
+    penalized entries group by group, then the positions outside every
+    penalized group, a permutation of the flat view; `pen_perm` and
+    `free_perm` are views of those two parts. `inverse` undoes it:
+    ``x.take(order)[:pen_perm.size]`` is ``x[pen_perm]``, and
     ``y.take(inverse)`` puts a vector in that layout back in flat order.
     """
 
@@ -72,18 +73,13 @@ class GroupPartition:
         self._validate(require_cover)
         pen = [g for g in self.groups if g.penalized]
         self.pen_gids = np.array([g.gid for g in pen], dtype=np.int64)
-        if pen:
-            self.pen_perm = np.concatenate([g.indices for g in pen])
-            self.pen_sizes = np.array([g.size for g in pen], dtype=np.int64)
-            self.pen_starts = np.concatenate(([0], np.cumsum(self.pen_sizes)[:-1]))
-        else:
-            self.pen_perm = np.empty(0, dtype=np.int64)
-            self.pen_sizes = np.empty(0, dtype=np.int64)
-            self.pen_starts = np.empty(0, dtype=np.int64)
+        self.pen_sizes = np.array([g.size for g in pen], dtype=np.int64)
+        self.pen_starts = np.cumsum(self.pen_sizes) - self.pen_sizes
         free = np.ones(self.n_flat, dtype=bool)
-        free[self.pen_perm] = False
-        self.free_perm = np.flatnonzero(free)
-        self.order = np.concatenate((self.pen_perm, self.free_perm))
+        for g in pen:
+            free[g.indices] = False
+        self.order = np.concatenate([*(g.indices for g in pen), np.flatnonzero(free)])
+        self.pen_perm, self.free_perm = np.split(self.order, [self.pen_sizes.sum()])
         self.inverse = np.empty_like(self.order)
         self.inverse[self.order] = np.arange(self.n_flat)
 

@@ -271,7 +271,7 @@ def required_dataset_keys(kind, tmp_path):
 
 
 def dataset_config(tmp_path, kind, dataset, shape):
-    lines = [f"model.input_shape = {shape}", "model.layers = linear:2", f"dataset.kind = {kind}"]
+    lines = [f"model.input_shape = {shape}", "model.layers = linear:1", f"dataset.kind = {kind}"]
     lines += [f"dataset.{key} = {value}" for key, value in dataset.items()]
     return write_config(tmp_path, text="\n".join(lines))
 
@@ -396,6 +396,17 @@ class TestLayerDsl:
             model_to_specs(m)
 
 
+REPORT_LACKS = ("prune report summary lacks zero_groups, retained_groups, params_before, "
+                "params_after, bn_stats_before, bn_stats_after, flops_before, flops_after")
+
+
+def without_slim_layers(lines):
+    """report.jsonl's lines with the summary's slim_layers left out."""
+    summary = json.loads(lines[0])
+    del summary["slim_layers"]
+    return [json.dumps(summary)] + lines[1:]
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
@@ -475,6 +486,44 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"[verify] no prune report at {report}; run the prune stage first\n"
         )
+
+    @pytest.mark.parametrize("command", ["verify", "flops"])
+    def test_missing_slim_checkpoint_fails_cleanly(self, tmp_path, capsys, command):
+        cfgp = write_config(tmp_path)
+        for stage in ("train", "prune"):
+            assert self.run(stage, "--config", str(cfgp)) == 0
+        ckpt = tmp_path / "out" / "slim.ckpt"
+        ckpt.unlink()
+        capsys.readouterr()
+        assert self.run(command, "--config", str(cfgp)) == 1
+        assert capsys.readouterr().err == (
+            f"[{command}] no slim checkpoint at {ckpt}; run the prune stage first\n"
+        )
+
+    @pytest.mark.parametrize("command", ["verify", "flops"])
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda lines: ["not json"],
+             "prune report is not JSON lines: Expecting value: line 1 column 1 (char 0)"),
+            (lambda lines: lines + ["3"], "prune report has a line that is not a JSON object"),
+            (lambda lines: ['{"type": "summary"}'], REPORT_LACKS),
+            (lambda lines: lines[1:], REPORT_LACKS),
+            (without_slim_layers, "prune report lists no slim_layers"),
+        ],
+        ids=["not-json", "not-an-object", "empty-summary", "layer-lines-only", "no-slim-layers"],
+    )
+    def test_malformed_report_fails_typed(self, tmp_path, capsys, command, edit, message):
+        cfgp = write_config(tmp_path)
+        for stage in ("train", "prune"):
+            assert self.run(stage, "--config", str(cfgp)) == 0
+        report = tmp_path / "out" / "report.jsonl"
+        lines = report.read_text().splitlines()
+        assert json.loads(lines[0])["type"] == "summary"
+        report.write_text("\n".join(edit(lines)) + "\n")
+        capsys.readouterr()
+        assert self.run(command, "--config", str(cfgp)) == 1
+        assert capsys.readouterr().err == f"[{command}] {message}\n"
 
     @pytest.mark.parametrize(
         "text,message",
@@ -672,7 +721,34 @@ output.dir = {out}
         assert capsys.readouterr().err == f"[config] {message}\n"
         assert not (tmp_path / "gl").exists()
 
-    def test_glasso_pipeline_reports_without_surgery(self, tmp_path):
+    @pytest.mark.parametrize(
+        "layers,refused",
+        [("linear:4, linear:1", "layer 'linear:4'"), ("mha:2x1", "layer 'mha:2x1'"),
+         ("relu", "model.layers"), ("linear:1", None), ("mha:1x1", None),
+         ("relu, linear:1", None)],
+    )
+    def test_glasso_needs_one_unit_in_the_first_weighted_layer(self, tmp_path, capsys, layers, refused):
+        cfgp = tmp_path / "gl.cfg"
+        cfgp.write_text(f"""
+model.input_shape = 8
+model.layers = {layers}
+model.loss = mse
+dataset.kind = synthetic-glasso
+dataset.groups = 4
+dataset.group_size = 2
+dataset.samples = 20
+output.dir = {tmp_path / "gl"}
+""")
+        if refused is None:
+            load_config(cfgp)
+            return
+        assert self.run("partition", "--config", str(cfgp)) == 2
+        assert capsys.readouterr().err == (
+            f"[config] {refused}: synthetic-glasso needs a first weighted layer of one unit\n"
+        )
+        assert not (tmp_path / "gl").exists()
+
+    def test_glasso_pipeline_reports_without_surgery(self, tmp_path, capsys):
         text = """
 model.input_shape = 40
 model.layers = linear:1
@@ -698,6 +774,10 @@ output.dir = {out}
         cfgp = tmp_path / "gl.cfg"
         cfgp.write_text(text)
         assert self.run("run", "--config", str(cfgp)) == 0
+        # the prune line counts the units prune removed, not the zero hand-laid groups
+        assert "prune: removed 0 zero groups; params 41 -> 41, flops 40 -> 40\n" in (
+            capsys.readouterr().out
+        )
         report = PruneReport.from_jsonl((tmp_path / "gl" / "report.jsonl").read_text())
         assert len(report.zero_groups) > 0
         # hand-laid groups describe no model structure, so nothing is removed

@@ -152,6 +152,9 @@ class TestGatherOrder:
         assert np.array_equal(p.inverse[p.order], np.arange(p.n_flat))
         assert np.array_equal(p.order[:n_pen], p.pen_perm)
         assert np.array_equal(p.order[n_pen:], p.free_perm)
+        # the two parts are views of `order`, not copies
+        for part in (p.pen_perm, p.free_perm):
+            assert part.size == 0 or np.shares_memory(part, p.order)
         x = np.random.default_rng(p.n_flat).standard_normal(p.n_flat).astype(np.float32)
         x[::3] = -0.0
         assert x.take(p.order).take(p.inverse).tobytes() == x.tobytes()
