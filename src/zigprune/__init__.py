@@ -17,9 +17,9 @@ from .hspg import (
 from .layers import Activation, ConvBN, Linear, Loss, MultiHeadAttention, ResidualBlock
 from .model import ModelGraph, finite_difference_check, infer_shapes
 from .prune import PruneReport, count_flops_params, equivalence_check, prune
-from .regularizer import group_norm_value, group_prox, sparsity_metrics
 from .tensor import Tensor, load_arrays, save_arrays
 from .zig import Group, GroupPartition, partition_zig, verify_zero_invariance
+from .zig import group_norm_value, group_prox, sparsity_metrics  # the group regularizer
 
 __version__ = "0.1.0"
 

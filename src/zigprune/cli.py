@@ -48,8 +48,7 @@ from .errors import EquivalenceError, FormatError, StateError, ZigPruneError
 from .hspg import train
 from .model import ModelGraph
 from .prune import PruneReport, count_flops_params, equivalence_check, prune
-from .regularizer import sparsity_metrics
-from .zig import GroupPartition, partition_zig
+from .zig import GroupPartition, partition_zig, sparsity_metrics
 
 
 def _path(cfg: ExperimentConfig, name: str) -> str:

@@ -187,12 +187,15 @@ def check_seed(what: str, seed: int):
 
 def _validate_dataset(ds: dict, input_shape: tuple):
     kind = ds["kind"]
+    keys = D.KINDS[kind][1]
+    stray = [f"dataset.{key}" for key in ds if key != "kind" and key not in keys]
+    if stray:
+        raise ConfigError(f"{kind} datasets read no {', '.join(stray)}")
     minimums = {"samples": 1, "test_samples": 0, "classes": 2, "features": 1, "groups": 1,
                 "group_size": 1, "separation": 0, "noise": 0, "coef_scale": 0}
     for key, minimum in minimums.items():
         if key in ds and ds[key] < minimum:
             raise ConfigError(f"dataset.{key} must be >= {minimum}, got {ds[key]}")
-    keys = D.KINDS[kind][1]
     for key, entry in keys.items():
         if (entry is D.FILE or isinstance(entry, type)) and key not in ds:
             raise ConfigError(f"dataset.{key} is required for {kind} datasets")

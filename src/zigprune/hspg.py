@@ -41,8 +41,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import InvariantError, NumericalFailureError, ParameterError
-from .regularizer import group_norm_value, group_prox, sparsity_metrics, subgradient
-from .zig import GroupPartition
+from .zig import GroupPartition, group_norm_value, group_prox, sparsity_metrics, subgradient
 
 
 def _check_step_params(alpha: float, lam: float, epsilon: float, decay: float):

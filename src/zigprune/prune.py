@@ -66,6 +66,11 @@ class PruneReport:
         lacks = [f.name for f in _SUMMARY_FIELDS if f.default is MISSING and f.name not in summary]
         if lacks:
             raise FormatError(f"prune report summary lacks {', '.join(lacks)}")
+        for f in _SUMMARY_FIELDS:
+            value = summary.get(f.name)
+            test, what = _JSON_TYPES[f.type.removesuffix(" | None")]
+            if not ((value is None and f.default is None) or test(value)):
+                raise FormatError(f"prune report summary field {f.name} must be {what}")
         if isinstance(summary.get("max_deviation"), str):
             summary["max_deviation"] = float(summary["max_deviation"])
         layers = [obj for obj in lines if obj.get("type") == "layer"]
@@ -76,6 +81,16 @@ class PruneReport:
 
 # the summary line of report.jsonl holds every field but the per-layer maps
 _SUMMARY_FIELDS = [f for f in fields(PruneReport) if f.name != "layer_maps"]
+
+# a summary field's annotation -> (test of its JSON value, what the value must be);
+# `type(v) is int` refuses JSON's true and false, and a number may also be one of
+# the strings `to_jsonl` writes for a non-finite one
+_JSON_TYPES = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (lambda v: type(v) in (int, float) or v in ("nan", "inf", "-inf"), "a number"),
+    "list[int]": (lambda v: type(v) is list and {*map(type, v)} <= {int}, "a list of integers"),
+    "list[str]": (lambda v: type(v) is list and {*map(type, v)} <= {str}, "a list of strings"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +122,8 @@ def prune(
     When every group of a layer is zero the default is to fail; `keep_one`
     retains the layer's first group instead, all zeros like the rest.
     """
-    counts = partition.pen_nonzero_counts(model.get_flat())
-    zero_set = set(int(g) for g in partition.pen_gids[counts == 0])
+    zero = partition.pen_sqnorms(model.get_flat()) == 0.0
+    zero_set = set(int(g) for g in partition.pen_gids[zero])
 
     slim_layers = []
     layer_maps = []

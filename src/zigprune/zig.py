@@ -18,6 +18,16 @@ unit r's group is row r of each trainable parameter of its layer, so
 Groups of the last parameterized layer default to unpenalized: they stay
 grouped but the optimizer never drives them to zero, so the model keeps its
 output width.
+
+The mixed l1/l2 group regularizer lives here too, next to the gathered
+layout it reads: r(x) = sum over penalized groups of ||x_g||_2, whose
+minimum-norm subgradient is x_g/||x_g|| on nonzero groups and 0 on zero
+groups, so exactly-zero groups feel no regularizer push. One bitwise test
+decides every zero group: its float64 sum of squares (`pen_sqnorms`) is
+== 0.0, which for float32 entries holds exactly when each entry is +-0.0 (a
+nonzero float32 squares to at least 2e-90, non-negative terms cannot
+cancel, and NaN and +-inf never sum to 0). The prox and the half-space step
+write literal zeros, so no tolerance is involved.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, UnsupportedStructureError
+from .errors import InvariantError, ParameterError, UnsupportedStructureError
 from .model import ModelGraph
 
 
@@ -61,8 +71,8 @@ class GroupPartition:
     layout ``x[pen_perm]`` to one per group; ``np.repeat(v, pen_sizes)``
     spreads one value per group back over its entries. `order` lists the
     penalized entries group by group, then the positions outside every
-    penalized group, a permutation of the flat view; `pen_perm` and
-    `free_perm` are views of those two parts. `inverse` undoes it:
+    penalized group, a permutation of the flat view; `pen_perm` is a view of
+    the first part. `inverse` undoes it:
     ``x.take(order)[:pen_perm.size]`` is ``x[pen_perm]``, and
     ``y.take(inverse)`` puts a vector in that layout back in flat order.
     """
@@ -79,7 +89,7 @@ class GroupPartition:
         for g in pen:
             free[g.indices] = False
         self.order = np.concatenate([*(g.indices for g in pen), np.flatnonzero(free)])
-        self.pen_perm, self.free_perm = np.split(self.order, [self.pen_sizes.sum()])
+        self.pen_perm = self.order[: self.pen_sizes.sum()]
         self.inverse = np.empty_like(self.order)
         self.inverse[self.order] = np.arange(self.n_flat)
 
@@ -114,13 +124,9 @@ class GroupPartition:
         return np.add.reduceat(values, self.pen_starts)
 
     def pen_sqnorms(self, x: np.ndarray) -> np.ndarray:
-        """Per-penalized-group sum of squares, accumulated in float64."""
+        """Per-penalized-group sum of squares, accumulated in float64; == 0.0 is the zero test."""
         gathered = x[self.pen_perm].astype(np.float64)
         return self.pen_sum(gathered * gathered)
-
-    def pen_nonzero_counts(self, x: np.ndarray) -> np.ndarray:
-        """Per-penalized-group count of entries that are not exactly 0.0."""
-        return self.pen_sum((x[self.pen_perm] != 0.0).astype(np.int64))
 
     def zero_groups_inplace(self, x: np.ndarray, gids) -> None:
         for gid in gids:
@@ -166,6 +172,64 @@ class GroupPartition:
                 )
             )
         return cls(groups, n_flat)
+
+
+# ---------------------------------------------------------------------------
+# group regularizer
+
+
+@dataclass
+class SparsityMetrics:
+    group_sparsity: float
+    zero_groups: int
+    nonzero_groups: int
+
+
+def group_norm_value(x: np.ndarray, partition: GroupPartition) -> float:
+    """r(x): the sum of penalized group norms."""
+    return float(np.sqrt(partition.pen_sqnorms(x)).sum())
+
+
+def subgradient(xp: np.ndarray, sqnorms: np.ndarray, partition: GroupPartition, lam: float):
+    """lam * zeta on the gathered penalized entries ``xp = x[pen_perm]`` (float64).
+
+    zeta is the minimum-norm subgradient of r at x; `sqnorms` are the group
+    sums of squares of `xp`. The result is float64, for the caller to round.
+    """
+    norms = np.sqrt(sqnorms)
+    scale = np.zeros_like(norms)
+    np.divide(lam, norms, out=scale, where=norms > 0.0)
+    return xp * np.repeat(scale, partition.pen_sizes)
+
+
+def group_prox(v: np.ndarray, partition: GroupPartition, tau: float) -> np.ndarray:
+    """Group soft-threshold: argmin_u 1/2||u - v||^2 + tau * r(u).
+
+    Groups with ||v_g|| <= tau collapse to exact zeros; the rest shrink by
+    (1 - tau/||v_g||). Unpenalized entries pass through unchanged.
+    """
+    if tau < 0:
+        raise ParameterError(f"prox threshold must be >= 0, got {tau}")
+    if tau == 0.0:  # the general path would write +0.0 over a zero group's -0.0 entries
+        return v.copy()
+    n_pen, sizes = partition.pen_perm.size, partition.pen_sizes
+    out = v.take(partition.order)  # penalized entries first, as in `hspg_step`
+    vp = out[:n_pen].astype(np.float64)
+    norms = np.sqrt(partition.pen_sum(vp * vp))
+    keep = norms > tau
+    factor = np.zeros_like(norms)
+    factor[keep] = 1.0 - tau / norms[keep]
+    shrunk = out[:n_pen]
+    shrunk[...] = vp * np.repeat(factor, sizes)  # rounds to v's dtype
+    shrunk[np.repeat(~keep, sizes)] = 0.0
+    return out.take(partition.inverse)
+
+
+def sparsity_metrics(x: np.ndarray, partition: GroupPartition) -> SparsityMetrics:
+    """Fraction / counts of penalized groups whose entries are all exactly zero."""
+    zero = partition.pen_sqnorms(x) == 0.0
+    n_zero, total = int(zero.sum()), int(zero.size)
+    return SparsityMetrics(n_zero / total if total else 0.0, n_zero, total - n_zero)
 
 
 def _spans_to_indices(offsets, members) -> np.ndarray:

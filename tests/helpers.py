@@ -416,9 +416,18 @@ def pen_dots(partition, x, y):
     )
 
 
+def nonzero_counts(x, partition):
+    """Per-penalized-group count of entries that are not exactly 0.0: the zero rule's oracle.
+
+    `zigprune` calls a group zero when its float64 sum of squares is == 0.0;
+    a group is zero by this count exactly when its count is 0.
+    """
+    return partition.pen_sum((x[partition.pen_perm] != 0.0).astype(np.int64))
+
+
 def scattered_subgradient(x, partition, lam):
-    """`regularizer.subgradient` of x's gathered penalized entries, spread over the flat view."""
-    from zigprune.regularizer import subgradient
+    """`zig.subgradient` of x's gathered penalized entries, spread over the flat view."""
+    from zigprune.zig import subgradient
 
     xp = x[partition.pen_perm].astype(np.float64)
     out = np.zeros_like(x)
@@ -460,7 +469,7 @@ def reference_hspg_step(state, nu, partition):
     if state.k >= state.switch_iteration:
         info["stage"] = "half_space"
         if partition.pen_perm.size:
-            frozen = partition.pen_nonzero_counts(x) == 0
+            frozen = nonzero_counts(x, partition) == 0
             _reference_zero_groups(trial, partition, frozen)
             s = partition.pen_sqnorms(x)
             kill = (pen_dots(partition, trial, x) < state.epsilon * s) & ~frozen
@@ -483,7 +492,7 @@ def reference_hspg_step(state, nu, partition):
 
 
 def reference_group_prox(v, partition, tau):
-    """`regularizer.group_prox` as it stood before the gather order: gather, shrink, scatter."""
+    """`zig.group_prox` as it stood before the gather order: gather, shrink, scatter."""
     out = v.copy()
     if partition.pen_perm.size == 0 or tau == 0.0:
         return out
@@ -537,7 +546,7 @@ def reference_split_hspg_step(state, grad, partition):
     from zigprune.errors import InvariantError
 
     k, alpha, x = state.k, state.alpha, state.x
-    perm, free = partition.pen_perm, partition.free_perm
+    perm, free = partition.pen_perm, partition.order[partition.pen_perm.size :]
     xp = x[perm].astype(np.float64)
     sq = partition.pen_sum(xp * xp)
     sub = (

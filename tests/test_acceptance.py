@@ -20,12 +20,12 @@ from zigprune.hspg import (
 from zigprune.layers import Linear
 from zigprune.model import ModelGraph, finite_difference_check
 from zigprune.prune import count_flops_params, equivalence_check, prune
-from zigprune.regularizer import sparsity_metrics
-from zigprune.zig import GroupPartition, partition_zig, verify_zero_invariance
+from zigprune.zig import GroupPartition, partition_zig, sparsity_metrics, verify_zero_invariance
 
 from helpers import (
     ACT_KINDS,
     build_random_model,
+    nonzero_counts,
     pen_dots,
     prune_zeroed_copy,
     reference_subgradient,
@@ -275,15 +275,15 @@ def _instrumented_hspg_run(epsilon, iters, switch, alpha, lam):
         if info["stage"] != "half_space":
             continue
         # monotone sparsity
-        now_zero = set(partition.pen_gids[partition.pen_nonzero_counts(st.x) == 0].tolist())
+        now_zero = set(partition.pen_gids[nonzero_counts(st.x, partition) == 0].tolist())
         if not prev_zero <= now_zero:
             violations += 1
         prev_zero = now_zero
         # S_k membership for kept groups, descent inequality for zeroed ones
         s = partition.pen_sqnorms(x_prev)
         d_new = pen_dots(partition, st.x, x_prev)
-        was_nz = partition.pen_nonzero_counts(x_prev) > 0
-        now_nz = partition.pen_nonzero_counts(st.x) > 0
+        was_nz = nonzero_counts(x_prev, partition) > 0
+        now_nz = nonzero_counts(st.x, partition) > 0
         kept = was_nz & now_nz
         checks += int(kept.sum())
         if not np.all(d_new[kept] >= epsilon * s[kept]):

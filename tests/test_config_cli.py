@@ -62,6 +62,14 @@ output.dir = {out}
 """
 
 
+# overrides that drop BASE_CONFIG's synthetic-classify dataset keys a csv or a
+# synthetic-glasso dataset does not read
+NOT_CSV = dict.fromkeys(["dataset.samples", "dataset.test_samples", "dataset.classes",
+                         "dataset.features", "dataset.separation", "dataset.seed"])
+NOT_GLASSO = dict.fromkeys(["dataset.test_samples", "dataset.classes", "dataset.features",
+                            "dataset.separation"])
+
+
 def write_config(tmp_path, text=None, **overrides):
     """BASE_CONFIG (or `text`) with each override's line set; a None value drops the key."""
     text = text if text is not None else BASE_CONFIG.format(out=tmp_path / "out")
@@ -125,7 +133,9 @@ class TestConfigParsing:
     def test_missing_dataset_file_rejected_at_load(self, tmp_path):
         text = BASE_CONFIG.format(out=tmp_path / "out")
         text = text.replace("dataset.kind = synthetic-classify", "dataset.kind = csv")
-        path = write_config(tmp_path, text=text, **{"dataset.path": str(tmp_path / "no.csv")})
+        path = write_config(
+            tmp_path, text=text, **NOT_CSV, **{"dataset.path": str(tmp_path / "no.csv")}
+        )
         with pytest.raises(ConfigError, match="no such file"):
             load_config(path)
 
@@ -175,11 +185,18 @@ class TestConfigParsing:
             ({"model.input_shape": "4xa"},
              "model.input_shape: invalid literal for int() with base 10: 'a'"),
             ({"dataset.samples": "0"}, "dataset.samples must be >= 1, got 0"),
-            ({"dataset.kind": "csv", "dataset.path": __file__, "dataset.target": "label"},
+            ({**NOT_CSV, "dataset.kind": "csv", "dataset.path": __file__,
+              "dataset.target": "label"},
              "dataset.target must be 'class' or 'value'"),
-            ({"dataset.kind": "synthetic-glasso", "dataset.groups": "2",
+            ({**NOT_GLASSO, "dataset.kind": "synthetic-glasso", "dataset.groups": "2",
               "dataset.group_size": "4", "dataset.support": "3"},
              "dataset.support cannot exceed dataset.groups"),
+            ({"dataset.kind": "idx"},  # before the required keys and the minimums
+             "idx datasets read no dataset.samples, dataset.test_samples, dataset.classes, "
+             "dataset.features, dataset.separation, dataset.seed"),
+            ({**NOT_GLASSO, "dataset.kind": "synthetic-glasso", "dataset.groups": "2",
+              "dataset.group_size": "4", "dataset.target": "class"},
+             "synthetic-glasso datasets read no dataset.target"),
         ],
     )
     def test_messages_and_their_order(self, tmp_path, overrides, message):
@@ -407,6 +424,11 @@ def without_slim_layers(lines):
     return [json.dumps(summary)] + lines[1:]
 
 
+def with_summary(**values):
+    """An edit of report.jsonl's lines that sets `values` in the summary."""
+    return lambda lines: [json.dumps({**json.loads(lines[0]), **values})] + lines[1:]
+
+
 class TestCli:
     def run(self, *argv):
         return main(list(argv))
@@ -510,8 +532,15 @@ class TestCli:
             (lambda lines: ['{"type": "summary"}'], REPORT_LACKS),
             (lambda lines: lines[1:], REPORT_LACKS),
             (without_slim_layers, "prune report lists no slim_layers"),
+            (with_summary(max_deviation="abc"),
+             "prune report summary field max_deviation must be a number"),
+            (with_summary(params_before=1.5),
+             "prune report summary field params_before must be an integer"),
+            (with_summary(zero_groups=3),
+             "prune report summary field zero_groups must be a list of integers"),
         ],
-        ids=["not-json", "not-an-object", "empty-summary", "layer-lines-only", "no-slim-layers"],
+        ids=["not-json", "not-an-object", "empty-summary", "layer-lines-only", "no-slim-layers",
+             "string-deviation", "float-count", "number-for-list"],
     )
     def test_malformed_report_fails_typed(self, tmp_path, capsys, command, edit, message):
         cfgp = write_config(tmp_path)
@@ -534,7 +563,7 @@ class TestCli:
     )
     def test_malformed_csv_fails_at_train(self, tmp_path, capsys, text, message):
         (tmp_path / "d.csv").write_text(text)
-        cfgp = write_config(tmp_path, **{
+        cfgp = write_config(tmp_path, **NOT_CSV, **{
             "model.input_shape": "2", "model.layers": "linear:2",
             "dataset.kind": "csv", "dataset.path": str(tmp_path / "d.csv"),
         })
@@ -911,6 +940,7 @@ class TestClassTargets:
         (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
         return write_config(
             tmp_path,
+            **NOT_CSV,
             **{
                 "model.input_shape": "2",
                 "model.layers": "linear:4, relu, linear:2",

@@ -17,12 +17,12 @@ from zigprune.hspg import (
     train,
 )
 from zigprune.model import EVAL_CHUNK, ModelGraph
-from zigprune.regularizer import group_prox, sparsity_metrics
-from zigprune.zig import GroupPartition, partition_zig
+from zigprune.zig import GroupPartition, group_prox, partition_zig, sparsity_metrics
 
 from helpers import (
     bits,
     build_random_model,
+    nonzero_counts,
     pen_dots,
     reference_group_prox,
     reference_hspg_step,
@@ -46,17 +46,17 @@ def quad_grad(x):
 
 
 class TestIndexSets:
-    """The zero set is the penalized groups whose nonzero count is 0."""
+    """The zero set is the penalized groups whose float64 sum of squares is 0.0."""
 
     def test_all_zero(self):
         p = two_group_partition()
-        counts = p.pen_nonzero_counts(np.zeros(4, dtype=np.float32))
-        assert list(p.pen_gids[counts == 0]) == [0, 1] and list(p.pen_gids[counts > 0]) == []
+        zero = p.pen_sqnorms(np.zeros(4, dtype=np.float32)) == 0.0
+        assert list(p.pen_gids[zero]) == [0, 1] and list(p.pen_gids[~zero]) == []
 
     def test_mixed(self):
         p = two_group_partition()
-        counts = p.pen_nonzero_counts(np.array([0, 0, 1, 2], dtype=np.float32))
-        assert list(p.pen_gids[counts == 0]) == [0] and list(p.pen_gids[counts > 0]) == [1]
+        zero = p.pen_sqnorms(np.array([0, 0, 1, 2], dtype=np.float32)) == 0.0
+        assert list(p.pen_gids[zero]) == [0] and list(p.pen_gids[~zero]) == [1]
 
     def test_exact_partition_on_random_vectors(self):
         rng = np.random.default_rng(0)
@@ -64,8 +64,8 @@ class TestIndexSets:
         for _ in range(50):
             x = rng.standard_normal(9).astype(np.float32)
             x[rng.random(9) < 0.4] = 0.0
-            counts = p.pen_nonzero_counts(x)
-            zero, nonzero = p.pen_gids[counts == 0], p.pen_gids[counts > 0]
+            is_zero = p.pen_sqnorms(x) == 0.0
+            zero, nonzero = p.pen_gids[is_zero], p.pen_gids[~is_zero]
             assert sorted(list(zero) + list(nonzero)) == [0, 1, 2]
             for g in zero:
                 assert np.all(x[p.groups[g].indices] == 0.0)
@@ -175,7 +175,7 @@ class TestSteps:
         for _ in range(200):
             hspg_step(st, quad_grad(st.x), p)
             if st.k > st.switch_iteration:
-                now_zero = set(p.pen_gids[p.pen_nonzero_counts(st.x) == 0].tolist())
+                now_zero = set(p.pen_gids[nonzero_counts(st.x, p) == 0].tolist())
                 assert prev_zero <= now_zero
                 prev_zero = now_zero
 
@@ -455,7 +455,7 @@ def run_order_lockstep(rng, partition, lam, eps, step, reference, steps=12, swit
     seen = {"frozen": 0, "zeroed": 0, "error": None}
     for _ in range(steps):
         grad = step_gradient(rng, new.x, partition, alpha)
-        if new.k >= switch and (partition.pen_nonzero_counts(new.x) == 0).any():
+        if new.k >= switch and (nonzero_counts(new.x, partition) == 0).any():
             seen["frozen"] += 1
         got = outcome(step, new, grad, partition)
         want = outcome(reference, old, grad, partition)
@@ -615,8 +615,8 @@ class TestProjectionGeometry:
                     continue
                 s = p.pen_sqnorms(x_prev)
                 d_new = pen_dots(p, st.x, x_prev)
-                was_nonzero = p.pen_nonzero_counts(x_prev) > 0
-                now_nonzero = p.pen_nonzero_counts(st.x) > 0
+                was_nonzero = nonzero_counts(x_prev, p) > 0
+                now_nonzero = nonzero_counts(st.x, p) > 0
                 kept = was_nonzero & now_nonzero
                 assert np.all(d_new[kept] >= eps * s[kept])
                 for g in info["zeroed"]:

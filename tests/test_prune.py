@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from zigprune.config import build_layers, model_to_specs
 from zigprune.errors import DegenerateLayerError, StructuralError
@@ -17,7 +19,7 @@ from zigprune.prune import (
 )
 from zigprune.zig import partition_zig
 
-from helpers import build_random_model, prune_zeroed_copy
+from helpers import build_random_model, nonzero_counts, prune_zeroed_copy
 
 
 def model_from(specs, input_shape, loss=None, seed=0, init="normal:0.5"):
@@ -29,6 +31,33 @@ def zero_groups(model, partition, gids):
     partition.zero_groups_inplace(x, gids)
     model.set_flat(x)
     return x
+
+
+TINY = float(np.finfo(np.float32).smallest_subnormal)
+# a 4-entry group (3 weights and a bias) of signed zeros only, or of the values
+# at the edge of the zero rule
+EDGE_GROUP = st.lists(st.sampled_from([0.0, -0.0]), min_size=4, max_size=4) | st.lists(
+    st.sampled_from([0.0, -0.0, TINY, -TINY, np.nan, np.inf, -np.inf, 1.0]),
+    min_size=4, max_size=4,
+)
+
+
+class TestZeroRule:
+    """A group is zero when its float64 sum of squares is == 0.0: exactly when no entry is nonzero."""
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(EDGE_GROUP, min_size=5, max_size=5))
+    def test_squared_norm_agrees_with_the_count(self, groups):
+        m = model_from(["linear:5", "linear:2"], (3,))
+        p = partition_zig(m)
+        x = m.get_flat()
+        for g, values in zip(p.groups, groups):  # the five penalized groups of linear:5
+            x[g.indices] = values
+        zero = nonzero_counts(x, p) == 0
+        assert np.array_equal(p.pen_sqnorms(x) == 0.0, zero)
+        assume(not zero.all())  # prune refuses a layer whose every group is zero
+        m.set_flat(x)
+        assert prune(m, p)[1].zero_groups == p.pen_gids[zero].tolist()
 
 
 class TestCounters:

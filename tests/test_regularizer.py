@@ -3,14 +3,13 @@ import pytest
 
 from zigprune.errors import ParameterError
 from zigprune.hspg import OptimizerState
-from zigprune.regularizer import (
+from zigprune.zig import (
+    GroupPartition,
     group_norm_value,
-    group_norms,
     group_prox,
     sparsity_metrics,
     subgradient,
 )
-from zigprune.zig import GroupPartition
 
 from helpers import scattered_subgradient
 
@@ -189,7 +188,3 @@ class TestSparsityMetrics:
         x = np.full(6, 1e-30, dtype=np.float32)
         m = sparsity_metrics(x, partition)
         assert m.zero_groups == 0  # tiny but nonzero entries do not count
-
-    def test_group_norms_exposed(self, partition):
-        x = np.array([3.0, 4.0, 1.0, 0.0, 0.0, 0.0], dtype=np.float32)
-        assert np.allclose(group_norms(x, partition), [5.0, 1.0, 0.0])

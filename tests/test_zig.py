@@ -151,10 +151,12 @@ class TestGatherOrder:
         assert np.array_equal(p.order[p.inverse], np.arange(p.n_flat))
         assert np.array_equal(p.inverse[p.order], np.arange(p.n_flat))
         assert np.array_equal(p.order[:n_pen], p.pen_perm)
-        assert np.array_equal(p.order[n_pen:], p.free_perm)
-        # the two parts are views of `order`, not copies
-        for part in (p.pen_perm, p.free_perm):
-            assert part.size == 0 or np.shares_memory(part, p.order)
+        # then every position outside the penalized groups, in flat order
+        free = np.ones(p.n_flat, dtype=bool)
+        free[p.pen_perm] = False
+        assert np.array_equal(p.order[n_pen:], np.flatnonzero(free))
+        # the penalized part is a view of `order`, not a copy
+        assert n_pen == 0 or np.shares_memory(p.pen_perm, p.order)
         x = np.random.default_rng(p.n_flat).standard_normal(p.n_flat).astype(np.float32)
         x[::3] = -0.0
         assert x.take(p.order).take(p.inverse).tobytes() == x.tobytes()
