@@ -19,7 +19,7 @@ from .model import ModelGraph, finite_difference_check, infer_shapes
 from .prune import PruneReport, count_flops_params, equivalence_check, prune
 from .tensor import Tensor, load_arrays, save_arrays
 from .zig import Group, GroupPartition, partition_zig, verify_zero_invariance
-from .zig import group_norm_value, group_prox, sparsity_metrics  # the group regularizer
+from .zig import group_prox, sparsity_metrics  # the group regularizer
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "count_flops_params",
     "equivalence_check",
     "finite_difference_check",
-    "group_norm_value",
     "group_prox",
     "hspg_step",
     "infer_shapes",

@@ -182,12 +182,14 @@ def load_csv(path, target: str = "class") -> Dataset:
                 values = [float(p) for p in parts]
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: {exc}") from exc
-            if target == "class" and not values[-1].is_integer():
+            label = values[-1]  # a class label must convert to int64 exactly
+            if target == "class" and not (label.is_integer() and -(2**63) <= label < 2**63):
                 raise FormatError(
-                    f"line {lineno}: class label {parts[-1].strip()!r} is not an integer"
+                    f"line {lineno}: class label {parts[-1].strip()!r} is not an integer "
+                    f"in int64's range"
                 )
             features.append(values[:-1])
-            targets.append(values[-1])
+            targets.append(label)
     if not features:
         raise FormatError("csv file holds no samples")
     widths = {len(row) for row in features}

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import layers as L
 from .errors import InvariantError, NumericalFailureError, ParameterError
-from .zig import GroupPartition, group_norm_value, group_prox, sparsity_metrics, subgradient
+from .zig import GroupPartition, group_prox, sparsity_metrics, subgradient
 
 
 def _check_step_params(alpha: float, lam: float, epsilon: float, decay: float):
@@ -197,7 +197,8 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
 
     Shuffling is seeded, so identical config and seed replay bit-identically.
     The trace holds one dict per epoch with the full-data loss, the penalized
-    objective, and group sparsity counters.
+    objective, and group sparsity counters; one `sparsity_metrics` pass gives
+    both the counters and the objective's r(x).
     """
     n = dataset.n
     if n < 1:
@@ -243,7 +244,7 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
         model.set_flat(state.x)
         full_loss, _ = L.loss_forward(model.predict(dataset.inputs), dataset.targets, model.loss_kind)
         metrics = sparsity_metrics(state.x, partition)
-        objective = full_loss + config.lam * group_norm_value(state.x, partition)
+        objective = full_loss + config.lam * metrics.group_norm
         # an hspg epoch is labelled with the stage its last step ran in
         stage = info["stage"] if config.optimizer == "hspg" else config.optimizer
         trace.append(

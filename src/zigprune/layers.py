@@ -11,9 +11,9 @@ reader and writer never branch on type:
     `out_shape` is the kind's one input rule: the model build checks each
     layer with it, and every forward kernel checks its batch's sample shape
     with it, raising the same text as a ShapeError;
-  * `units` gives each output unit's zero-invariant group as parameter spans:
-    row r of every trainable parameter (the one rule, written on `Layer`),
-    which attention only renumbers by head;
+  * `units` gives each output unit's tag label and zero-invariant group as
+    parameter spans: row r of every trainable parameter, labelled ``r`` (the
+    one rule, written on `Layer`); attention labels a head's row ``h{h}.{r}``;
   * `slim`, `macs` (an int), `patch_bytes` and `kinks` serve pruning,
     FLOP counting, the evaluation chunk and the finite-difference check;
   * `spec` writes the layer as its DSL string, and the classmethod
@@ -370,21 +370,21 @@ class Layer:
         """(name, tensor, trainable) triples in a stable order."""
         return []
 
-    def units(self) -> list[tuple[int | None, int, list[tuple[str, int, int]]]]:
-        """One (head, row, spans) per output unit, in output order.
+    def units(self) -> list[tuple[str, list[tuple[str, int, int]]]]:
+        """One (label, spans) per output unit, in output order.
 
         Unit r's zero-invariant group is row r of every trainable parameter,
         in `params` order; `spans` lists those rows as (parameter name, start,
         stop) ranges in flattened array-local positions, a row of a parameter
-        being ``prod(shape[1:])`` entries wide. `row` is the unit's index
-        within its head (within the layer when head is None).
+        being ``prod(shape[1:])`` entries wide. `label` names the unit in its
+        group's tag: ``str(r)`` here.
         """
         shapes = [(name, t.shape) for name, t, trainable in self.params() if trainable]
         if not shapes:
             return []
         widths = [(name, int(np.prod(shape[1:]))) for name, shape in shapes]
         return [
-            (None, r, [(name, r * w, (r + 1) * w) for name, w in widths])
+            (str(r), [(name, r * w, (r + 1) * w) for name, w in widths])
             for r in range(shapes[0][1][0])
         ]
 
@@ -709,9 +709,9 @@ class MultiHeadAttention(Layer):
 
     def units(self):
         return [
-            (h, r, [(f"h{h}.{n}", a, b) for n, a, b in spans])
+            (f"h{h}.{label}", [(f"h{h}.{n}", a, b) for n, a, b in spans])
             for h, head in enumerate(self.heads)
-            for _, r, spans in head.units()
+            for label, spans in head.units()
         ]
 
     def slim(self, kept_in, kept_out):

@@ -3,11 +3,12 @@
 The checkpoint format is a flat binary container: the magic string
 ``OTOCKPT1``, a little-endian uint32 array count, then per array its
 uint32 name length, UTF-8 name, uint32 rank, uint32 extents and the raw
-little-endian float32 payload.
+little-endian float32 payload. No name appears twice.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -86,15 +87,21 @@ def load_arrays(path) -> dict[str, np.ndarray]:
     for _ in range(count):
         chunk, pos = need(4, pos, "name length")
         (name_len,) = struct.unpack("<I", chunk)
+        at = pos
         chunk, pos = need(name_len, pos, "name")
-        name = chunk.decode("utf-8")
+        try:
+            name = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"array name at offset {at} is not UTF-8", offset=at) from exc
+        if name in arrays:
+            raise FormatError(f"array {name} listed again at offset {at}", offset=at)
         chunk, pos = need(4, pos, "rank")
         (rank,) = struct.unpack("<I", chunk)
         extents = []
         for _ in range(rank):
             chunk, pos = need(4, pos, "extent")
             extents.append(struct.unpack("<I", chunk)[0])
-        n_bytes = 4 * int(np.prod(extents, dtype=np.int64))
+        n_bytes = 4 * math.prod(extents)  # Python ints: four u32 extents can overflow int64
         chunk, pos = need(n_bytes, pos, f"payload of {name}")
         arr = np.frombuffer(chunk, dtype="<f4").astype(np.float32)
         arrays[name] = arr.reshape(extents)

@@ -3,9 +3,10 @@
 A group collects every parameter scalar that controls one output unit of a
 layer, so that writing zeros over the whole group forces that unit's output
 to be exactly zero for any input. The grouping rules live in each layer
-kind's `units()` (see `layers`); this module only numbers the groups and
-maps their spans into the flat parameter view. One rule covers every kind:
-unit r's group is row r of each trainable parameter of its layer, so
+kind's `units()` (see `layers`); this module only numbers the groups, tags
+each as ``L{layer}:{layer_kind}:{unit label}`` and maps their spans into the
+flat parameter view. One rule covers every kind: unit r's group is row r of
+each trainable parameter of its layer, labelled r, so
 
   * conv+bn channel c: kernel row c, bias[c], gamma[c], beta[c]
     (bn mean/std are not trainable and stay out: with gamma = beta = 0 they
@@ -13,7 +14,7 @@ unit r's group is row r of each trainable parameter of its layer, so
   * residual block channel c: the conv+bn members of channel c in *both*
     branches, so the summed channel is zero
   * linear row i: weight row i and bias[i]
-  * attention head h row i: head weight row i and head bias[i]
+  * attention head h row i: head weight row i and head bias[i], labelled h{h}.{i}
 
 Groups of the last parameterized layer default to unpenalized: they stay
 grouped but the optimizer never drives them to zero, so the model keeps its
@@ -27,7 +28,8 @@ decides every zero group: its float64 sum of squares (`pen_sqnorms`) is
 == 0.0, which for float32 entries holds exactly when each entry is +-0.0 (a
 nonzero float32 squares to at least 2e-90, non-negative terms cannot
 cancel, and NaN and +-inf never sum to 0). The prox and the half-space step
-write literal zeros, so no tolerance is involved.
+write literal zeros, so no tolerance is involved. `sparsity_metrics` reads
+the zero-group count and r(x) off one pass of those sums.
 """
 
 from __future__ import annotations
@@ -44,10 +46,8 @@ from .model import ModelGraph
 class Group:
     gid: int
     layer_index: int
-    kind: str  # convbn | residual | linear | mha | custom
-    unit: int  # output channel / row within the layer (or head-local row for mha)
+    tag: str  # L{layer}:{layer_kind}:{unit label}, or L-1:custom:{gid} for a hand-laid group
     out_index: int | None  # position in the layer output along the unit axis
-    head: int | None
     members: list[tuple[str, int, int]]  # (array id, start, stop) spans, array-local
     indices: np.ndarray  # positions in the model's flat parameter view
     penalized: bool
@@ -55,11 +55,6 @@ class Group:
     @property
     def size(self) -> int:
         return int(self.indices.size)
-
-    def tag(self) -> str:
-        if self.head is not None:
-            return f"L{self.layer_index}:{self.kind}:h{self.head}.{self.unit}"
-        return f"L{self.layer_index}:{self.kind}:{self.unit}"
 
 
 class GroupPartition:
@@ -142,7 +137,7 @@ class GroupPartition:
         for g in self.groups:
             spans = ",".join(f"{aid}:{start}-{stop}" for aid, start, stop in g.members)
             flag = "penalized" if g.penalized else "free"
-            lines.append(f"g{g.gid}\t{g.tag()}\t{flag}\t{spans}")
+            lines.append(f"g{g.gid}\t{g.tag}\t{flag}\t{spans}")
         return "\n".join(lines) + "\n"
 
     # -- builders ---------------------------------------------------------------
@@ -162,10 +157,8 @@ class GroupPartition:
                 Group(
                     gid=gid,
                     layer_index=-1,
-                    kind="custom",
-                    unit=gid,
+                    tag=f"L-1:custom:{gid}",
                     out_index=None,
-                    head=None,
                     members=spans,
                     indices=idx,
                     penalized=bool(pen),
@@ -183,11 +176,7 @@ class SparsityMetrics:
     group_sparsity: float
     zero_groups: int
     nonzero_groups: int
-
-
-def group_norm_value(x: np.ndarray, partition: GroupPartition) -> float:
-    """r(x): the sum of penalized group norms."""
-    return float(np.sqrt(partition.pen_sqnorms(x)).sum())
+    group_norm: float  # r(x), the sum of penalized group norms
 
 
 def subgradient(xp: np.ndarray, sqnorms: np.ndarray, partition: GroupPartition, lam: float):
@@ -226,10 +215,12 @@ def group_prox(v: np.ndarray, partition: GroupPartition, tau: float) -> np.ndarr
 
 
 def sparsity_metrics(x: np.ndarray, partition: GroupPartition) -> SparsityMetrics:
-    """Fraction / counts of penalized groups whose entries are all exactly zero."""
-    zero = partition.pen_sqnorms(x) == 0.0
-    n_zero, total = int(zero.sum()), int(zero.size)
-    return SparsityMetrics(n_zero / total if total else 0.0, n_zero, total - n_zero)
+    """Fraction / counts of penalized groups whose entries are all exactly zero, and r(x)."""
+    sq = partition.pen_sqnorms(x)
+    n_zero, total = int((sq == 0.0).sum()), int(sq.size)
+    return SparsityMetrics(
+        n_zero / total if total else 0.0, n_zero, total - n_zero, float(np.sqrt(sq).sum())
+    )
 
 
 def _spans_to_indices(offsets, members) -> np.ndarray:
@@ -260,16 +251,14 @@ def partition_zig(model: ModelGraph, penalize_output: bool = False) -> GroupPart
     groups: list[Group] = []
     for i, (layer, units) in enumerate(zip(model.layers, units_of)):
         penal = penalize_output or i != last_param_layer
-        for out_index, (head, row, spans) in enumerate(units):
+        for out_index, (label, spans) in enumerate(units):
             members = [(f"L{i}.{name}", start, stop) for name, start, stop in spans]
             groups.append(
                 Group(
                     gid=len(groups),
                     layer_index=i,
-                    kind=layer.layer_kind,
-                    unit=row,
+                    tag=f"L{i}:{layer.layer_kind}:{label}",
                     out_index=out_index,
-                    head=head,
                     members=members,
                     indices=_spans_to_indices(offsets, members),
                     penalized=penal,
@@ -291,7 +280,7 @@ def verify_zero_invariance(
     """
     for g in partition.groups:
         if g.out_index is None:
-            raise UnsupportedStructureError(f"group {g.gid} ({g.tag()}) names no layer output")
+            raise UnsupportedStructureError(f"group {g.gid} ({g.tag}) names no layer output")
     work = model.clone()
     rng = np.random.default_rng(seed)
     worst = 0.0

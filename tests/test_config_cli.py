@@ -2,6 +2,7 @@ import collections
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import warnings
@@ -29,7 +30,7 @@ from zigprune.errors import ConfigError
 from zigprune.layers import Layer
 from zigprune.model import ModelGraph
 from zigprune.prune import PruneReport
-from zigprune.tensor import load_arrays, save_arrays
+from zigprune.tensor import CHECKPOINT_MAGIC, load_arrays, save_arrays
 
 
 BASE_CONFIG = """
@@ -649,6 +650,17 @@ class TestCli:
     def test_missing_config_file(self, tmp_path, capsys):
         assert self.run("run", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    def test_prune_fails_typed_on_a_payload_past_int64(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path)
+        assert self.run("train", "--config", str(cfgp)) == 0
+        header = CHECKPOINT_MAGIC + struct.pack("<II", 1, 9) + b"L0.weight"
+        (tmp_path / "out" / "full.ckpt").write_bytes(header + struct.pack("<5I", 4, *[65536] * 4))
+        capsys.readouterr()
+        assert self.run("prune", "--config", str(cfgp)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"[prune] truncated checkpoint: wanted {4 * 2**64} bytes for payload")
+        assert "Traceback" not in err
+
     def test_checkpoint_contents_match_model_arrays(self, tmp_path):
         cfgp = write_config(tmp_path)
         assert self.run("train", "--config", str(cfgp)) == 0
@@ -970,6 +982,13 @@ class TestClassTargets:
         assert main(["run", "--config", str(cfgp)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("[train] line 20: class label '1.5' is not an integer")
+
+    def test_csv_label_outside_int64(self, tmp_path, capsys):
+        cfgp = self.csv_config(tmp_path, "9223372036854775808")
+        assert main(["run", "--config", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("[train] line 20: class label '9223372036854775808' is not an integer")
+        assert "Traceback" not in err
 
     def test_valid_csv_labels_train(self, tmp_path):
         assert main(["run", "--config", str(self.csv_config(tmp_path, "1"))]) == 0

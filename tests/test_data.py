@@ -185,6 +185,13 @@ class TestCsv:
         f.write_text("1.0,2.0,0\n3.0,4.0,1.0\n")
         assert np.array_equal(load_csv(f, target="class").targets, [0, 1])
 
+    @pytest.mark.parametrize("label", ["1e20", "9223372036854775808", "-1e19"])
+    def test_class_label_outside_int64_rejected(self, tmp_path, label):
+        f = tmp_path / "d.csv"
+        f.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(FormatError, match=f"^line 2: class label '{label}' is not an integer"):
+            load_csv(f, target="class")
+
     def test_inconsistent_width(self, tmp_path):
         f = tmp_path / "d.csv"
         f.write_text("1.0,2.0,0\n1.0,0\n")

@@ -9,6 +9,7 @@ from zigprune.config import build_layers
 from zigprune.data import Dataset, generate_group_lasso
 from zigprune.errors import InvariantError, NumericalFailureError, ParameterError
 from zigprune.hspg import (
+    OPTIMIZER_KINDS,
     OptimizerState,
     TrainConfig,
     hspg_step,
@@ -698,6 +699,21 @@ class TestTrain:
             }
         assert trace[0]["stage"] == "subgradient"
         assert trace[-1]["stage"] == "half_space"
+
+    @pytest.mark.parametrize("optimizer", OPTIMIZER_KINDS)
+    def test_one_squared_norm_pass_per_epoch(self, monkeypatch, optimizer):
+        # an epoch's zero count and r(x) come from one `pen_sqnorms` call
+        ds, model, part, _ = self.make_problem()
+        pen_sqnorms, calls = part.pen_sqnorms, []
+        monkeypatch.setattr(part, "pen_sqnorms", lambda x: calls.append(x.copy()) or pen_sqnorms(x))
+        cfg = TrainConfig(optimizer=optimizer, alpha0=0.05, lam=0.2, np_epochs=1,
+                          batch_size=32, epochs=3, seed=0)
+        x, trace = train(model, part, ds, cfg)
+        assert len(calls) == len(trace) == 3
+        assert np.array_equal(calls[-1], x)
+        for entry, params in zip(trace, calls):
+            r = float(np.sqrt(pen_sqnorms(params)).sum())
+            assert entry["objective"] == entry["loss"] + cfg.lam * r
 
     @pytest.mark.parametrize("np_epochs", [0, 1, 3])
     @pytest.mark.parametrize("batch_size", [120, 16], ids=["one-step", "eight-steps"])

@@ -1,3 +1,4 @@
+import struct
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from zigprune.config import build_layers
 from zigprune.errors import FormatError, InvalidModelError, ShapeError, StateError
 from zigprune.layers import Activation, ConvBN, Linear, Loss, ResidualBlock, weight_init
 from zigprune.model import EVAL_CHUNK, PATCH_BYTES, ModelGraph, finite_difference_check, infer_shapes
-from zigprune.tensor import Tensor, load_arrays, save_arrays
+from zigprune.tensor import CHECKPOINT_MAGIC, Tensor, load_arrays, save_arrays
 
 from helpers import bits, build_random_model, linear_oracle, random_batch
 
@@ -637,6 +638,33 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"\x00\x00")
         with pytest.raises(FormatError, match="trailing"):
             load_arrays(path)
+
+    def test_payload_size_past_int64(self, tmp_path):
+        # four extents of 65536 hold 2**64 entries: an int64 product wraps to 0
+        path = tmp_path / "huge.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 1) + b"a"
+                         + struct.pack("<5I", 4, *[65536] * 4))
+        with pytest.raises(FormatError, match=f"wanted {4 * 2**64} bytes for payload of a"):
+            load_arrays(path)
+
+    def test_name_not_utf8(self, tmp_path):
+        path = tmp_path / "name.ckpt"
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 2) + b"\xff\xfe"
+                         + struct.pack("<I", 0) + struct.pack("<f", 1.0))
+        with pytest.raises(FormatError, match="^array name at offset 16 is not UTF-8$") as err:
+            load_arrays(path)
+        assert err.value.offset == 16
+
+    def test_name_listed_twice(self, tmp_path):
+        path = tmp_path / "twice.ckpt"
+        save_arrays(path, {"a": np.zeros(2, dtype=np.float32), "b": np.ones(1, dtype=np.float32)})
+        blob = path.read_bytes()
+        # rename "b" to "a"; the offset is the second name's
+        at = blob.rindex(b"b")
+        path.write_bytes(blob[:at] + b"a" + blob[at + 1 :])
+        with pytest.raises(FormatError, match=f"^array a listed again at offset {at}$") as err:
+            load_arrays(path)
+        assert err.value.offset == at
 
     def test_shape_mismatch_on_load(self, tmp_path):
         path = tmp_path / "other.ckpt"

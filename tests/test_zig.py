@@ -49,25 +49,25 @@ class TestGroupCounts:
         assert len(mha_groups) == 6
         assert all(g.size == 5 for g in mha_groups)
         assert [g.out_index for g in mha_groups] == [0, 1, 2, 3, 4, 5]
-        assert [g.head for g in mha_groups] == [0, 0, 0, 1, 1, 1]
+        assert [g.tag for g in mha_groups] == [f"L0:mha:h{h}.{r}" for h in (0, 1) for r in range(3)]
 
     def test_units_are_row_r_of_every_trainable_parameter(self):
         # one rule for every kind: unit r spans row r of each trainable parameter,
-        # in params() order; attention numbers its rows per head
+        # in params() order, labelled r; attention labels its rows per head
         m = model_from(["residual:2:1x3", "linear:3", "mha:1,2"], (2, 4, 4))  # 2x4x2 into linear
         res, lin, mha = m.layers[:3]
         ck = 2 * 3
-        assert res.units()[1] == (None, 1, [
+        assert res.units()[1] == ("1", [
             ("b1.kernel", ck, 2 * ck), ("b1.bias", 1, 2), ("b1.gamma", 1, 2), ("b1.beta", 1, 2),
             ("b2.kernel", ck, 2 * ck), ("b2.bias", 1, 2), ("b2.gamma", 1, 2), ("b2.beta", 1, 2),
         ])
         assert lin.units() == [
-            (None, r, [("weight", 16 * r, 16 * (r + 1)), ("bias", r, r + 1)]) for r in range(3)
+            (str(r), [("weight", 16 * r, 16 * (r + 1)), ("bias", r, r + 1)]) for r in range(3)
         ]
         assert mha.units() == [
-            (0, 0, [("h0.weight", 0, 3), ("h0.bias", 0, 1)]),
-            (1, 0, [("h1.weight", 0, 3), ("h1.bias", 0, 1)]),
-            (1, 1, [("h1.weight", 3, 6), ("h1.bias", 1, 2)]),
+            ("h0.0", [("h0.weight", 0, 3), ("h0.bias", 0, 1)]),
+            ("h1.0", [("h1.weight", 0, 3), ("h1.bias", 0, 1)]),
+            ("h1.1", [("h1.weight", 3, 6), ("h1.bias", 1, 2)]),
         ]
         assert m.layers[3].units() == []  # the loss has no parameters
 
@@ -77,7 +77,7 @@ class TestGroupCounts:
                 return [("w", Tensor(np.zeros((3, 0))), True), ("b", Tensor(np.zeros(3)), True),
                         ("s", Tensor(np.ones(3)), False)]
 
-        assert Custom().units() == [(None, r, [("w", 0, 0), ("b", r, r + 1)]) for r in range(3)]
+        assert Custom().units() == [(str(r), [("w", 0, 0), ("b", r, r + 1)]) for r in range(3)]
 
     def test_bn_statistics_stay_out_of_groups(self):
         m = model_from(["convbn:3:3x3", "linear:2"], (1, 5, 5))
@@ -248,6 +248,32 @@ class TestExport:
         assert "L0.weight:0-3" in lines[0]
         assert "L0.bias:0-1" in lines[0]
         assert lines[-1].split("\t")[2] == "free"
+
+    def test_text_of_every_weighted_kind(self):
+        # partition.txt pins each tag form: L{layer}:{layer_kind}:{unit label}
+        m = model_from(["convbn:2:1x1", "residual:2:1x1", "mha:1,2", "relu", "linear:2"], (1, 1, 2))
+        b1 = "L1.b1.kernel:{k},L1.b1.bias:{r},L1.b1.gamma:{r},L1.b1.beta:{r}"
+        b2 = b1.replace("b1", "b2")
+        assert partition_zig(m).export_text().splitlines() == [
+            "g0\tL0:convbn:0\tpenalized\tL0.kernel:0-1,L0.bias:0-1,L0.gamma:0-1,L0.beta:0-1",
+            "g1\tL0:convbn:1\tpenalized\tL0.kernel:1-2,L0.bias:1-2,L0.gamma:1-2,L0.beta:1-2",
+            "g2\tL1:residual:0\tpenalized\t" + f"{b1},{b2}".format(k="0-2", r="0-1"),
+            "g3\tL1:residual:1\tpenalized\t" + f"{b1},{b2}".format(k="2-4", r="1-2"),
+            "g4\tL2:mha:h0.0\tpenalized\tL2.h0.weight:0-4,L2.h0.bias:0-1",
+            "g5\tL2:mha:h1.0\tpenalized\tL2.h1.weight:0-4,L2.h1.bias:0-1",
+            "g6\tL2:mha:h1.1\tpenalized\tL2.h1.weight:4-8,L2.h1.bias:1-2",
+            "g7\tL4:linear:0\tfree\tL4.weight:0-3,L4.bias:0-1",
+            "g8\tL4:linear:1\tfree\tL4.weight:3-6,L4.bias:1-2",
+        ]
+
+    def test_text_of_hand_laid_groups(self):
+        p = GroupPartition.from_indices(8, [[0, 1], [5, 2, 3], [7], [6, 4]], [True, True, True, False])
+        assert p.export_text() == (
+            "g0\tL-1:custom:0\tpenalized\tflat:0-2\n"
+            "g1\tL-1:custom:1\tpenalized\tflat:2-4,flat:5-6\n"
+            "g2\tL-1:custom:2\tpenalized\tflat:7-8\n"
+            "g3\tL-1:custom:3\tfree\tflat:4-5,flat:6-7\n"
+        )
 
     def test_hand_made_groups_export_one_span_per_run(self):
         p = GroupPartition.from_indices(10, [[0, 5], [1, 2, 3], [9, 7, 8], [4, 6]])
