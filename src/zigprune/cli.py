@@ -41,10 +41,9 @@ from .config import (
     build_model,
     check_seed,
     load_config,
-    model_to_specs,
 )
 from .data import classification_accuracy
-from .errors import EquivalenceError, FormatError, StateError, ZigPruneError
+from .errors import EquivalenceError, StateError, ZigPruneError
 from .hspg import train
 from .model import ModelGraph
 from .prune import PruneReport, count_flops_params, equivalence_check, prune
@@ -99,8 +98,6 @@ def _read_report(cfg: ExperimentConfig) -> PruneReport:
 
 
 def _load_slim(cfg: ExperimentConfig, report: PruneReport) -> ModelGraph:
-    if report.slim_layers is None:
-        raise FormatError("prune report lists no slim_layers")
     layers = build_layers(report.slim_layers, cfg.input_shape, cfg.loss, "zeros", 0)
     slim = ModelGraph(layers, cfg.input_shape)
     slim.load_checkpoint(_stage_input(cfg, "slim.ckpt", "slim checkpoint", "prune"))
@@ -155,7 +152,6 @@ def stage_prune(cfg: ExperimentConfig, model=None, partition=None):
     if partition is None:
         partition = make_partition(cfg, model)
     slim, report = prune(model, partition, keep_one=cfg.keep_one)
-    report.slim_layers = model_to_specs(slim)
     slim.save_checkpoint(_path(cfg, "slim.ckpt"))
     _write(cfg, "report.jsonl", report.to_jsonl())
     removed = sum(m.get("width_before", 0) - m.get("width_after", 0) for m in report.layer_maps)

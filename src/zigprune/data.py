@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, ParameterError, ShapeError
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -45,6 +45,19 @@ class Dataset:
         return Dataset(self.inputs[mask], self.targets[mask], self.task)
 
 
+def _float32(values, error, name) -> np.ndarray:
+    """`values` in float32 for the csv and synthetic readers: the first sample `i` with a
+    value float32 cannot hold finitely raises `error` naming `name(i)`, unwarned."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(values, dtype=np.float32)
+    bad = np.argwhere(~np.isfinite(out))  # bad[0, 0] is the first such sample
+    if bad.size:
+        raise error(f"{name(bad[0, 0])}: a value float32 cannot hold (nan, inf, or past +-3.4e38)")
+    return out
+
+
+# a huge argument may overflow float64 before `_float32` reports the result
+@np.errstate(over="ignore", invalid="ignore")
 def generate_group_lasso(
     n_groups: int,
     group_size: int,
@@ -73,12 +86,11 @@ def generate_group_lasso(
     y = design @ x_true
     if noise > 0:
         y = y + noise * rng.standard_normal(samples)
-    ds = Dataset(
-        inputs=design.astype(np.float32), targets=y.astype(np.float32), task="regress"
-    )
-    return ds, x_true
+    targets = _float32(y, ParameterError, lambda i: f"coef_scale = {coef_scale}, noise = {noise}")
+    return Dataset(inputs=design.astype(np.float32), targets=targets, task="regress"), x_true
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_blobs(
     classes: int,
     features: int,
@@ -95,9 +107,8 @@ def generate_blobs(
     labels = labels[rng.permutation(total)]
     inputs = means[labels] + rng.standard_normal((total, features))
     splits = np.array(["train"] * train_samples + ["test"] * test_samples)
-    return Dataset(
-        inputs=inputs.astype(np.float32), targets=labels, task="classify", splits=splits
-    )
+    inputs = _float32(inputs, ParameterError, lambda i: f"separation = {separation}")
+    return Dataset(inputs=inputs, targets=labels, task="classify", splits=splits)
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +181,7 @@ def load_csv(path, target: str = "class") -> Dataset:
         raise FormatError(f"csv target must be 'class' or 'value', got {target!r}")
     features = []
     targets = []
+    linenos = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -190,15 +202,17 @@ def load_csv(path, target: str = "class") -> Dataset:
                 )
             features.append(values[:-1])
             targets.append(label)
+            linenos.append(lineno)
     if not features:
         raise FormatError("csv file holds no samples")
     widths = {len(row) for row in features}
     if len(widths) != 1:
         raise FormatError(f"inconsistent csv feature counts: {sorted(widths)}")
-    inputs = np.asarray(features, dtype=np.float32)
+    inputs = _float32(features, FormatError, lambda i: f"line {linenos[i]}")
     if target == "class":
         return Dataset(inputs=inputs, targets=np.asarray(targets, dtype=np.int64), task="classify")
-    return Dataset(inputs=inputs, targets=np.asarray(targets, dtype=np.float32), task="regress")
+    targets = _float32(targets, FormatError, lambda i: f"line {linenos[i]}")
+    return Dataset(inputs=inputs, targets=targets, task="regress")
 
 
 # ---------------------------------------------------------------------------

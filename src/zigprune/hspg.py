@@ -149,7 +149,7 @@ def prox_sg_step(state: OptimizerState, grad: np.ndarray, partition: GroupPartit
     """Stochastic proximal gradient step: group soft-threshold of radius alpha*lam."""
     _check_finite(grad, state.k, "gradient")
     state.x = group_prox(_descend(state.x, state.alpha, grad), partition, state.alpha * state.lam)
-    info = {"k": state.k, "stage": "prox", "zeroed": np.empty(0, dtype=np.int64)}
+    info = {"k": state.k, "stage": "prox-sg", "zeroed": np.empty(0, dtype=np.int64)}
     _advance(state)
     return info
 
@@ -245,8 +245,6 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
         full_loss, _ = L.loss_forward(model.predict(dataset.inputs), dataset.targets, model.loss_kind)
         metrics = sparsity_metrics(state.x, partition)
         objective = full_loss + config.lam * metrics.group_norm
-        # an hspg epoch is labelled with the stage its last step ran in
-        stage = info["stage"] if config.optimizer == "hspg" else config.optimizer
         trace.append(
             {
                 "epoch": epoch,
@@ -255,7 +253,7 @@ def train(model, partition: GroupPartition, dataset, config: TrainConfig, callba
                 "group_sparsity": metrics.group_sparsity,
                 "zero_groups": metrics.zero_groups,
                 "alpha": state.alpha,
-                "stage": stage,
+                "stage": info["stage"],  # the stage the epoch's last step ran in
             }
         )
     return state.x, trace

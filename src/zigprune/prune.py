@@ -8,7 +8,8 @@ parameterized with the zeroed solution, up to float re-association.
 
 Pruning removes exactly the penalized groups whose entries are all zero in
 the model's parameters; to prune a live group (a negative control), zero it
-on a `clone()` first.
+on a `clone()` first. The report is the whole prune record: with `slim.ckpt`
+its slim-layer DSL strings rebuild the slim model; verify adds `max_deviation`.
 
 FLOPs are counted as one per multiply-accumulate, per sample, as the sum of
 each layer's `macs`: linear m*n; conv m*(c*kh*kw)*oh*ow plus m*oh*ow for the
@@ -23,6 +24,7 @@ from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
+from .config import model_to_specs
 from .errors import DegenerateLayerError, FormatError, StructuralError
 from .model import EVAL_CHUNK, ModelGraph
 from .zig import GroupPartition
@@ -39,9 +41,9 @@ class PruneReport:
     bn_stats_after: int
     flops_before: int
     flops_after: int
-    max_deviation: float | None = None
-    slim_layers: list[str] | None = None
-    input_shape: list[int] | None = None
+    slim_layers: list[str]
+    input_shape: list[int]
+    max_deviation: float | None = None  # verify fills it in
 
     def to_jsonl(self) -> str:
         """Strict JSON lines: a non-finite deviation is written "nan", "inf" or "-inf"."""
@@ -122,17 +124,17 @@ def prune(
     When every group of a layer is zero the default is to fail; `keep_one`
     retains the layer's first group instead, all zeros like the rest.
     """
-    zero = partition.pen_sqnorms(model.get_flat()) == 0.0
-    zero_set = set(int(g) for g in partition.pen_gids[zero])
+    zero = np.zeros(partition.n_groups, dtype=bool)  # indexed by group id
+    zero[partition.pen_gids] = partition.pen_sqnorms(model.get_flat()) == 0.0
 
-    slim_layers = []
+    layers = []
     layer_maps = []
     # kept indices along the unit axis of the value entering each layer: channels
     # of a (C, H, W) value, features of a flat one
     kept_in = list(range(model.input_shape[0]))
     for i, (layer, in_shape) in enumerate(zip(model.layers, model.in_shapes)):
         layer_groups = partition.groups_of_layer(i)
-        kept = [g for g in layer_groups if g.gid not in zero_set]
+        kept = [g for g in layer_groups if not zero[g.gid]]
         if layer_groups and not kept:
             if not keep_one:
                 raise DegenerateLayerError(
@@ -140,7 +142,7 @@ def prune(
                     "(set prune.keep_one = true, or pass keep_one=True, to keep its first group)"
                 )
             kept = layer_groups[:1]
-            zero_set.discard(kept[0].gid)
+            zero[kept[0].gid] = False
         if layer.flattens and len(in_shape) == 3:
             block = in_shape[1] * in_shape[2]
             kept_in = [c * block + j for c in kept_in for j in range(block)]
@@ -151,59 +153,47 @@ def prune(
         else:  # parameter-free kinds keep the unit axis as it is
             kept_out = kept_in
             entry = {"kept": None}
-        slim_layers.append(layer.slim(kept_in, kept_out))
+        layers.append(layer.slim(kept_in, kept_out))
         layer_maps.append({"layer": i, "kind": layer.layer_kind, **entry})
         kept_in = kept_out
 
-    slim = ModelGraph(slim_layers, model.input_shape)
+    slim = ModelGraph(layers, model.input_shape)
     params_before, stats_before = count_params(model)
     params_after, stats_after = count_params(slim)
-    flops_before, _ = count_flops_params(model)
-    flops_after, _ = count_flops_params(slim)
     report = PruneReport(
-        zero_groups=sorted(zero_set),
-        retained_groups=sorted(g.gid for g in partition.groups if g.gid not in zero_set),
+        zero_groups=np.flatnonzero(zero).tolist(),
+        retained_groups=np.flatnonzero(~zero).tolist(),
         layer_maps=layer_maps,
         params_before=params_before,
         params_after=params_after,
         bn_stats_before=stats_before,
         bn_stats_after=stats_after,
-        flops_before=flops_before,
-        flops_after=flops_after,
+        flops_before=count_flops_params(model)[0],
+        flops_after=count_flops_params(slim)[0],
+        slim_layers=model_to_specs(slim),
         input_shape=list(model.input_shape),
     )
     return slim, report
 
 
-def _max_gap(full: ModelGraph, slim: ModelGraph, inputs: np.ndarray) -> float:
-    out_full = full.predict(inputs)
-    out_slim = slim.predict(inputs)
-    if out_full.shape[1:] != out_slim.shape[1:]:
-        raise StructuralError(
-            f"output shapes differ: {out_full.shape[1:]} vs {out_slim.shape[1:]}"
-        )
-    if out_full.size == 0:
-        return 0.0
-    return float(np.abs(out_full.astype(np.float64) - out_slim.astype(np.float64)).max())
-
-
 def equivalence_check(full: ModelGraph, slim: ModelGraph, n_inputs: int, seed: int = 0) -> float:
     """Max absolute output gap between the two models over seeded random inputs.
 
-    The inputs are drawn `EVAL_CHUNK` at a time from one generator, which
-    yields the same values as a single draw of all of them, and each chunk is
-    released before the next is drawn, so memory stays bounded by the chunk
-    however many inputs are checked.
+    The models' input and output sample shapes are compared before any input
+    is drawn. The inputs are drawn `EVAL_CHUNK` at a time from one generator,
+    which yields the same values as a single draw of all of them, and each
+    chunk is released before the next is drawn, so memory stays bounded by
+    the chunk however many inputs are checked.
     """
-    if full.input_shape != slim.input_shape:
-        raise StructuralError(
-            f"input shapes differ: {full.input_shape} vs {slim.input_shape}"
-        )
+    for what, a, b in [("input", full.input_shape, slim.input_shape),
+                       ("output", full.in_shapes[-1], slim.in_shapes[-1])]:
+        if a != b:
+            raise StructuralError(f"{what} shapes differ: {a} vs {b}")
     rng = np.random.default_rng(seed)
-
-    def draw(count):
-        return rng.standard_normal((count, *full.input_shape)).astype(np.float32)
-
-    starts = range(0, max(n_inputs, 1), EVAL_CHUNK)  # zero inputs still compare shapes
-    gaps = [_max_gap(full, slim, draw(min(EVAL_CHUNK, n_inputs - s))) for s in starts]
-    return float(np.max(gaps))  # np.max, not max: a NaN gap from any chunk reaches the result
+    gaps = []
+    for start in range(0, n_inputs, EVAL_CHUNK):
+        x = rng.standard_normal((min(EVAL_CHUNK, n_inputs - start), *full.input_shape))
+        x = x.astype(np.float32)
+        gap = full.predict(x).astype(np.float64) - slim.predict(x).astype(np.float64)
+        gaps.append(np.max(np.abs(gap), initial=0.0))  # initial: an output may be empty
+    return float(np.max(gaps, initial=0.0))  # np.max, not max: a NaN gap reaches the result

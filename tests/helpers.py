@@ -593,7 +593,7 @@ def reference_prox_sg_step(state, grad, partition):
     state.x = reference_group_prox(
         _reference_descend(state.x, state.alpha, grad), partition, state.alpha * state.lam
     )
-    info = {"k": state.k, "stage": "prox", "zeroed": np.empty(0, dtype=np.int64)}
+    info = {"k": state.k, "stage": "prox-sg", "zeroed": np.empty(0, dtype=np.int64)}
     _reference_advance(state)
     return info
 

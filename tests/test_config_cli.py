@@ -21,6 +21,7 @@ from zigprune.config import (
     ExperimentConfig,
     build_dataset,
     build_layers,
+    build_model,
     load_config,
     model_to_specs,
     parse_config_text,
@@ -415,7 +416,8 @@ class TestLayerDsl:
 
 
 REPORT_LACKS = ("prune report summary lacks zero_groups, retained_groups, params_before, "
-                "params_after, bn_stats_before, bn_stats_after, flops_before, flops_after")
+                "params_after, bn_stats_before, bn_stats_after, flops_before, flops_after, "
+                "slim_layers, input_shape")
 
 
 def without_slim_layers(lines):
@@ -532,7 +534,7 @@ class TestCli:
             (lambda lines: lines + ["3"], "prune report has a line that is not a JSON object"),
             (lambda lines: ['{"type": "summary"}'], REPORT_LACKS),
             (lambda lines: lines[1:], REPORT_LACKS),
-            (without_slim_layers, "prune report lists no slim_layers"),
+            (without_slim_layers, "prune report summary lacks slim_layers"),
             (with_summary(max_deviation="abc"),
              "prune report summary field max_deviation must be a number"),
             (with_summary(params_before=1.5),
@@ -570,6 +572,58 @@ class TestCli:
         })
         assert self.run("run", "--config", str(cfgp)) == 1
         assert capsys.readouterr().err == f"[train] {message}\n"
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"csv": "0.5,1.0,0\n1e39,2.0,1\n"}, "line 2"),
+            ({"csv": "0.5,nan,0\n1.0,2.0,1\n"}, "line 1"),
+            ({"csv": "0.5,1.0,0\n1.0,-inf,1\n"}, "line 2"),
+            ({"csv": "0.5,1.0,0.25\n1.0,2.0,1e39\n", "dataset.target": "value",
+              "model.layers": "linear:1", "model.loss": "mse"}, "line 2"),
+            ({"dataset.separation": "1e300"}, "separation = 1e+300"),
+            ({**NOT_GLASSO, "model.input_shape": "6", "model.layers": "linear:1",
+              "model.loss": "mse", "dataset.kind": "synthetic-glasso", "dataset.groups": "3",
+              "dataset.group_size": "2", "dataset.noise": "1e300"},
+             "coef_scale = 1.0, noise = 1e+300"),
+        ],
+        ids=["csv-feature-1e39", "csv-feature-nan", "csv-feature-inf", "csv-value-1e39",
+             "blobs-separation", "glasso-noise"],
+    )
+    def test_value_float32_cannot_hold_fails_at_train(self, tmp_path, capsys, overrides, message):
+        overrides = dict(overrides)
+        if "csv" in overrides:
+            (tmp_path / "d.csv").write_text(overrides.pop("csv"))
+            overrides = {**NOT_CSV, "model.input_shape": "2", "model.layers": "linear:2",
+                         "dataset.kind": "csv", "dataset.path": str(tmp_path / "d.csv"),
+                         **overrides}
+        cfgp = write_config(tmp_path, **overrides)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run("run", "--config", str(cfgp)) == 1
+        assert capsys.readouterr().err == (
+            f"[train] {message}: a value float32 cannot hold (nan, inf, or past +-3.4e38)\n"
+        )
+        assert not (tmp_path / "out" / "full.ckpt").exists()
+
+    def test_library_prune_report_is_what_verify_and_flops_read(self, tmp_path, capsys):
+        cfg = load_config(write_config(tmp_path))
+        model = build_model(cfg)
+        partition = zigprune.partition_zig(model)
+        zeroed = [g.gid for g in partition.groups_of_layer(0)[:5]]
+        x = model.get_flat()
+        partition.zero_groups_inplace(x, zeroed)
+        model.set_flat(x)
+        slim, report = zigprune.prune(model, partition)
+        os.makedirs(cfg.output_dir)
+        (tmp_path / "out" / "report.jsonl").write_text(report.to_jsonl())
+        model.save_checkpoint(tmp_path / "out" / "full.ckpt")
+        slim.save_checkpoint(tmp_path / "out" / "slim.ckpt")
+        for command in ("verify", "flops"):
+            assert self.run(command, "--config", str(tmp_path / "exp.cfg")) == 0, command
+        out = capsys.readouterr().out
+        assert "verify: max output deviation 0.000e+00" in out
+        assert f"flops: slim model {report.flops_after} MACs/sample" in out
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, **{"optimizer.epsilon": "2.0"})

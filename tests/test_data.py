@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,18 @@ from zigprune.data import (
     write_idx_images,
     write_idx_labels,
 )
-from zigprune.errors import FormatError, ShapeError
+from zigprune.errors import FormatError, ParameterError, ShapeError
 from zigprune.model import ModelGraph
+
+
+FLOAT32_FAULT = "a value float32 cannot hold (nan, inf, or past +-3.4e38)"
+
+
+def no_warnings(load, *args, **kwargs):
+    """`load(*args, **kwargs)` with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load(*args, **kwargs)
 
 
 class TestGroupLassoGenerator:
@@ -41,6 +52,13 @@ class TestGroupLassoGenerator:
         with pytest.raises(ShapeError):
             generate_group_lasso(3, 2, 5, 10, 0.0, seed=0)
 
+    # 1e300 fits float64 but not float32; 1e308 overflows float64 on the way
+    @pytest.mark.parametrize("noise,coef_scale", [(1e300, 1.0), (1e308, 1.0), (0.0, 1e300)])
+    def test_targets_float32_cannot_hold_name_the_arguments(self, noise, coef_scale):
+        with pytest.raises(ParameterError) as err:
+            no_warnings(generate_group_lasso, 3, 2, 1, 10, noise, seed=0, coef_scale=coef_scale)
+        assert str(err.value) == f"coef_scale = {coef_scale}, noise = {noise}: {FLOAT32_FAULT}"
+
 
 class TestBlobs:
     def test_shapes_splits_and_determinism(self):
@@ -55,6 +73,12 @@ class TestBlobs:
     def test_every_class_present(self):
         ds = generate_blobs(5, 4, 50, 25, separation=2.0, seed=3)
         assert set(np.unique(ds.targets)) == set(range(5))
+
+    @pytest.mark.parametrize("separation", [1e300, 1e308])
+    def test_inputs_float32_cannot_hold_name_separation(self, separation):
+        with pytest.raises(ParameterError) as err:
+            no_warnings(generate_blobs, 3, 2, 10, 0, separation, seed=0)
+        assert str(err.value) == f"separation = {separation}: {FLOAT32_FAULT}"
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ShapeError):
@@ -191,6 +215,30 @@ class TestCsv:
         f.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
         with pytest.raises(FormatError, match=f"^line 2: class label '{label}' is not an integer"):
             load_csv(f, target="class")
+
+    @pytest.mark.parametrize("target", ["class", "value"])
+    @pytest.mark.parametrize("feature", ["nan", "inf", "-inf", "1e39", "-1e39"])
+    def test_feature_float32_cannot_hold_names_the_line(self, tmp_path, feature, target):
+        f = tmp_path / "d.csv"
+        f.write_text(f"# comment\n1.0,2.0,0\n3.0,{feature},1\n")
+        with pytest.raises(FormatError) as err:
+            no_warnings(load_csv, f, target=target)
+        assert str(err.value) == f"line 3: {FLOAT32_FAULT}"
+
+    @pytest.mark.parametrize("value", ["nan", "1e39", "-inf"])
+    def test_value_target_float32_cannot_hold_names_the_line(self, tmp_path, value):
+        f = tmp_path / "d.csv"
+        f.write_text(f"1.0,2.0\n3.0,{value}\n")
+        with pytest.raises(FormatError) as err:
+            no_warnings(load_csv, f, target="value")
+        assert str(err.value) == f"line 2: {FLOAT32_FAULT}"
+
+    def test_values_rounding_to_float32_max_load(self, tmp_path):
+        f = tmp_path / "d.csv"
+        f.write_text("3.4028235e38,-3.4028235e38\n")
+        ds = no_warnings(load_csv, f, target="value")
+        top = np.finfo(np.float32).max
+        assert ds.inputs.tolist() == [[top]] and ds.targets.tolist() == [-top]
 
     def test_inconsistent_width(self, tmp_path):
         f = tmp_path / "d.csv"

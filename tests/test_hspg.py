@@ -731,6 +731,16 @@ class TestTrain:
         if np_epochs == 0 and batch_size < ds.n:  # the switch falls after the first step
             assert stages[0][0] == "subgradient" and trace[0]["stage"] == "half_space"
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "prox-sg"])
+    def test_comparator_steps_and_epochs_carry_the_optimizer_name(self, optimizer):
+        ds, model, part, _ = self.make_problem()
+        cfg = TrainConfig(optimizer=optimizer, alpha0=0.05, lam=0.2, batch_size=32,
+                          epochs=2, seed=0)
+        stages = []
+        _, trace = train(model, part, ds, cfg, callback=lambda st, info: stages.append(info["stage"]))
+        assert set(stages) == {optimizer}
+        assert [entry["stage"] for entry in trace] == [optimizer] * 2
+
     def test_epoch_loss_is_the_full_batch_loss(self):
         # the per-epoch loss is evaluated in chunks; it must still be the
         # one-shot full-data loss at the epoch's parameters, bit for bit

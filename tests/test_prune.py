@@ -111,16 +111,16 @@ class TestCounters:
 KEEP_ONE_CASES = {
     "linear": (
         ["linear:3", "relu", "linear:4", "leaky_relu", "linear:2"], (5,), [0], [4],
-        "429b64a08a99b375cecd02d3b5c4e0945dcfaa00ef981dbeb783e54077ebdcab",
+        "c721dc9090e29622dd86c836b95e7000591ef9fbac645d26d44ff52ca9de3c7d",
     ),
     "conv": (
         ["convbn:3:3x3:p1", "residual:3:3x3:p1:gelu", "convbn:4:3x3:s2", "linear:2"],
         (2, 5, 5), [0, 1], [7],
-        "237755d39a894b8fdfba85a7da1f47c50ce435921b0cb2eca0cdd94500d36283",
+        "53aeea69893239e548a4eda229df3a5836191a0abf4875d5fab782b68831dbea",
     ),
     "attention": (
         ["linear:4", "prelu", "mha:2x2", "linear:2"], (3,), [2], [1],
-        "9ba7bbb20e304e4b8be298e13de3cdb49e777a987459f79baa72c69806309078",
+        "931d23d6746ac57ec46ad460b81e272a323a1d3162b8beb78393cb4601f1fb22",
     ),
 }
 
@@ -241,7 +241,9 @@ class TestPruneShapes:
     @pytest.mark.parametrize("case", sorted(KEEP_ONE_CASES))
     def test_keep_one_output_is_pinned(self, case):
         # SHA-256 of the report and of the slim model's arrays, recorded before
-        # prune chose kept groups and slimmed layers in one pass
+        # prune chose kept groups and slimmed layers in one pass and re-pinned
+        # when the report began to carry slim_layers (with slim_layers null the
+        # report hashes to the first digests)
         specs, shape, whole, partial, digest = KEEP_ONE_CASES[case]
         m = model_from(specs, shape, seed=21)
         p = partition_zig(m)
@@ -369,8 +371,19 @@ class TestEquivalence:
     def test_structural_error_on_output_mismatch(self):
         a = model_from(["linear:3"], (4,), seed=13)
         b = model_from(["linear:2"], (4,), seed=14)
-        with pytest.raises(StructuralError, match="output shapes"):
+        calls = []  # the shapes are compared before either model predicts
+        a.predict = b.predict = lambda inputs: calls.append(len(inputs))
+        with pytest.raises(StructuralError) as err:
             equivalence_check(a, b, 5, seed=0)
+        assert str(err.value) == "output shapes differ: (3,) vs (2,)"
+        assert calls == []
+
+    def test_models_without_layers_compare_to_zero(self):
+        # such a model's output shape is its input shape, `in_shapes[-1]`
+        a, b = ModelGraph([], (2, 3)), ModelGraph([], (2, 3))
+        assert equivalence_check(a, b, EVAL_CHUNK + 1, seed=0) == 0.0
+        with pytest.raises(StructuralError, match=r"^input shapes differ: \(2, 3\) vs \(6,\)$"):
+            equivalence_check(a, ModelGraph([], (6,)), 1, seed=0)
 
     def test_zero_inputs_give_zero_gap_but_still_compare_shapes(self):
         a = model_from(["linear:3"], (4,), seed=13)
@@ -396,13 +409,15 @@ class TestReport:
         zero_groups(m, p, [1])
         slim, report = prune(m, p)
         report.max_deviation = equivalence_check(m, slim, 10, seed=3)
-        report.slim_layers = ["linear:3", "linear:2"]
+        assert report.slim_layers == ["linear:3", "linear:2"] == model_to_specs(slim)
+        assert report.input_shape == [3]
         text = report.to_jsonl()
         back = PruneReport.from_jsonl(text)
         assert back.zero_groups == report.zero_groups
         assert back.params_after == report.params_after
         assert back.layer_maps == report.layer_maps
         assert back.slim_layers == report.slim_layers
+        assert back.input_shape == report.input_shape
         assert back.max_deviation == report.max_deviation
 
     @pytest.mark.parametrize("deviation", [float("nan"), float("inf"), float("-inf")])
