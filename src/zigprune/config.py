@@ -18,6 +18,7 @@ dataset keys, their checks and `build_dataset`'s one reader call come from it.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -30,6 +31,8 @@ from .hspg import TrainConfig
 from .model import ModelGraph, infer_shapes
 
 DATASET_KINDS = tuple(D.KINDS)
+# a synthetic kind's samples are flat vectors, as wide as the product of these keys
+_SAMPLE_WIDTH = {"synthetic-classify": ("features",), "synthetic-glasso": ("groups", "group_size")}
 
 
 @dataclass
@@ -157,7 +160,7 @@ def load_config(path) -> ExperimentConfig:
     if kind not in DATASET_KINDS:
         raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {kind!r}")
     dataset = {k.split(".", 1)[1]: v for k, v in typed.items() if k.startswith("dataset.")}
-    _validate_dataset(dataset, input_shape)
+    _validate_dataset(dataset)
 
     train_fields = {f[len("train.") :]: given.pop(f) for f in list(given) if f.startswith("train.")}
     try:
@@ -171,6 +174,13 @@ def load_config(path) -> ExperimentConfig:
     cfg = ExperimentConfig(dataset=dataset, train=train, **given)
     # fail early on an inconsistent architecture; its shapes need no initialized weights
     layers = build_layers(cfg.layer_specs, cfg.input_shape, cfg.loss, "zeros", 0)
+    if kind in _SAMPLE_WIDTH:
+        width = math.prod(dataset[key] for key in _SAMPLE_WIDTH[kind])
+        if cfg.input_shape != (width,):
+            raise ConfigError(
+                f"{kind} expects model.input_shape = {width} "
+                f"({' x '.join(_SAMPLE_WIDTH[kind])}), got {cfg.input_shape}"
+            )
     # glasso's groups are flat positions 0 .. groups * group_size - 1: one unit's input weights
     first = next((i for i, layer in enumerate(layers) if layer.units()), None)
     if kind == "synthetic-glasso" and (first is None or len(layers[first].units()) != 1):
@@ -185,7 +195,7 @@ def check_seed(what: str, seed: int):
         raise ConfigError(f"{what} must be >= 0, got {seed}")
 
 
-def _validate_dataset(ds: dict, input_shape: tuple):
+def _validate_dataset(ds: dict):
     kind = ds["kind"]
     keys = D.KINDS[kind][1]
     stray = [f"dataset.{key}" for key in ds if key != "kind" and key not in keys]
@@ -203,15 +213,8 @@ def _validate_dataset(ds: dict, input_shape: tuple):
             raise ConfigError(f"dataset.{key}: no such file {ds[key]!r}")
         if isinstance(entry, tuple) and key in ds and ds[key] not in entry:
             raise ConfigError(f"dataset.{key} must be {' or '.join(map(repr, entry))}")
-    if kind == "synthetic-glasso":
-        if ds.get("support", keys["support"]) > ds["groups"]:
-            raise ConfigError("dataset.support cannot exceed dataset.groups")
-        expected = ds["groups"] * ds["group_size"]
-        if input_shape != (expected,):
-            raise ConfigError(
-                f"synthetic-glasso expects model.input_shape = {expected} "
-                f"(groups x group_size), got {input_shape}"
-            )
+    if kind == "synthetic-glasso" and ds.get("support", keys["support"]) > ds["groups"]:
+        raise ConfigError("dataset.support cannot exceed dataset.groups")
 
 
 # ---------------------------------------------------------------------------

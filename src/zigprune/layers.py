@@ -35,7 +35,11 @@ parameter names (``b1.``, ``h0.``) and leave checks and slicing to them. A
 residual block's groups fall out of the one rule over its prefixed
 parameters: channel c of both branches, so the summed channel is zero. BN
 mean/std are not trainable, so they stay out of every group: with gamma =
-beta = 0 they cannot shift the channel.
+beta = 0 they cannot shift the channel. The two branches of a residual block
+have one shape, the input channels and fields its DSL string writes, and
+building a block with any other pair raises InvalidModelError. So branch 1
+answers for the block's output shape, patches and spec, and branch 2 reads
+branch 1's im2col patches.
 
 The numeric work sits in module-level functions: every forward returns
 ``(out, cache)`` and its backward takes ``(dout, cache)`` and returns
@@ -78,7 +82,7 @@ recomputes them. Each kind's cache holds:
   * conv+bn: the input shape, the float64 patches (index 1), the
     pre-activation (index 2), ``xhat = (a(pre) - mean) / std``, the
     activation's saved term and the float64 kernel as in linear;
-  * residual: its two branches' conv+bn caches;
+  * residual: its two branches' conv+bn caches, which hold one patch array;
   * activation: the input and the activation's saved term.
 
 An activation's saved term is whatever its derivative needs besides x: GELU's
@@ -517,11 +521,6 @@ class ConvBN(Layer):
     def out_channels(self):
         return self.kernel.data.shape[0]
 
-    @property
-    def geometry(self):
-        """The window (kh, kw, stride, padding); equal geometries share im2col patches."""
-        return (self.kh, self.kw, self.stride, self.padding)
-
     def out_shape(self, shape):
         if len(shape) != 3:
             raise InvalidModelError(f"conv needs a (channels, h, w) input, got {shape}")
@@ -609,20 +608,17 @@ class ResidualBlock(Layer):
 
     layer_kind = "residual"
 
+    def __post_init__(self):
+        s1, s2 = ((b.in_channels, b.spec("residual")) for _, b in self.branches)
+        if s1 != s2:
+            raise InvalidModelError(f"residual branches differ: {s1} vs {s2}")
+
     @property
     def branches(self):
         return (("b1", self.branch1), ("b2", self.branch2))
 
     def out_shape(self, shape):
-        s1, s2 = (branch.out_shape(shape) for _, branch in self.branches)
-        if s1 != s2:
-            raise InvalidModelError(f"residual branch outputs disagree: {s1} vs {s2}")
-        return s1
-
-    @property
-    def shares_patches(self):
-        """Both branches read x: one im2col serves both when their windows agree."""
-        return self.branch1.geometry == self.branch2.geometry
+        return self.branch1.out_shape(shape)
 
     def forward(self, x):
         return residual_forward(x, self)
@@ -642,18 +638,13 @@ class ResidualBlock(Layer):
         return sum(b.macs(out_shape) for _, b in self.branches)
 
     def patch_bytes(self, out_shape):
-        if self.shares_patches:
-            return self.branch1.patch_bytes(out_shape)
-        return sum(b.patch_bytes(out_shape) for _, b in self.branches)
+        return self.branch1.patch_bytes(out_shape)  # both branches read one set of patches
 
     def kinks(self, cache):
         return self.branch1.kinks(cache[0]) + self.branch2.kinks(cache[1])
 
     def spec(self):
-        s1, s2 = (branch.spec("residual") for _, branch in self.branches)
-        if s1 != s2:
-            raise ConfigError(f"cannot format a residual block with differing branches: {s1}, {s2}")
-        return s1
+        return self.branch1.spec("residual")
 
     @classmethod
     def from_spec(cls, spec, args, shape, rng, init):
@@ -943,7 +934,7 @@ def conv_bn_forward(x: np.ndarray, layer: ConvBN, cols: np.ndarray | None = None
     """Conv + activation + normalization of a (B, C, H, W) batch.
 
     `cols` may pass in the float64 `_im2col` patches of `x` for this layer's
-    geometry, already built for another layer that reads the same input.
+    window, already built for another layer that reads the same input.
     The patches are built in float64 once, so neither the forward product nor
     the backward kernel-gradient product upcasts them again.
     """
@@ -989,8 +980,7 @@ def conv_bn_backward(dout: np.ndarray, layer: ConvBN, cache, need_dx=True):
 def residual_forward(x: np.ndarray, layer: ResidualBlock):
     _checked_out_shape(layer, x.shape[1:])
     out1, cache1 = conv_bn_forward(x, layer.branch1)
-    shared = cache1[1] if layer.shares_patches else None
-    out2, cache2 = conv_bn_forward(x, layer.branch2, shared)
+    out2, cache2 = conv_bn_forward(x, layer.branch2, cache1[1])
     return out1 + out2, (cache1, cache2)
 
 

@@ -817,6 +817,23 @@ output.dir = {out}
         assert not (tmp_path / "gl").exists()
 
     @pytest.mark.parametrize(
+        "overrides,got",
+        [({"model.input_shape": "1x4x4", "model.layers": "convbn:2:3x3:s1:p1, linear:3",
+           "dataset.features": "16"}, "(1, 4, 4)"),
+         ({"model.input_shape": "6", "dataset.features": "5"}, "(6,)")],
+        ids=["1x4x4", "6-of-5"],
+    )
+    def test_classify_input_shape_is_checked_at_load(self, tmp_path, capsys, overrides, got):
+        cfgp = write_config(tmp_path, **overrides)
+        features = overrides["dataset.features"]
+        assert self.run("run", "--config", str(cfgp)) == 2
+        assert capsys.readouterr().err == (
+            f"[config] synthetic-classify expects model.input_shape = {features} (features), "
+            f"got {got}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "layers,refused",
         [("linear:4, linear:1", "layer 'linear:4'"), ("mha:2x1", "layer 'mha:2x1'"),
          ("relu", "model.layers"), ("linear:1", None), ("mha:1x1", None),

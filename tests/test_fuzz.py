@@ -5,6 +5,10 @@ files) covering every dataset kind, optimizer and layer kind, then runs the
 whole pipeline through `cli.main`. The property: `main` returns 0, or it
 returns 1 (2 for a config error) after printing the error tagged with the
 stage that raised it. Any other exception escapes `main` and fails the test.
+A run that completes must also hold its claims: a one-shot deviation within
+1e-5, MAC counts in its report equal to those written out from the DSL
+strings by hand, and, where the partition is the model's own (every kind but
+synthetic-glasso), a trained model whose groups are exactly zero-invariant.
 
 A second fuzz builds single layers from random DSL strings: a well-formed
 spec of each head (or of an unknown one) after up to two typo-like edits,
@@ -13,17 +17,21 @@ field or a doubled separator. Each either builds, and writes itself back
 as a spec that builds the same, or raises ConfigError.
 """
 
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zigprune.cli import main
-from zigprune.config import DATASET_KINDS, build_layers
+from zigprune.config import DATASET_KINDS, build_layers, build_model, load_config
 from zigprune.data import write_idx_images, write_idx_labels
 from zigprune.errors import ConfigError
 from zigprune.hspg import OPTIMIZER_KINDS
 from zigprune.model import infer_shapes
+from zigprune.prune import PruneReport
+from zigprune.zig import partition_zig, verify_zero_invariance
 
 ACTS = ("relu", "leaky_relu", "prelu", "gelu")
 CASES_PER_KIND = 15
@@ -119,6 +127,44 @@ def random_config(rng, kind, optimizer, workdir) -> str:
     return str(path)
 
 
+def dsl_macs(specs, shape) -> int:
+    """Per-sample MACs of DSL layers on a `shape` input, by the formulas of `prune`'s
+    docstring, read from the strings alone."""
+    total = 0
+    for spec in specs:
+        head, *args = spec.split(":")
+        if head in ("convbn", "residual"):
+            c, h, w = shape
+            m, (kh, kw) = int(args[0]), map(int, args[1].split("x"))
+            opts = {"s": 1, "p": 0, **{a[0]: int(a[1:]) for a in args[2:] if a[1:].isdecimal()}}
+            oh = (h + 2 * opts["p"] - kh) // opts["s"] + 1
+            ow = (w + 2 * opts["p"] - kw) // opts["s"] + 1
+            branches = 2 if head == "residual" else 1
+            total += branches * (m * c * kh * kw * oh * ow + m * oh * ow)  # conv + bn scale
+            shape = (m, oh, ow)
+        elif head in ("linear", "mha"):  # mha: sum over heads of m_h * n
+            heads, _, rows = args[0].partition("x")  # HxM, or a width per head
+            m = int(heads) * int(rows) if rows else sum(int(v) for v in heads.split(","))
+            total += m * math.prod(shape)
+            shape = (m,)
+    return total
+
+
+def check_claims(case, config, context):
+    """A completed run's report and checkpoint hold the pipeline's claims."""
+    cfg = load_config(config)
+    out = Path(cfg.output_dir)
+    report = PruneReport.from_jsonl((out / "report.jsonl").read_text())
+    assert report.max_deviation <= 1e-5, context
+    assert report.flops_before == dsl_macs(cfg.layer_specs, cfg.input_shape), context
+    assert report.flops_after == dsl_macs(report.slim_layers, cfg.input_shape), context
+    if cfg.dataset["kind"] != "synthetic-glasso":  # glasso's groups are laid by hand
+        model = build_model(cfg)
+        model.load_checkpoint(out / "full.ckpt")
+        partition = partition_zig(model, cfg.penalize_output)
+        assert verify_zero_invariance(model, partition, trials=20, seed=case) == 0.0, context
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging cases overflow on purpose
 def test_every_config_runs_or_fails_typed(tmp_path, capsys):
     rng = np.random.default_rng(2107)
@@ -131,10 +177,12 @@ def test_every_config_runs_or_fails_typed(tmp_path, capsys):
         config = random_config(rng, kind, optimizer, workdir)
         code = main(["run", "--config", config])
         err = capsys.readouterr().err.strip().splitlines()
+        text = Path(config).read_text()
+        context = f"case {case}: {text}"
         if code == 0:
-            ran.append((kind, optimizer, open(config).read()))
+            ran.append((kind, optimizer, text))
+            check_claims(case, config, context)
             continue
-        context = f"case {case}: {open(config).read()}"
         assert code in (1, 2), context
         assert err and TAGGED.match(err[-1]), context
         assert (code == 2) == err[-1].startswith("[config]"), context

@@ -3,7 +3,7 @@ import pytest
 
 import zigprune.layers as layers_module
 from zigprune.config import build_layers
-from zigprune.errors import ConfigError, InvalidModelError, ParameterError, ShapeError, TargetError
+from zigprune.errors import InvalidModelError, ParameterError, ShapeError, TargetError
 from zigprune.layers import (
     ACTIVATIONS,
     DSL_KINDS,
@@ -580,7 +580,7 @@ class TestResidual:
     def test_forward_equals_sum_of_branches(self):
         rng = np.random.default_rng(5)
         b1 = random_convbn(rng, 2, 3, 3, padding=1)
-        b2 = random_convbn(rng, 2, 3, 3, padding=1, activation="leaky_relu")
+        b2 = random_convbn(rng, 2, 3, 3, padding=1)
         block = ResidualBlock(branch1=b1, branch2=b2)
         x = rng.standard_normal((2, 2, 5, 5)).astype(np.float32)
         out, _ = residual_forward(x, block)
@@ -588,17 +588,38 @@ class TestResidual:
         o2, _ = conv_bn_forward(x, b2)
         assert np.abs(out - (o1 + o2)).max() <= 1e-6
 
-    def test_spec_rejects_differing_branches(self):
+    def test_block_answers_with_branch_1s_shape(self):
         rng = np.random.default_rng(6)
-        same = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 3, 3))
-        assert same.spec() == "residual:3:3x3:s1:p0:relu"
-        for extra in ({"padding": 1}, {"activation": "gelu"}):
-            block = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 3, 3, **extra))
-            with pytest.raises(ConfigError, match="differing branches"):
-                block.spec()
-        wider = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 4, 3))
-        with pytest.raises(ConfigError, match="residual:3:3x3:s1:p0:relu, residual:4:3x3"):
-            wider.spec()
+        block = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 3, 3))
+        assert block.spec() == "residual:3:3x3:s1:p0:relu"
+        assert block.out_shape((2, 5, 5)) == (3, 3, 3)
+        # both branches read one set of patches, and each runs its own product
+        assert block.patch_bytes((3, 3, 3)) == block.branch1.patch_bytes((3, 3, 3))
+        assert block.macs((3, 3, 3)) == 2 * block.branch1.macs((3, 3, 3))
+
+    # field -> (in_channels, out_channels, k, options) of branch 1 and branch 2
+    DIFFERING_BRANCHES = {
+        "window": ((2, 3, 3, {}), (2, 3, 1, {})),
+        "stride": ((2, 3, 3, {}), (2, 3, 3, {"stride": 2})),
+        "padding": ((2, 3, 3, {}), (2, 3, 3, {"padding": 1})),
+        "activation": ((2, 3, 3, {}), (2, 3, 3, {"activation": "gelu"})),
+        "width": ((2, 3, 3, {}), (2, 4, 3, {})),
+        "input channels": ((2, 3, 3, {}), (1, 3, 3, {})),
+        # both give (3, 5, 5) on a 5x5 input, so no output shape tells them apart
+        "window and padding": ((2, 3, 3, {"padding": 1}), (2, 3, 1, {})),
+    }
+
+    @pytest.mark.parametrize("field", list(DIFFERING_BRANCHES))
+    def test_constructor_refuses_differing_branches(self, field):
+        rng = np.random.default_rng(6)
+        b1, b2 = (
+            random_convbn(rng, cin, cout, k, **options)
+            for cin, cout, k, options in self.DIFFERING_BRANCHES[field]
+        )
+        with pytest.raises(InvalidModelError, match="residual branches differ") as refused:
+            ResidualBlock(b1, b2)
+        for branch in (b1, b2):
+            assert str((branch.in_channels, branch.spec("residual"))) in str(refused.value)
 
 
 def _rejected_inputs():
@@ -607,15 +628,15 @@ def _rejected_inputs():
     linear = Linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
     mha = MultiHeadAttention([linear, Linear(Tensor(np.zeros((1, 3))), Tensor(np.zeros(1)))])
     conv = random_convbn(rng, 2, 3, 3)
-    # 3x3 and 1x1 windows give (3, 3, 3) and (3, 5, 5) outputs on a 5x5 input
-    residual = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 3, 1))
+    # both branches take 2 input channels; the batch has 3
+    residual = ResidualBlock(random_convbn(rng, 2, 3, 3), random_convbn(rng, 2, 3, 3))
     return {
         "linear extent": (linear, linear_forward, np.zeros((2, 4), np.float32)),
         "mha extent": (mha, attention_forward, np.zeros((2, 3, 4), np.float32)),
         "convbn rank": (conv, conv_bn_forward, np.zeros((2, 5, 5), np.float32)),
         "convbn channels": (conv, conv_bn_forward, np.zeros((1, 3, 5, 5), np.float32)),
         "convbn empty output": (conv, conv_bn_forward, np.zeros((1, 2, 2, 2), np.float32)),
-        "residual branches": (residual, residual_forward, np.zeros((1, 2, 5, 5), np.float32)),
+        "residual branches": (residual, residual_forward, np.zeros((1, 3, 5, 5), np.float32)),
     }
 
 
@@ -729,17 +750,16 @@ class TestBitExactConvPath:
             assert dx.strides == ref.strides
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k2, p2", [(3, 1), (1, 0)], ids=["shared-cols", "own-cols"])
-    def test_residual_equals_independent_branches(self, dtype, k2, p2):
+    def test_residual_equals_independent_branches(self, dtype):
         rng = np.random.default_rng(15)
         b1 = random_convbn(rng, 2, 3, 3, padding=1)
-        b2 = random_convbn(rng, 2, 3, k2, padding=p2, activation="leaky_relu")
+        b2 = random_convbn(rng, 2, 3, 3, padding=1)
         block = ResidualBlock(branch1=b1, branch2=b2)
         x = rng.standard_normal((2, 2, 5, 5)).astype(dtype)
         dout = rng.standard_normal((2, 3, 5, 5)).astype(dtype)
 
         out, cache = residual_forward(x, block)
-        assert (cache[1][1] is cache[0][1]) == (k2 == 3)  # one im2col when windows agree
+        assert cache[1][1] is cache[0][1]  # both branches read one im2col
         o1, c1 = conv_bn_forward(x, b1)
         o2, c2 = conv_bn_forward(x, b2)
         assert np.array_equal(out, o1 + o2)

@@ -272,25 +272,21 @@ class TestPredict:
         assert peaks[1] <= 1.25 * peaks[0]
 
 
-# (input shape, channels, whether the residual branches share one window)
+# (input shape, channels, the residual block's window): "shared" is the first
+# conv's 3x3 p1 window, "own" a 5x5 p2 one, so the patch budget sees two patch sizes
 CHUNK_MODELS = [
-    pytest.param(shape, channels, shared, id=f"{shape[1]}x{shape[2]}-{'shared' if shared else 'own'}")
+    pytest.param(shape, channels, window, id=f"{shape[1]}x{shape[2]}-{label}")
     for shape, channels in (((1, 8, 8), 4), ((1, 12, 12), 4), (MNIST_SHAPE, 8))
-    for shared in (True, False)
+    for label, window in (("shared", ["3x3", "p1"]), ("own", ["5x5", "p2"]))
 ]
 
 
-def chunk_model(shape, channels, shared, seed=0):
-    """A conv layer, a residual block (3x3 and, unless `shared`, 5x5 branches) and a linear layer."""
+def chunk_model(shape, channels, window, seed=0):
+    """A 3x3 conv layer, a residual block with `window` and a linear layer."""
     rng, draw = np.random.default_rng(seed), weight_init("normal:0.5")
     first = ConvBN.from_spec("convbn", [str(channels), "3x3", "p1"], shape, rng, draw)
     inner = first.out_shape(shape)
-    window = ["3x3", "p1"] if shared else ["5x5", "p2"]
-    block = ResidualBlock(
-        ConvBN.from_spec("residual", [str(channels), "3x3", "p1"], inner, rng, draw),
-        ConvBN.from_spec("residual", [str(channels), *window], inner, rng, draw),
-    )
-    assert block.shares_patches == shared
+    block = ResidualBlock.from_spec("residual", [str(channels), *window], inner, rng, draw)
     head = Linear.drawn(3, inner, rng, draw)
     return ModelGraph([first, block, head, Loss("softmax_ce")], shape)
 
@@ -339,11 +335,11 @@ class TestEvalChunk:
         assert len(batches) > 3 and sum(batches) == 3 * EVAL_CHUNK
 
     @pytest.mark.parametrize("n", [0, 1, 255, 300])
-    @pytest.mark.parametrize("shape, channels, shared", CHUNK_MODELS)
+    @pytest.mark.parametrize("shape, channels, window", CHUNK_MODELS)
     def test_chunks_cover_every_sample_within_the_patch_budget(
-        self, monkeypatch, shape, channels, shared, n
+        self, monkeypatch, shape, channels, window, n
     ):
-        m = chunk_model(shape, channels, shared)
+        m = chunk_model(shape, channels, window)
         calls = spy_conv_calls(monkeypatch)
         x = np.random.default_rng(n).standard_normal((n, *shape)).astype(np.float32)
         m.predict(x)
@@ -362,9 +358,9 @@ class TestEvalChunk:
             assert sizes[0] == EVAL_CHUNK or (sizes[0] + 1) * widest > PATCH_BYTES
 
     @pytest.mark.parametrize("n", [0, 1, 255, 300])
-    @pytest.mark.parametrize("shape, channels, shared", CHUNK_MODELS[:4])
-    def test_float64_inputs_run_eval_chunk_chunks(self, monkeypatch, shape, channels, shared, n):
-        m = chunk_model(shape, channels, shared)
+    @pytest.mark.parametrize("shape, channels, window", CHUNK_MODELS[:4])
+    def test_float64_inputs_run_eval_chunk_chunks(self, monkeypatch, shape, channels, window, n):
+        m = chunk_model(shape, channels, window)
         calls = spy_conv_calls(monkeypatch)
         m.predict(np.random.default_rng(n).standard_normal((n, *shape)))
         sizes = [len(cx) for layer, cx, _ in calls if layer is m.layers[0]]
